@@ -14,6 +14,7 @@ import time
 
 from subring_census.catalog import catalog
 from subring_census.counting import CountLedger
+from subring_census.hnf import Cotype
 from subring_census.polynomials import expand
 
 
@@ -36,16 +37,7 @@ def main() -> int:
     for e in range(emax + 1):
         record = ledger.census(4, p, e, threads=args.threads)
         total += record.f_count
-        seen = {}
-        for alphas, count in record.cotype_counts.items():
-            exps = []
-            for a in alphas:
-                v = 0
-                while a % p == 0:
-                    a //= p
-                    v += 1
-                exps.append(v)
-            seen[tuple(exps)] = count
+        seen = {Cotype(a).exponents(p): count for a, count in record.cotype_counts.items()}
         expected = {
             key: poly.eval(p=p) for key, poly in predicted.items() if sum(key) == e
         }

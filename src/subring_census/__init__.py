@@ -14,8 +14,6 @@ from .hnf import (
     HnfMatrix,
     SubringMatrix,
     canonical_rpstar,
-    corank,
-    cotype,
     diagonal_support_corank,
     dump_matrices,
     is_subring_matrix,
@@ -50,8 +48,6 @@ __all__ = [
     "canonical_rpstar",
     "catalog",
     "compositions",
-    "corank",
-    "cotype",
     "count_g_alpha",
     "diagonal_support_corank",
     "dump_matrices",

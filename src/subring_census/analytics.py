@@ -388,16 +388,6 @@ def lattice_baseline(n: int, k: int, target: float = 1e-5) -> BoundedValue:
     return BoundedValue(out.value, out.bound + 1e-15)
 
 
-def lattice_count_constant(n: int) -> BoundedValue:
-    """Leading constant zeta(n)...zeta(2)/n of the sublattice accumulation."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    out = BoundedValue.exact(Fraction(1, n))
-    for s in range(2, n + 1):
-        out = out * zeta_int(s)
-    return out
-
-
 def abelian_p_group_aut_order(p: int, partition: tuple[int, ...]) -> int:
     """Order of the automorphism group of the abelian p-group of the given type.
 
@@ -451,10 +441,6 @@ def coprime_index_ratio_exact(n: int, p: int) -> Fraction:
     entry = {2: "subring_local_z2", 3: "subring_local_z3", 4: "subring_local_z4"}[n]
     value = catalog(entry).eval(p=p, x=Fraction(1, p))
     return 1 / value
-
-
-def coprime_index_proportion(n: int, p: int) -> BoundedValue:
-    return BoundedValue.exact(coprime_index_ratio_exact(n, p))
 
 
 def a_lower(n: int) -> Fraction:

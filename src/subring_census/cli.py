@@ -26,7 +26,14 @@ from .counting import CountLedger
 from .enumeration import BudgetExceededError, EnumSpec, PruneRuleSet, enumerate_subrings
 from .hnf import dump_matrices
 from .polynomials import expand
-from .verify import QUOTED_CONSTANTS, SUITES, VerifyScope, compute_constant, run_verify
+from .verify import (
+    QUOTED_CONSTANTS,
+    SUITES,
+    VerifyScope,
+    compute_constant,
+    matches_quote,
+    run_verify,
+)
 
 CACHE_ENV_VAR = "SUBRING_CENSUS_CACHE_DIR"
 
@@ -240,8 +247,7 @@ def cmd_constants(cfg: RunConfig) -> int:
         entry = {"id": name, "value": value.value, "bound": value.bound}
         if name in QUOTED_CONSTANTS:
             quoted, tol, kind = QUOTED_CONSTANTS[name]
-            limit = tol * abs(quoted) if kind == "rel" else tol
-            ok = abs(value.value - quoted) <= limit
+            ok = matches_quote(name, value)
             entry.update({"quoted": quoted, "tolerance": tol, "kind": kind, "passed": ok})
             failures += 0 if ok else 1
         entries.append(entry)

@@ -123,12 +123,15 @@ class CensusRecord:
         )
 
 
-def _structural_check(m: SubringMatrix) -> None:
-    """Per-matrix invariants every emitted subring matrix must satisfy."""
+def _structural_check(m: SubringMatrix, corank: int) -> None:
+    """Per-matrix invariants every emitted subring matrix must satisfy.
+
+    corank is the Smith-form corank of m, which the caller has computed.
+    """
     n = m.n
     entries = m.entries
     support = tuple(i for i in range(n) if entries[i][i] > 1)
-    if m.corank() != diagonal_support_corank(m):
+    if corank != diagonal_support_corank(m):
         raise CensusValidationError(f"corank != diagonal support for {entries}")
     for i in range(n):
         if entries[i][n - 1] not in (0, 1):
@@ -164,9 +167,9 @@ def build_record(
     cotypes: dict[tuple[int, ...], int] = {}
     g_count = 0
     for m in matrices:
-        if check:
-            _structural_check(m)
         ct = m.cotype()
+        if check:
+            _structural_check(m, ct.corank)
         key = ct.alphas
         cotypes[key] = cotypes.get(key, 0) + 1
         h_counts[ct.corank] += 1
@@ -311,7 +314,7 @@ class CountLedger:
             )
             matrices = enumerate_subrings(spec)
             for m in matrices:
-                _structural_check(m)
+                _structural_check(m, m.corank())
             value = len(matrices)
         self._corank_counts[key] = value
         return value
@@ -412,11 +415,7 @@ def formula_h(n: int, k: int, p: int, e: int) -> int:
     if k == 1:
         return binomial(n, 2)
     if k == 2:
-        if e < 2:
-            raise ValueError("corank-2 closed form needs e >= 2")
         return binomial(n, 3) * irreducible_count(3, p, e) + 3 * binomial(n, 4) * (e - 1)
-    if e < 3:
-        raise ValueError("corank-3 closed form needs e >= 3")
     triple_pair = sum(irreducible_count(3, p, j) for j in range(2, e))
     return (
         binomial(n, 4) * irreducible_count(4, p, e)
@@ -448,18 +447,6 @@ def smallest_prime_factors(limit: int) -> list[int]:
                     spf[j] = i
         i += 1
     return spf
-
-
-def factorize(m: int, spf: list[int]) -> list[tuple[int, int]]:
-    out: list[tuple[int, int]] = []
-    while m > 1:
-        p = spf[m]
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        out.append((p, e))
-    return out
 
 
 def multiplicative_table(limit: int, prime_power_value) -> list[int]:

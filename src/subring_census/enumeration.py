@@ -47,6 +47,11 @@ class BudgetExceededError(RuntimeError):
         self.nodes = nodes
         self.budget = budget
 
+    def __reduce__(self):
+        # a pool worker sends the error to the parent pickled; the default
+        # rebuilds from self.args, which hold only the message
+        return type(self), (self.nodes, self.budget)
+
 
 def is_prime(m: int) -> bool:
     if m < 2:
@@ -319,39 +324,19 @@ def _pruned_for_diagonal(
     return out
 
 
-def _irreducible_for_diagonal(
-    n: int, p: int, exps: tuple[int, ...], counter: list[int], budget: int
+def _search_diagonal(
+    spec: EnumSpec, exps: tuple[int, ...], counter: list[int]
 ) -> list[Rows]:
-    """All irreducible subring matrices with the given full-support diagonal."""
-    if any(v < 1 for v in exps):
-        raise ValueError("irreducible diagonals need every exponent >= 1")
-    support = tuple(range(n - 1))
-    rows = _template_rows(n, p, exps)
-    for i in range(n):
-        rows[i][n - 1] = 1
-    positions = [(i, j) for j in range(1, n - 1) for i in range(j - 1, -1, -1)]
-    powers = {i: p ** exps[i] for i in support}
-    domains = [range(0, powers[i], p) for i, _ in positions]
-    out: list[Rows] = []
-    for combo in itertools.product(*domains) if positions else [()]:
-        counter[0] += 1
-        if counter[0] > budget:
-            raise BudgetExceededError(counter[0], budget)
-        for (i, j), v in zip(positions, combo):
-            rows[i][j] = v
-        if products_in_span(rows):
-            out.append(_snapshot(rows))
-    return out
+    """Survivors of the spec's engine on one diagonal; nodes accrue in counter."""
+    if spec.mode == "naive":
+        return _naive_for_diagonal(spec.n, spec.p, exps, counter, spec.node_budget)
+    return _pruned_for_diagonal(spec.n, spec.p, exps, spec.rules, counter, spec.node_budget)
 
 
-def _diagonal_task(args) -> tuple[tuple[int, ...], list[Rows], int]:
-    n, p, exps, mode, rules, budget = args
+def _diagonal_task(args: tuple[EnumSpec, tuple[int, ...]]) -> tuple[list[Rows], int]:
+    spec, exps = args
     counter = [0]
-    if mode == "naive":
-        found = _naive_for_diagonal(n, p, exps, counter, budget)
-    else:
-        found = _pruned_for_diagonal(n, p, exps, rules, counter, budget)
-    return exps, found, counter[0]
+    return _search_diagonal(spec, exps, counter), counter[0]
 
 
 def _diagonals_for_spec(spec: EnumSpec) -> list[tuple[int, ...]]:
@@ -388,35 +373,28 @@ def enumerate_subrings(spec: EnumSpec) -> list[SubringMatrix]:
     exps_list = _diagonals_for_spec(spec)
     total = len(exps_list)
     results: list[tuple[tuple[int, ...], list[Rows]]] = []
-    nodes = 0
 
     if spec.threads > 1 and total > 1:
-        args = [(spec.n, spec.p, t, spec.mode, spec.rules, spec.node_budget) for t in exps_list]
+        nodes = 0
         ctx = multiprocessing.get_context()
         with ctx.Pool(processes=spec.threads) as pool:
-            done = 0
-            for exps, found, used in pool.imap(_diagonal_task, args):
+            tasks = pool.imap(_diagonal_task, [(spec, t) for t in exps_list])
+            for done, (exps, (found, used)) in enumerate(zip(exps_list, tasks), start=1):
                 nodes += used
                 results.append((exps, found))
-                done += 1
                 if spec.progress:
                     print(f"diagonals {done}/{total}", file=sys.stderr)
         if nodes > spec.node_budget:
             raise BudgetExceededError(nodes, spec.node_budget)
     else:
+        # one counter across diagonals: the budget bounds the whole serial run
         counter = [0]
         for done, exps in enumerate(exps_list, start=1):
-            if spec.mode == "naive":
-                found = _naive_for_diagonal(spec.n, spec.p, exps, counter, spec.node_budget)
-            else:
-                found = _pruned_for_diagonal(
-                    spec.n, spec.p, exps, spec.rules, counter, spec.node_budget
-                )
-            results.append((exps, found))
+            results.append((exps, _search_diagonal(spec, exps, counter)))
             if spec.progress:
                 print(f"diagonals {done}/{total}", file=sys.stderr)
-        nodes = counter[0]
 
+    # every survivor already passed identity + products_in_span in the search
     matrices: list[SubringMatrix] = []
     for exps, found in sorted(results, key=lambda item: item[0]):
         for rows in sorted(found, key=_matrix_key):
@@ -431,21 +409,15 @@ def enumerate_irreducible(
 ) -> list[SubringMatrix]:
     """All irreducible subring matrices of Z^n with determinant p^e.
 
-    Diagonals are strict compositions of e into n-1 parts, the last column is
-    all ones and every other column is 0 mod p; candidates are then certified
-    by the closure check.  Empty below the minimal index e = n-1.
+    These are exactly the subring matrices on strict-composition (full
+    support) diagonals: such a subring has corank n-1, so it lies in
+    Z 1 + p Z^n and is irreducible.  Empty below the minimal index e = n-1.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
-    counter = [0]
-    matrices: list[SubringMatrix] = []
-    for comp in compositions(e, n - 1, strict=True):
-        found = _irreducible_for_diagonal(n, p, tuple(comp.parts), counter, node_budget)
-        for rows in sorted(found, key=_matrix_key):
-            matrices.append(SubringMatrix(HnfMatrix(rows)))
-    return matrices
+    return enumerate_subrings(EnumSpec(n, p, e, irreducible_only=True, node_budget=node_budget))
 
 
 def count_g_alpha(alpha: Composition | tuple[int, ...], p: int) -> int:
@@ -456,6 +428,4 @@ def count_g_alpha(alpha: Composition | tuple[int, ...], p: int) -> int:
     parts = tuple(alpha.parts if isinstance(alpha, Composition) else alpha)
     if any(v < 1 for v in parts):
         raise ValueError("alpha must be a strict composition")
-    counter = [0]
-    found = _irreducible_for_diagonal(len(parts) + 1, p, parts, counter, 10**9)
-    return len(found)
+    return len(enumerate_subrings(EnumSpec(len(parts) + 1, p, sum(parts), diagonal=parts)))

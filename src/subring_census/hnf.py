@@ -299,19 +299,19 @@ def snf_oracle_minor_gcds(a: HnfMatrix) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class SubringMatrix:
-    """An HnfMatrix certified to span a subring of Z^n."""
+    """An HnfMatrix whose column span is a subring of Z^n.
+
+    The plain constructor trusts its caller: the enumeration engines emit
+    only matrices that already passed the definitional certificate.  Matrices
+    from anywhere else go through `certify`.
+    """
 
     hnf: HnfMatrix
 
-    def __post_init__(self) -> None:
-        if not is_subring_matrix(self.hnf):
-            raise ValueError("column span is not a subring")
-
     @classmethod
     def certify(cls, hnf: HnfMatrix) -> "SubringMatrix | None":
-        if not is_subring_matrix(hnf):
-            return None
-        return cls(hnf)
+        """The checked constructor: None unless the span is a subring."""
+        return cls(hnf) if is_subring_matrix(hnf) else None
 
     @property
     def n(self) -> int:
@@ -342,14 +342,6 @@ class SubringMatrix:
 
     def is_irreducible(self, p: int) -> bool:
         return is_irreducible_rows(self.entries, p)
-
-
-def cotype(a: SubringMatrix) -> Cotype:
-    return a.cotype()
-
-
-def corank(a: SubringMatrix) -> int:
-    return a.corank()
 
 
 def _prime_power_base(m: int) -> int | None:
@@ -402,10 +394,8 @@ def dump_matrices(fh: TextIO, matrices: Iterable[HnfMatrix | SubringMatrix], p: 
     """Write matrices in the text exchange format: 'n p' header then n rows."""
     count = 0
     for m in matrices:
-        entries = m.entries if isinstance(m, SubringMatrix) else m.entries
-        n = len(entries)
-        fh.write(f"{n} {p}\n")
-        for row in entries:
+        fh.write(f"{m.n} {p}\n")
+        for row in m.entries:
             fh.write(" ".join(str(v) for v in row) + "\n")
         count += 1
     return count
@@ -421,9 +411,10 @@ def load_matrices(fh: TextIO) -> list[tuple[HnfMatrix, int]]:
         if len(head) != 2:
             raise ValueError(f"bad record header: {lines[pos]!r}")
         n, p = int(head[0]), int(head[1])
-        rows = []
-        for i in range(n):
-            rows.append([int(v) for v in lines[pos + 1 + i].split()])
+        body = lines[pos + 1 : pos + 1 + n]
+        if len(body) != n:
+            raise ValueError(f"truncated record: header {lines[pos]!r} with {len(body)} rows")
+        rows = [[int(v) for v in line.split()] for line in body]
         out.append((HnfMatrix.from_rows(rows), p))
         pos += 1 + n
     return out

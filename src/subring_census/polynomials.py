@@ -337,9 +337,6 @@ class SeriesTable:
             raise KeyError(f"coefficient ({a},{b},{c}) is beyond the truncation bounds")
         return self.coefficients.get((a, b, c), MPoly())
 
-    def coefficient_at(self, a: int, b: int = 0, c: int = 0, *, p: int) -> int:
-        return self.coefficient(a, b, c).eval(p=p)
-
     def x_coefficient(self, e: int) -> MPoly:
         return self.coefficient(e, 0, 0)
 

@@ -30,7 +30,7 @@ from .enumeration import (
     PruneRuleSet,
     enumerate_subrings,
 )
-from .hnf import HnfMatrix, smith_normal_form, snf_oracle_minor_gcds
+from .hnf import Cotype, HnfMatrix, smith_normal_form, snf_oracle_minor_gcds
 from .polynomials import MPoly, RatFunc, expand, functional_equation_check, specialize
 
 P = MPoly.variable("p")
@@ -238,17 +238,7 @@ def suite_local_factors(scope: VerifyScope) -> list[CheckResult]:
 
 def _census_cotype_exponents(scope: VerifyScope, p: int, e: int) -> dict[tuple[int, int, int], int]:
     record = scope.ledger.census(4, p, e, node_budget=scope.node_budget, threads=scope.threads)
-    out: dict[tuple[int, int, int], int] = {}
-    for alphas, count in record.cotype_counts.items():
-        exps = []
-        for a in alphas:
-            v = 0
-            while a % p == 0:
-                a //= p
-                v += 1
-            exps.append(v)
-        out[tuple(exps)] = count  # type: ignore[assignment]
-    return out
+    return {Cotype(alphas).exponents(p): count for alphas, count in record.cotype_counts.items()}
 
 
 def suite_cotype_z4(scope: VerifyScope) -> list[CheckResult]:
@@ -667,22 +657,29 @@ def compute_constant(name: str) -> analytics.BoundedValue:
     raise KeyError(f"unknown constant id {name!r}")
 
 
+def matches_quote(name: str, value: analytics.BoundedValue) -> bool:
+    """The pass rule for a quoted constant.
+
+    The quoted decimals themselves carry error at the tolerance scale, so the
+    value must come within the tolerance of the quote and the enclosure must
+    be at least that tight itself.
+    """
+    quoted, tol, kind = QUOTED_CONSTANTS[name]
+    limit = tol * abs(quoted) if kind == "rel" else tol
+    return abs(value.value - quoted) <= limit and value.bound <= limit
+
+
 def suite_constants(scope: VerifyScope) -> list[CheckResult]:
     out = []
     for name, (quoted, tol, kind) in QUOTED_CONSTANTS.items():
         value = compute_constant(name)
-        err = abs(value.value - quoted)
-        limit = tol * abs(quoted) if kind == "rel" else tol
-        # the quoted decimals themselves carry error at the tolerance scale,
-        # so the enclosure must come within the tolerance of the quote and be
-        # at least that tight itself.
         out.append(
             _result(
                 f"constants/{name}",
                 f"{name} = {quoted} within {tol} ({kind}), with an enclosure no wider",
                 round(value.value, 10),
                 quoted,
-                passed=err <= limit and value.bound <= limit,
+                passed=matches_quote(name, value),
                 note=f"bound={value.bound:.3g}",
             )
         )

@@ -1,6 +1,13 @@
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import subring_census
 from subring_census.catalog import irreducible_count
 from subring_census.combinatorics import binomial
 from subring_census.enumeration import (
@@ -11,7 +18,7 @@ from subring_census.enumeration import (
     enumerate_irreducible,
     enumerate_subrings,
 )
-from subring_census.hnf import canonical_rpstar, is_irreducible_rows
+from subring_census.hnf import canonical_rpstar, is_irreducible_rows, is_subring_matrix
 
 
 def entries(ms):
@@ -203,14 +210,46 @@ class TestBudget:
             assert exc.budget == 100
             assert exc.nodes > 100
 
+    def test_budget_error_pickles(self):
+        exc = BudgetExceededError(30001, 30000)
+        back = pickle.loads(pickle.dumps(exc))
+        assert (back.nodes, back.budget) == (30001, 30000)
+        assert str(back) == str(exc)
+
+    def test_budget_exhaustion_under_threads(self):
+        # A worker's error must reach the parent.  The run is in a child
+        # process so that a hanging pool fails on the timeout instead of
+        # stalling the suite.
+        code = (
+            "from subring_census.enumeration import BudgetExceededError, EnumSpec, "
+            "enumerate_subrings\n"
+            "try:\n"
+            "    enumerate_subrings(EnumSpec(n=4, p=2, e=11, node_budget=30000, threads=2))\n"
+            "except BudgetExceededError as exc:\n"
+            "    print(exc.budget, exc.nodes > exc.budget)\n"
+        )
+        src = str(Path(subring_census.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["30000", "True"]
+
 
 @given(st.integers(0, 4), st.sampled_from([2, 3]))
 @settings(max_examples=20, deadline=None)
 def test_every_emitted_matrix_certifies(e, p):
+    # emission does not re-run the certificate, so the search must hold it
     for m in enumerate_subrings(EnumSpec(n=3, p=p, e=e)):
+        assert is_subring_matrix(m.hnf)
         assert m.det() == p**e
         assert m.cotype().index == p**e
         assert m.corank() <= 2
+    for m in enumerate_subrings(EnumSpec(n=3, p=p, e=e, mode="naive")):
+        assert is_subring_matrix(m.hnf)
+    for m in enumerate_irreducible(4, p, e + 3):
+        assert is_subring_matrix(m.hnf)
 
 
 def test_no_duplicate_matrices():

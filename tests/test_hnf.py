@@ -239,3 +239,7 @@ class TestTextFormat:
     def test_bad_header(self):
         with pytest.raises(ValueError):
             load_matrices(io.StringIO("3\n1 0 0\n"))
+
+    def test_truncated_record(self):
+        with pytest.raises(ValueError):
+            load_matrices(io.StringIO("3 2\n2 0 1\n"))
