@@ -173,11 +173,10 @@ def _cocyclic_local(n: int) -> RatFunc:
 
 
 def _corank2_local(n: int) -> RatFunc:
-    from .counting import corank2_formula_coefficients
-
-    a, b = corank2_formula_coefficients(n)
+    # h_{n,2}(p^e) = a g_3(p^e) + b (e-1) with the coefficients of formula_h
     from .combinatorics import binomial
 
+    a, b = binomial(n, 3), 3 * binomial(n, 4)
     m = binomial(n, 2)
     num = (
         _ONE

@@ -327,10 +327,8 @@ def corank2_formula_coefficients(n: int) -> tuple[int, int]:
     and b(n) = 3 C(n-1, 3).  They equal the exact C(n, 3) and 3 C(n, 4) of
     `formula_h` only for n <= 4; from n = 5 on the displayed form is refuted
     by enumeration (the `corank-formulas` verify suite records this).  They
-    are still used by `catalog("corank2_local", n)` (and the
-    `identity/corank2-series` checks that expand it) and by
-    `analytics._corank2_deviation` / `_corank3_deviation`, which feed
-    `analytics.tauberian_constant` for k = 2, 3.
+    are still used by `analytics._corank2_deviation` / `_corank3_deviation`,
+    which feed `analytics.tauberian_constant` for k = 2, 3.
     """
     if n < 3:
         raise ValueError("corank-2 closed form needs n >= 3")

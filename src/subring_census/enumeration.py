@@ -12,7 +12,9 @@ pairwise column products must lie in the column span):
   narrowing entry domains and cutting subtrees.  Each rule is a named,
   individually toggleable predicate; every survivor still receives the full
   definitional certificate before emission, so the rules only ever have to
-  be sound, never complete.
+  be sound, never complete.  The irreducible-block rule is checked as each
+  support-block entry is placed, on the principal sub-block it completes,
+  so a subtree is cut at the first entry that breaks closure.
 
 Output order is canonical (diagonal composition in lexicographic order, then
 column-major entry order) and independent of rule toggles and worker count.
@@ -29,7 +31,8 @@ from .combinatorics import Composition, compositions
 from .hnf import (
     HnfMatrix,
     SubringMatrix,
-    is_irreducible_rows,
+    _solve_rows,
+    is_irreducible_rows,  # no longer called here; perfbench/tracing.py wraps this name
     is_subring_rows,
     products_in_span,
 )
@@ -78,8 +81,12 @@ class PruneRuleSet:
         divisible by p.
     last_column: last-column entries lie in {0, 1}, and when exactly one of
         two support rows has a 1 there, the entry linking the two rows is 0.
-    irreducible_block: the support block, bordered by an all-ones column and
-        a unit row, must itself certify as an irreducible subring matrix.
+    irreducible_block: the support block B, bordered by an all-ones column
+        and a unit row, must itself certify as an irreducible subring matrix:
+        its entries are 0 mod p and col(B) is closed under products.  Checked
+        as each block entry (r, s) is placed: the products of block column s
+        with block columns r..s, cut to block rows r..s, lie in the span of
+        the principal sub-block B[r..s, r..s].
     """
 
     zero_one_outside_support: bool = True
@@ -227,19 +234,20 @@ def _naive_for_diagonal(
     return out
 
 
-def _block_rows(
-    rows: list[list[int]], support: tuple[int, ...], p: int, exps: tuple[int, ...]
-) -> list[list[int]]:
-    """Support block bordered by an all-ones column and a bottom unit row."""
-    k = len(support)
-    block = [[0] * (k + 1) for _ in range(k + 1)]
-    for r, i in enumerate(support):
-        block[r][r] = p ** exps[i]
-        for s in range(r + 1, k):
-            block[r][s] = rows[i][support[s]]
-        block[r][k] = 1
-    block[k][k] = 1
-    return block
+def _sub_block_closed(block: list[list[int]], r: int, s: int) -> bool:
+    """Products of block column s with block columns r..s, cut to rows r..s,
+    lie in the span of the principal sub-block block[r..s][r..s].
+
+    A block whose columns span a ring has every principal sub-block closed:
+    columns 0..s span col(B) meet (Z^(s+1) x 0), an ideal, and projecting to
+    coordinates r..s is a ring map onto the span of block[r..s][r..s].
+    """
+    sub = [row[r : s + 1] for row in block[r : s + 1]]
+    last = [row[-1] for row in sub]
+    for t in range(s - r + 1):
+        if _solve_rows(sub, [x * row[t] for x, row in zip(last, sub)]) is None:
+            return False
+    return True
 
 
 def _pruned_for_diagonal(
@@ -260,11 +268,14 @@ def _pruned_for_diagonal(
     unit_cols = {i: [j for j in range(i + 1, n) if j not in supp_set] for i in support}
     supp_after = {i: [j for j in support if j > i] for i in support}
 
-    block_last_idx = -1
-    for idx, (i, j) in enumerate(positions):
-        if j in supp_set:
-            block_last_idx = idx
-    check_block = rules.irreducible_block and len(support) >= 2
+    # the support block, kept in step with rows for the irreducible_block
+    # rule; block_at[idx] holds the block indices of a checked position
+    block = [[powers[i] if i == j else 0 for j in support] for i in support]
+    block_idx = {i: r for r, i in enumerate(support)}
+    block_at = [
+        (block_idx[i], block_idx[j]) if rules.irreducible_block and j in supp_set else None
+        for i, j in positions
+    ]
 
     domains: list[range | tuple[int, ...]] = []
     for i, j in positions:
@@ -291,11 +302,17 @@ def _pruned_for_diagonal(
             return
         i, j = positions[idx]
         row_i = rows[i]
+        at = block_at[idx]
         for v in domains[idx]:
             counter[0] += 1
             if counter[0] > budget:
                 raise BudgetExceededError(counter[0], budget)
             row_i[j] = v
+            if at is not None:
+                r, s = at
+                block[r][s] = v
+                if v % p or not _sub_block_closed(block, r, s):
+                    continue
             if j == last_col:
                 if rule_one and sum(1 for jj in unit_cols[i] if row_i[jj] == 1) != 1:
                     continue
@@ -308,12 +325,10 @@ def _pruned_for_diagonal(
                             break
                     if not ok:
                         continue
-            if check_block and idx == block_last_idx:
-                block = _block_rows(rows, support, p, exps)
-                if not is_irreducible_rows(block, p) or not is_subring_rows(block):
-                    continue
             place(idx + 1)
         row_i[j] = 0
+        if at is not None:
+            block[at[0]][at[1]] = 0
 
     if npos == 0:
         counter[0] += 1
@@ -375,17 +390,20 @@ def enumerate_subrings(spec: EnumSpec) -> list[SubringMatrix]:
     results: list[tuple[tuple[int, ...], list[Rows]]] = []
 
     if spec.threads > 1 and total > 1:
+        # a worker stops its diagonal at the whole budget; the running sum
+        # bounds the run, and raising leaves the with block, which terminates
+        # the pool without waiting for the other workers
         nodes = 0
         ctx = multiprocessing.get_context()
         with ctx.Pool(processes=spec.threads) as pool:
             tasks = pool.imap(_diagonal_task, [(spec, t) for t in exps_list])
             for done, (exps, (found, used)) in enumerate(zip(exps_list, tasks), start=1):
                 nodes += used
+                if nodes > spec.node_budget:
+                    raise BudgetExceededError(nodes, spec.node_budget)
                 results.append((exps, found))
                 if spec.progress:
                     print(f"diagonals {done}/{total}", file=sys.stderr)
-        if nodes > spec.node_budget:
-            raise BudgetExceededError(nodes, spec.node_budget)
     else:
         # one counter across diagonals: the budget bounds the whole serial run
         counter = [0]

@@ -21,6 +21,7 @@ from .counting import (
     corank2_formula_coefficients,
     corank3_formula_coefficients,
     displayed_formula_h,
+    formula_h,
     multiplicative_extend,
     sandwich_bounds,
 )
@@ -402,16 +403,18 @@ def suite_identities(scope: VerifyScope) -> list[CheckResult]:
             True,
         )
     )
-    # corank <= 2 factor series: 1 + m x^1 + sum_{e>=2} (m + a g_3(p^e) + b (e-1)) x^e
+    # corank <= 2 factor series: 1 + m x^1 + sum_{e>=2} (m + h_{n,2}(p^e)) x^e,
+    # h_{n,2} from formula_h.  Both sides have degree <= 2 in p (formula_h
+    # through g_3), so agreement at three primes is equality of polynomials.
     emax = 8
     for n in (4, 5, 6):
         table = expand(catalog("corank2_local", n), (emax, 0, 0))
-        a, b = corank2_formula_coefficients(n)
         m = binomial(n, 2)
         ok = table.coefficient(0) == MPoly.const(1) and table.coefficient(1) == MPoly.const(m)
         for e in range(2, emax + 1):
-            expected = MPoly.const(m + b * (e - 1)) + a * irreducible_count_poly(3, e)
-            if table.coefficient(e) != expected:
+            coeff = table.coefficient(e)
+            low = max(coeff.degrees()[0], irreducible_count_poly(3, e).degrees()[0]) <= 2
+            if not low or any(coeff.eval(p=q) != m + formula_h(n, 2, q, e) for q in (2, 3, 5)):
                 ok = False
         out.append(
             _result(

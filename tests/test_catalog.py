@@ -10,6 +10,7 @@ from subring_census.catalog import (
     subring_count_series,
 )
 from subring_census.combinatorics import binomial
+from subring_census.counting import CountLedger
 from subring_census.polynomials import MPoly, RatFunc, expand, functional_equation_check, specialize
 
 P = MPoly.variable("p")
@@ -116,6 +117,14 @@ class TestSpecializations:
             "corank2_local_z4"
         )
         assert catalog("corank2_local", 4) == catalog("corank2_local_z4")
+
+    def test_corank2_local_beyond_rank4(self):
+        # the displayed coefficients a(5), b(5) gave 73 and 137 here
+        t = expand(catalog("corank2_local", 5), (4, 0, 0))
+        ledger = CountLedger()
+        for e, expected in ((3, 70), (4, 125)):
+            assert t.x_coefficient_at(e, 2) == expected
+            assert sum(ledger.corank_count(5, 2, e, k) for k in range(3)) == expected
 
 
 class TestSeriesOracles:

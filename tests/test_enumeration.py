@@ -1,5 +1,7 @@
+import itertools
 import os
 import pickle
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -14,11 +16,19 @@ from subring_census.enumeration import (
     BudgetExceededError,
     EnumSpec,
     PruneRuleSet,
+    _diagonal_task,
+    _diagonals_for_spec,
+    _sub_block_closed,
     count_g_alpha,
     enumerate_irreducible,
     enumerate_subrings,
 )
-from subring_census.hnf import canonical_rpstar, is_irreducible_rows, is_subring_matrix
+from subring_census.hnf import (
+    canonical_rpstar,
+    is_irreducible_rows,
+    is_subring_matrix,
+    is_subring_rows,
+)
 
 
 def entries(ms):
@@ -125,9 +135,12 @@ class TestIrreducible:
 
 
 class TestOracleEquivalence:
-    @pytest.mark.parametrize("n,p", [(2, 2), (3, 2), (3, 3), (4, 2)])
+    @pytest.mark.parametrize("n,p", [(2, 2), (3, 2), (3, 3), (4, 2), (5, 2)])
     def test_naive_matches_pruned(self, n, p):
-        for e in range(4):
+        # (4, 2, e <= 5) and (5, 2, e <= 4) reach support blocks of size 3 and 4
+        # whose entries have more than one value
+        emax = {(4, 2): 5, (5, 2): 4}.get((n, p), 3)
+        for e in range(emax + 1):
             naive = enumerate_subrings(EnumSpec(n=n, p=p, e=e, mode="naive"))
             pruned = enumerate_subrings(EnumSpec(n=n, p=p, e=e, mode="pruned"))
             assert entries(naive) == entries(pruned)
@@ -162,6 +175,41 @@ class TestOracleEquivalence:
         naive = enumerate_subrings(EnumSpec(n=3, p=2, e=3, mode="naive", irreducible_only=True))
         assert entries(pruned) == entries(naive)
         assert entries(pruned) == entries(enumerate_irreducible(3, 2, 3))
+
+
+def _bordered(block):
+    """The support block bordered by an all-ones column and a unit row."""
+    k = len(block)
+    return [list(row) + [1] for row in block] + [[0] * k + [1]]
+
+
+class TestSubBlockCheck:
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_matches_bordered_certificate(self, p):
+        # The search reaches block column k-1 only when every earlier column
+        # passed its checks; then the (0, k-1) check decides the bordered
+        # block's certificate, and an accepted block passes every principal
+        # sub-block check.
+        rng = random.Random(p)
+        seen = {True: 0, False: 0}
+        for k in range(1, 5):
+            for _ in range(300):
+                block = [[0] * k for _ in range(k)]
+                for r in range(k):
+                    block[r][r] = p ** rng.randint(1, 3)
+                    for s in range(r + 1, k):
+                        block[r][s] = rng.randrange(0, block[r][r], p)
+                certified = is_subring_rows(_bordered(block))
+                if not all(_sub_block_closed(block, 0, s) for s in range(k - 1)):
+                    assert not certified
+                    continue
+                assert _sub_block_closed(block, 0, k - 1) == certified
+                seen[certified] += 1
+                if certified:
+                    assert all(
+                        _sub_block_closed(block, r, s) for s in range(k) for r in range(s + 1)
+                    )
+        assert min(seen.values()) >= 20, seen
 
 
 class TestDeterminism:
@@ -216,17 +264,17 @@ class TestBudget:
         assert (back.nodes, back.budget) == (30001, 30000)
         assert str(back) == str(exc)
 
-    def test_budget_exhaustion_under_threads(self):
-        # A worker's error must reach the parent.  The run is in a child
-        # process so that a hanging pool fails on the timeout instead of
-        # stalling the suite.
+    @staticmethod
+    def _threaded_budget_error(budget):
+        # The run is in a child process so that a hanging pool fails on the
+        # timeout instead of stalling the suite.
         code = (
             "from subring_census.enumeration import BudgetExceededError, EnumSpec, "
             "enumerate_subrings\n"
             "try:\n"
-            "    enumerate_subrings(EnumSpec(n=4, p=2, e=11, node_budget=30000, threads=2))\n"
+            f"    enumerate_subrings(EnumSpec(n=4, p=2, e=11, node_budget={budget}, threads=2))\n"
             "except BudgetExceededError as exc:\n"
-            "    print(exc.budget, exc.nodes > exc.budget)\n"
+            "    print(exc.budget, exc.nodes)\n"
         )
         src = str(Path(subring_census.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -234,7 +282,27 @@ class TestBudget:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["30000", "True"]
+        budget_seen, nodes = map(int, done.stdout.split())
+        assert budget_seen == budget
+        return nodes
+
+    def test_budget_exhaustion_under_threads(self):
+        # A worker's error must reach the parent.  The first diagonals at
+        # (4, 2, 11) take 3, 6 and 12 nodes, so with budget 10 the third one
+        # stops in its worker (at budget + 1 nodes) while the parent's sum is 9.
+        assert self._threaded_budget_error(10) == 11
+
+    def test_budget_is_global_under_threads(self):
+        # With a budget above every single diagonal but below their sum, only
+        # the parent's running sum can raise, and it must raise at the first
+        # diagonal that takes the sum past the budget, not after the last.
+        spec = EnumSpec(n=4, p=2, e=11)
+        used = [_diagonal_task((spec, t))[1] for t in _diagonals_for_spec(spec)]
+        budget = 20000
+        assert max(used) < budget < sum(used)
+        first_over = next(total for total in itertools.accumulate(used) if total > budget)
+        assert first_over < sum(used)
+        assert self._threaded_budget_error(budget) == first_over
 
 
 @given(st.integers(0, 4), st.sampled_from([2, 3]))
