@@ -5,13 +5,29 @@ error bound accumulated interval-style (truncated Euler tails, series tails,
 and rounding).  Per-prime local factors are evaluated as exact rationals and
 rounded once, so no cancellation enters the products.
 
-Tail model for Euler products: each local factor is 1 + c(p)/p^t with
-|c(p)| <= tail_constant for all p; the log of the truncated tail is enclosed
-by comparison with sum_{m > P} m^{-t} <= P^(1-t)/(t-1).
+Euler products with a polynomial local factor f(u) = 1 + sum_j a_j u^j at
+u = 1/p (a_1 = 0) are split at a head cutoff Q (H. Cohen, "High precision
+computation of Hardy-Littlewood constants", 1991).  The head, the product
+over p <= Q, is exact: an integer fraction rounded once.  The tail is
+exp(sum_{k=2..K} b_k P_Q(k)), with b_k the exact log-series coefficients of
+f and P_Q(k) = sum_{p>Q} p^-k = sum_m mu(m)/m log zeta_Q(mk), where
+zeta_Q(s) = zeta(s) prod_{p<=Q} (1 - p^-s) and zeta comes from
+Euler-Maclaurin summation.  Q and K depend on the coefficients alone: for
+the radius r0 = 2^-j with delta = sum |a_j| r0^j <= 1/2 the Cauchy bound
+|b_k| <= -log(1 - delta) r0^-k <= log(2) r0^-k holds, Q = 64/r0, and K is
+the first order whose dropped terms k > K sum below 2^-61 on the log scale.
+The bound covers the dropped k and m terms, the error of zeta and the
+rounding of every float operation, with 2 ulp allowed for each libm call.
+
+Any other factor is opaque and keeps the comparison-tail loop, the slow
+oracle of the series path: each local factor is 1 + c(p)/p^t with
+|c(p)| <= tail_constant for all p, and the log of the tail past the cutoff P
+is enclosed by comparison with sum_{m > P} m^{-t} <= P^(1-t)/(t-1).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -129,18 +145,112 @@ def primes_up_to(limit: int) -> list[int]:
     return list(iter_primes(limit))
 
 
-def zeta_int(s: int, terms: int = 10**4) -> BoundedValue:
-    """zeta(s) at an integer s >= 2 by partial sum plus a two-sided integral tail."""
+# B_2j for j = 1..10 as (numerator, denominator).
+_BERNOULLI = (
+    (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66),
+    (-691, 2730), (7, 6), (-3617, 510), (43867, 798), (-174611, 330),
+)
+_EM_START = 16
+
+
+def _zeta_minus_one(s: int) -> BoundedValue:
+    """zeta(s) - 1 at an integer s >= 2 by Euler-Maclaurin summation from N = 16:
+
+        zeta(s) = sum_{n<N} n^-s + N^(1-s)/(s-1) + N^-s/2
+                  + sum_{j=1..9} B_2j/(2j)! s(s+1)...(s+2j-2) N^(1-s-2j) + R.
+
+    For real s the remainder R is at most the first omitted term (j = 10) in
+    absolute value.  Every term is a rational rounded once, and fsum rounds
+    their sum once.  Leaving out the term 1 keeps the relative precision of
+    zeta(s) - 1, which is about 2^-s.
+    """
+    n = _EM_START
+    terms = [1 / m**s for m in range(2, n)]
+    terms.append(1 / ((s - 1) * n ** (s - 1)))
+    terms.append(1 / (2 * n**s))
+    rising = s  # s(s+1)...(s+2j-2)
+    for j, (num, den) in enumerate(_BERNOULLI, start=1):
+        terms.append(num * rising / (den * math.factorial(2 * j) * n ** (s + 2 * j - 1)))
+        rising *= (s + 2 * j - 1) * (s + 2 * j)
+    remainder = abs(terms.pop())
+    value = math.fsum(terms)
+    return BoundedValue(value, remainder * (1 + _EPS) + _EPS * math.fsum(map(abs, terms)))
+
+
+def zeta_int(s: int) -> BoundedValue:
+    """zeta(s) at an integer s >= 2, by Euler-Maclaurin summation."""
     if s < 2:
         raise ValueError("need s >= 2")
-    partial = 0.0
-    for m in range(terms, 0, -1):  # ascending magnitude improves rounding
-        partial += float(m) ** (-s)
-    hi = terms ** (1 - s) / (s - 1)
-    lo = (terms + 1) ** (1 - s) / (s - 1)
-    value = partial + (hi + lo) / 2
-    rounding = (terms + 4) * _EPS * value
-    return BoundedValue(value, (hi - lo) / 2 + rounding)
+    tail = _zeta_minus_one(s)
+    value = 1.0 + tail.value
+    return BoundedValue(value, tail.bound + _EPS * value)
+
+
+# Relative error allowed for each log, log1p or exp of the C library (2 ulp).
+_LIBM = 2 * _EPS
+# Log-scale budget for the series terms one accelerated product drops.
+_LOG_ETA = 2.0**-60
+# The head cutoff is Q = 2^6 / r0, so the log series converges like 64^-k past it.
+_HEAD_MARGIN = 6
+
+
+def _mobius(m: int) -> int:
+    out, q = 1, 2
+    while q * q <= m:
+        if m % q == 0:
+            m //= q
+            if m % q == 0:
+                return 0
+            out = -out
+        q += 1
+    return -out if m > 1 else out
+
+
+def _log_zeta_rough(sigma: int, primes: tuple[int, ...]) -> tuple[float, float, float]:
+    """log zeta_Q(sigma) = log zeta(sigma) + sum_{p <= Q} log(1 - p^-sigma), with Q
+    the last of primes, as (value, error from zeta, rounding error)."""
+    z = _zeta_minus_one(sigma)
+    terms = [math.log1p(z.value)] + [math.log1p(-1 / p**sigma) for p in primes]
+    value = math.fsum(terms)
+    rounding = (_EPS + _LIBM) * math.fsum(map(abs, terms)) + _EPS * abs(value)
+    return value, z.bound / (1 + z.value - z.bound), rounding
+
+
+def _prime_zeta_parts(s: int, cutoff: int, tol: float, log_zeta) -> tuple[float, float, float, float]:
+    """P_Q(s) = sum_{p > Q} p^-s = sum_m mu(m)/m log zeta_Q(ms) for Q = cutoff >= 2,
+    as (value, tail, error from zeta, rounding error).
+
+    The terms m > M are dropped for the first M whose bound is at most tol:
+    log zeta_Q(t) <= Q^(1-t) / ((t-1)(1-Q^-t)) and Q^-s <= 1/4 give
+    sum_{m>M} log zeta_Q(ms)/m <= (16/9) Q^(1-(M+1)s) / ((M+1)((M+1)s-1)).
+    """
+
+    def dropped(m: int) -> float:
+        return 16 / 9 * float(cutoff) ** (1 - (m + 1) * s) / ((m + 1) * ((m + 1) * s - 1))
+
+    terms_m = 1
+    while dropped(terms_m) > tol:
+        terms_m += 1
+    terms, zeta, rounding = [], 0.0, 0.0
+    for m in range(1, terms_m + 1):
+        mu = _mobius(m)
+        if mu:
+            value, z, r = log_zeta(m * s)
+            terms.append(mu * value / m)
+            zeta += z / m
+            rounding += (r + _EPS * abs(value)) / m
+    value = math.fsum(terms)
+    return value, dropped(terms_m), zeta, rounding + _EPS * abs(value)
+
+
+def prime_zeta_tail(s: int, cutoff: int) -> BoundedValue:
+    """P_Q(s) = sum over primes p > cutoff of p^-s, for s >= 2 and cutoff >= 2."""
+    if s < 2 or cutoff < 2:
+        raise ValueError("need s >= 2 and cutoff >= 2")
+    primes = tuple(iter_primes(cutoff))
+    log_zeta = functools.cache(functools.partial(_log_zeta_rough, primes=primes))
+    value, *parts = _prime_zeta_parts(s, cutoff, _LOG_ETA, log_zeta)
+    return BoundedValue(value, sum(parts))
 
 
 class TailModelError(RuntimeError):
@@ -148,7 +258,7 @@ class TailModelError(RuntimeError):
 
 
 class EulerProductError(RuntimeError):
-    """The requested tolerance is unreachable within the cutoff cap."""
+    """The requested tolerance is unreachable."""
 
 
 @dataclass(frozen=True)
@@ -158,7 +268,9 @@ class EulerProductSpec:
     factor(p) must return the exact value as a Fraction or an integer
     (numerator, denominator) pair; the deviation |factor(p) - 1| must obey
     tail_constant * p^(-tail_exponent) for every prime (checked for every
-    sampled prime during evaluation).
+    sampled prime during evaluation).  coefficients, when set, are the
+    integers a_j of factor(p) = sum_j a_j p^-j and select the series path;
+    cutoff is read only by the comparison-tail loop.
     """
 
     name: str
@@ -166,16 +278,15 @@ class EulerProductSpec:
     tail_exponent: int
     tail_constant: float
     cutoff: int = 10**6
+    coefficients: tuple[int, ...] | None = None
 
     @classmethod
-    def from_inverse_p_polynomial(
-        cls, name: str, coefficients: list[int], cutoff: int = 10**6
-    ) -> "EulerProductSpec":
+    def from_inverse_p_polynomial(cls, name: str, coefficients: list[int]) -> "EulerProductSpec":
         """Factor 1 + sum_j coefficients[j] p^-j (index 0 must hold 1).
 
         The tail constant sum_{j >= t} |a_j| 2^(t-j) is rigorous for p >= 2.
         """
-        coeffs = [int(c) for c in coefficients]
+        coeffs = tuple(int(c) for c in coefficients)
         if not coeffs or coeffs[0] != 1:
             raise ValueError("coefficient list must start with the constant term 1")
         t = next((j for j in range(1, len(coeffs)) if coeffs[j] != 0), None)
@@ -184,13 +295,28 @@ class EulerProductSpec:
         c_bound = float(sum(abs(coeffs[j]) * Fraction(2) ** (t - j) for j in range(t, len(coeffs))))
         degree = len(coeffs) - 1
 
-        def factor(p: int, coeffs=tuple(coeffs)) -> tuple[int, int]:
+        def factor(p: int) -> tuple[int, int]:
             num = 0
             for c in coeffs:
                 num = num * p + c
             return num, p**degree
 
-        return cls(name=name, factor=factor, tail_exponent=t, tail_constant=c_bound, cutoff=cutoff)
+        return cls(name=name, factor=factor, tail_exponent=t, tail_constant=c_bound,
+                   coefficients=coeffs)
+
+
+def _checked_factor(spec: EulerProductSpec, p: int, c: float) -> tuple[tuple[int, int], float]:
+    """factor(p) as an integer pair and a float, checked against the tail model
+    |factor(p) - 1| <= c p^-t."""
+    f = spec.factor(p)
+    if type(f) is not tuple:
+        f = (f.numerator, f.denominator)
+    fv = f[0] / f[1]
+    if abs(fv - 1.0) > c * float(p) ** (-spec.tail_exponent) + 1e-15:
+        raise TailModelError(
+            f"{spec.name}: factor at p={p} violates the 1 + c/p^{spec.tail_exponent} model"
+        )
+    return f, fv
 
 
 def _tail_log_bound(spec: EulerProductSpec, cutoff: int) -> float:
@@ -198,15 +324,31 @@ def _tail_log_bound(spec: EulerProductSpec, cutoff: int) -> float:
     return 2.0 * spec.tail_constant * cutoff ** (1 - t) / (t - 1)
 
 
-def euler_product(spec: EulerProductSpec, target: float | None = None) -> BoundedValue:
+def euler_product(
+    spec: EulerProductSpec, target: float | None = None, stats: dict | None = None
+) -> BoundedValue:
     """Evaluate the product over primes with a rigorous enclosure.
 
-    The cutoff doubles (from spec.cutoff's scale) until the tail enclosure
-    alone meets the target, capped at 2^27; per-prime deviations are checked
-    against the tail model and a violation raises TailModelError.
+    A spec with coefficients takes the exact product over p <= Q and closes
+    it with the log series (see the module docstring); EulerProductError is
+    raised when that enclosure is wider than target.  Any other spec takes
+    the comparison-tail loop.  A passed stats dict receives head_cutoff,
+    head_primes, series_terms (the loop cutoff on the loop path) and the
+    parts tail_bound, zeta_bound and rounding_bound of the bound.
     """
     if spec.tail_exponent < 2:
         raise ValueError("tail exponent must be at least 2")
+    if spec.coefficients is None:
+        return _loop_product(spec, target, stats)
+    return _series_product(spec, target, stats)
+
+
+def _loop_product(spec: EulerProductSpec, target: float | None, stats: dict | None) -> BoundedValue:
+    """The product over p <= cutoff, with the log of the rest bounded by comparison.
+
+    The cutoff doubles (from spec.cutoff's scale) until the tail enclosure
+    alone meets the target, capped at 2^27.
+    """
     cutoff = spec.cutoff
     if target is not None:
         cutoff = min(cutoff, 1 << 14)
@@ -218,21 +360,91 @@ def euler_product(spec: EulerProductSpec, target: float | None = None) -> Bounde
             )
     value = 1.0
     count = 0
-    t = spec.tail_exponent
     c = spec.tail_constant * (1 + 1e-12)
-    factor = spec.factor
     for p in iter_primes(cutoff):
-        f = factor(p)
-        if type(f) is tuple:
-            fv = f[0] / f[1]
-        else:
-            fv = f.numerator / f.denominator
-        if abs(fv - 1.0) > c * float(p) ** (-t) + 1e-15:
-            raise TailModelError(f"{spec.name}: factor at p={p} violates the 1 + c/p^{t} model")
-        value *= fv
+        value *= _checked_factor(spec, p, c)[1]
         count += 1
-    tail = _tail_log_bound(spec, cutoff)
-    bound = abs(value) * math.expm1(tail) + abs(value) * (2 * count + 4) * _EPS
+    tail = abs(value) * math.expm1(_tail_log_bound(spec, cutoff))
+    rounding = abs(value) * (2 * count + 4) * _EPS
+    if stats is not None:
+        stats.update(head_cutoff=cutoff, head_primes=count, series_terms=cutoff,
+                     tail_bound=tail, zeta_bound=0.0, rounding_bound=rounding)
+    return BoundedValue(value, tail + rounding)
+
+
+def _log_coefficients(coeffs: tuple[int, ...], terms: int) -> list[Fraction]:
+    """b_0..b_terms of log(1 + sum_j a_j u^j) = sum_k b_k u^k, from
+    k b_k = k a_k - sum_{j<k} j b_j a_(k-j)."""
+    a = list(coeffs) + [0] * terms
+    b = [Fraction(0)] * (terms + 1)
+    for k in range(1, terms + 1):
+        b[k] = a[k] - Fraction(sum(j * b[j] * a[k - j] for j in range(1, k))) / k
+    return b
+
+
+def _series_product(spec: EulerProductSpec, target: float | None, stats: dict | None) -> BoundedValue:
+    coeffs = spec.coefficients
+    d = len(coeffs) - 1
+    # r0 = 2^-j, the largest with delta = sum |a_i| r0^i <= 1/2 (an integer test).
+    j = 1
+    while 2 * sum(abs(a) << (j * (d - i)) for i, a in enumerate(coeffs) if i) > 1 << (j * d):
+        j += 1
+    cutoff = 1 << (j + _HEAD_MARGIN)
+    # |b_k| <= -log(1 - delta) r0^-k <= log(2) r0^-k (Cauchy) and
+    # P_Q(k) <= Q^(1-k)/(k-1) bound the terms k > K by log(2) Q x^(K+1)/(K(1-x)).
+    x = 2.0**-_HEAD_MARGIN
+
+    def dropped(k: int) -> float:
+        return math.log(2) * cutoff * x ** (k + 1) / (k * (1 - x)) * (1 + _EPS)
+
+    terms_k = 2
+    while dropped(terms_k) > _LOG_ETA / 2:
+        terms_k += 1
+    tail = dropped(terms_k)
+
+    num = den = 1
+    primes = []
+    c = spec.tail_constant * (1 + 1e-12)
+    for p in iter_primes(cutoff):
+        f = _checked_factor(spec, p, c)[0]
+        num *= f[0]
+        den *= f[1]
+        primes.append(p)
+
+    b = _log_coefficients(coeffs, terms_k)
+    log_zeta = functools.cache(functools.partial(_log_zeta_rough, primes=tuple(primes)))
+    terms, zeta, rounding = [], 0.0, 0.0
+    for k in range(2, terms_k + 1):
+        if b[k] == 0:
+            continue
+        bk = float(b[k])
+        weight = abs(bk) * (1 + _EPS)
+        pv, pt, pz, pr = _prime_zeta_parts(k, cutoff, _LOG_ETA / (2 * terms_k * weight), log_zeta)
+        terms.append(bk * pv)
+        tail += weight * pt
+        zeta += weight * pz
+        rounding += weight * pr + 2 * _EPS * abs(bk * pv)
+    log_tail = math.fsum(terms)
+    rounding += _EPS * abs(log_tail)
+
+    # value = (head rounded once) * exp(log_tail) with log_tail off by at most
+    # err = tail + zeta + rounding; rho covers the division, exp and product.
+    value = num / den * math.exp(log_tail)
+    err = tail + zeta + rounding
+    rho = 2 * (_EPS + _LIBM)
+    share = abs(value) * math.expm1(err) / err
+    parts = {
+        "tail_bound": share * tail,
+        "zeta_bound": share * zeta,
+        "rounding_bound": share * rounding + abs(value) * math.exp(err) * rho / (1 - rho),
+    }
+    bound = parts["tail_bound"] + parts["zeta_bound"] + parts["rounding_bound"]
+    if stats is not None:
+        stats.update(head_cutoff=cutoff, head_primes=len(primes), series_terms=terms_k, **parts)
+    if target is not None and bound > target:
+        raise EulerProductError(
+            f"{spec.name}: the reachable enclosure {bound:.3g} is wider than the target {target:g}"
+        )
     return BoundedValue(value, bound)
 
 
@@ -252,24 +464,22 @@ def _poly_pow(a: list[int], k: int) -> list[int]:
     return out
 
 
-def _spec_from_u_polynomial(name: str, coeffs: list[int]) -> EulerProductSpec:
-    return EulerProductSpec.from_inverse_p_polynomial(name, list(coeffs))
+def _poly_product(name: str, coeffs: list[int], target: float | None) -> BoundedValue:
+    return euler_product(EulerProductSpec.from_inverse_p_polynomial(name, coeffs), target)
 
 
 def corank_probability(n: int, k: int, target: float | None = None) -> BoundedValue:
     """Limiting proportion of subrings of Z^n with corank exactly k (n <= 4).
 
-    target bounds the truncation tail on the log scale; the defaults keep the
-    absolute enclosure of each probability below roughly 1e-6.
+    target is the widest enclosure accepted from each Euler product.
     """
     if n == 2:
         if k != 1:
             raise ValueError("every proper subring of Z^2 has corank 1")
         return BoundedValue(1.0, 0.0)
     if n == 3:
-        p31 = zeta_int(2) * euler_product(
-            _spec_from_u_polynomial("corank1-z3", _poly_mul(_poly_pow([1, -1], 2), [1, 2])),
-            target=target or 2e-6,
+        p31 = zeta_int(2) * _poly_product(
+            "corank1-z3", _poly_mul(_poly_pow([1, -1], 2), [1, 2]), target or 2e-6
         )
         if k == 1:
             return p31
@@ -278,18 +488,15 @@ def corank_probability(n: int, k: int, target: float | None = None) -> BoundedVa
         raise ValueError("proper subrings of Z^3 have corank 1 or 2")
     if n == 4:
         z2 = zeta_int(2)
-        p41 = z2**3 * euler_product(
-            _spec_from_u_polynomial("corank1-z4", _poly_mul(_poly_pow([1, -1], 5), [1, 5])),
-            target=target or 2e-5,
+        p41 = z2**3 * _poly_product(
+            "corank1-z4", _poly_mul(_poly_pow([1, -1], 5), [1, 5]), target or 2e-5
         )
         if k == 1:
             return p41
-        upto2 = z2**4 * euler_product(
-            _spec_from_u_polynomial(
-                "corank12-z4",
-                _poly_mul(_poly_mul(_poly_pow([1, -1], 5), [1, 1]), [1, 4, 6]),
-            ),
-            target=target or 1e-5,
+        upto2 = z2**4 * _poly_product(
+            "corank12-z4",
+            _poly_mul(_poly_mul(_poly_pow([1, -1], 5), [1, 1]), [1, 4, 6]),
+            target or 1e-5,
         )
         if k == 2:
             return upto2 - p41
@@ -331,43 +538,50 @@ def tauberian_constant(n: int, k: int, target: float = 1e-4) -> BoundedValue:
     lead = BoundedValue.exact(Fraction(1, math.factorial(m - 1)))
     if k == 1:
         dev = _poly_mul(_poly_pow([1, -1], m - 1), [1, m - 1])
-        return lead * euler_product(
-            _spec_from_u_polynomial(f"cocyclic-constant-n{n}", dev), target=target
-        )
+        return lead * _poly_product(f"cocyclic-constant-n{n}", dev, target)
     if k == 2:
-        prod = euler_product(
-            _spec_from_u_polynomial(f"corank2-constant-n{n}", _corank2_deviation(n)), target=target
-        )
+        prod = _poly_product(f"corank2-constant-n{n}", _corank2_deviation(n), target)
         return zeta_int(2) * lead * prod
-    prod = euler_product(
-        _spec_from_u_polynomial(f"corank3-constant-n{n}", _corank3_deviation(n)), target=target
-    )
-    return lead * prod
+    return lead * _poly_product(f"corank3-constant-n{n}", _corank3_deviation(n), target)
 
 
 def tauberian_ratio(n: int, k_num: int, k_den: int, target: float = 1e-4) -> BoundedValue:
     return tauberian_constant(n, k_num, target) / tauberian_constant(n, k_den, target)
 
 
-def _lattice_factor(n: int, k: int, p: int) -> Fraction:
-    """Local probability that a cokernel has rank at most k, exactly.
+def _lattice_factor(n: int, k: int, p: int) -> tuple[int, int]:
+    """Local probability that a cokernel has rank at most k, exactly, as an
+    integer pair (numerator, denominator):
+
+        prod_n^2 sum_{i<=k} 1 / (p^(i^2) prod_i^2 prod_(n-i)),
+        prod_j = prod_{l<=j} (1 - p^-l) = A(j) / p^T(j),
+
+    with A(j) = prod_{l<=j} (p^l - 1) and T(j) = j(j+1)/2.  Every term has a
+    denominator dividing A(k)^2 A(n) times a power of p, because A(i) divides
+    A(k) and A(n-i) divides A(n).
 
     Products over j are truncated once p^-j < 2^-70; the dropped factors are
     within 2^-69 of 1 and the caller absorbs that into its bound.
     """
     jmax = min(n, int(70 / math.log2(p)) + 1)
-    partial: list[Fraction] = [Fraction(1)]
+    big_a = [1]
     for j in range(1, jmax + 1):
-        partial.append(partial[-1] * (1 - Fraction(1, p**j)))
+        big_a.append(big_a[-1] * (p**j - 1))
 
-    def prod_to(j: int) -> Fraction:
-        return partial[min(j, jmax)]
+    def a(j: int) -> int:
+        return big_a[min(j, jmax)]
 
-    total = Fraction(0)
-    for i in range(k + 1):
-        denom = Fraction(p) ** (i * i) * prod_to(i) ** 2 * prod_to(n - i)
-        total += 1 / denom
-    return prod_to(n) ** 2 * total
+    def tri(j: int) -> int:
+        j = min(j, jmax)
+        return j * (j + 1) // 2
+
+    exps = [2 * tri(i) + tri(n - i) - i * i - 2 * tri(n) for i in range(k + 1)]
+    low = min(exps)
+    num = a(n) * sum(
+        p ** (e - low) * (a(k) // a(i)) ** 2 * (a(n) // a(n - i)) for i, e in enumerate(exps)
+    )
+    den = a(k) ** 2
+    return (num * p**low, den) if low >= 0 else (num, den * p**-low)
 
 
 def lattice_baseline(n: int, k: int, target: float = 1e-5) -> BoundedValue:
@@ -375,7 +589,8 @@ def lattice_baseline(n: int, k: int, target: float = 1e-5) -> BoundedValue:
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     t = (k + 1) * (k + 1)
-    sample = abs(float(_lattice_factor(n, k, 2)) - 1.0)
+    num, den = _lattice_factor(n, k, 2)
+    sample = abs(num / den - 1.0)
     c = max(sample * 2.0**t * 4.0, 1.0)
     spec = EulerProductSpec(
         name=f"lattice-corank{k}-n{n}",

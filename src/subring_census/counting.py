@@ -196,7 +196,8 @@ class CountLedger:
 
     File writes go through a single in-process commit lock and an atomic
     replace; reads are lock-free.  Stored records carry a checksum that is
-    verified on load.
+    verified on load.  Only records of this engine version and pruning rules
+    are served; any other is a miss, and census overwrites it.
     """
 
     def __init__(self, directory: str | Path | None = None):
@@ -204,6 +205,7 @@ class CountLedger:
         self._records: dict[tuple[int, int, int], CensusRecord] = {}
         self._corank_counts: dict[tuple[int, int, int, int], int] = {}
         self._write_lock = threading.Lock()
+        self._rules = PruneRuleSet().fingerprint()
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
 
@@ -256,7 +258,8 @@ class CountLedger:
         if key in self._records:
             return self._records[key]
         for e2, record in self._load_file(n, p).items():
-            self._records[(n, p, e2)] = record
+            if record.engine_version == ENGINE_VERSION and record.rules == self._rules:
+                self._records[(n, p, e2)] = record
         return self._records.get(key)
 
     def census(
@@ -278,19 +281,17 @@ class CountLedger:
         cached = self.cached(n, p, e)
         if cached is not None and not recheck:
             return cached
-        rules = PruneRuleSet()
         spec = EnumSpec(
             n=n,
             p=p,
             e=e,
             mode="pruned",
-            rules=rules,
             node_budget=node_budget,
             threads=threads,
             progress=progress,
         )
         matrices = enumerate_subrings(spec)
-        record = build_record(n, p, e, matrices, "pruned", rules.fingerprint())
+        record = build_record(n, p, e, matrices, "pruned", self._rules)
         if cached is not None and not record.counts_equal(cached):
             raise CensusValidationError(
                 f"recheck mismatch at (n={n}, p={p}, e={e}): cache is stale"
@@ -305,7 +306,7 @@ class CountLedger:
         key = (n, p, e, k)
         if key in self._corank_counts:
             return self._corank_counts[key]
-        full = self._records.get((n, p, e))
+        full = self.cached(n, p, e)
         if full is not None:
             value = full.h_counts[k]
         else:

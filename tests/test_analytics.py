@@ -65,6 +65,32 @@ class TestPrimesAndZeta:
         with pytest.raises(ValueError):
             an.zeta_int(1)
 
+    def test_zeta_closed_forms(self):
+        # Euler-Maclaurin with its remainder bound: zeta(2k) = |B_2k| (2 pi)^2k / (2 (2k)!)
+        for s, exact in ((2, math.pi**2 / 6), (4, math.pi**4 / 90), (6, math.pi**6 / 945)):
+            z = an.zeta_int(s)
+            assert z.contains(exact, dilation=2 * math.ulp(exact))
+            assert z.bound < 1e-15
+        assert an.zeta_int(3).contains(1.2020569031595942)
+
+    def test_prime_zeta_tail_against_direct_sum(self):
+        # P_Q(2) = sum_{Q<p<=10^6} p^-2 + sum_{p>10^6} p^-2, the last in [0, 10^-6]
+        q, top = 1000, 10**6
+        direct = math.fsum(1 / p**2 for p in an.iter_primes(top) if p > q)
+        tail = an.prime_zeta_tail(2, q)
+        assert tail.value + tail.bound >= direct
+        assert tail.value - tail.bound <= direct + 1 / top
+
+    def test_prime_zeta_tail_differences(self):
+        # P_Q(s) - P_R(s) is the finite sum over Q < p <= R
+        for s in (2, 3, 5):
+            low, high = an.prime_zeta_tail(s, 100), an.prime_zeta_tail(s, 10**4)
+            direct = math.fsum(1 / p**s for p in an.iter_primes(10**4) if p > 100)
+            assert abs((low.value - high.value) - direct) <= low.bound + high.bound + 1e-18
+            assert max(low.bound, high.bound) < 1e-15
+        with pytest.raises(ValueError):
+            an.prime_zeta_tail(1, 100)
+
 
 class TestEulerProduct:
     def test_product_of_ones(self):
@@ -104,9 +130,65 @@ class TestEulerProduct:
             an.EulerProductSpec.from_inverse_p_polynomial("t", [2, 1])
 
     def test_unreachable_target(self):
+        # below the rounding floor of a double
         spec = an.EulerProductSpec.from_inverse_p_polynomial("t", [1, 0, -3, 2])
         with pytest.raises(an.EulerProductError):
-            an.euler_product(spec, target=1e-12)
+            an.euler_product(spec, target=1e-18)
+
+    def test_polynomial_spec_keeps_coefficients(self):
+        spec = an.EulerProductSpec.from_inverse_p_polynomial("t", [1, 0, -3, 2])
+        assert spec.coefficients == (1, 0, -3, 2)
+        opaque = an.EulerProductSpec("t", spec.factor, 2, spec.tail_constant)
+        assert opaque.coefficients is None
+
+    def test_series_encloses_inverse_zeta2(self):
+        spec = an.EulerProductSpec.from_inverse_p_polynomial("zeta2-inverse", [1, 0, -1])
+        v = an.euler_product(spec)
+        assert v.contains(6 / math.pi**2)
+        assert v.bound < 1e-14
+
+    def test_series_matches_loop_on_built_specs(self, monkeypatch):
+        # every polynomial spec of corank_probability and tauberian_constant
+        # for n <= 4, against the comparison-tail loop over p <= 10^5
+        built = {}
+        series = an.euler_product
+
+        def record(spec, *args, **kwargs):
+            built[spec.coefficients] = spec
+            return series(spec, *args, **kwargs)
+
+        monkeypatch.setattr(an, "euler_product", record)
+        for n, k in ((3, 1), (4, 1), (4, 2), (4, 3)):
+            an.corank_probability(n, k)
+        for n, k in ((3, 1), (3, 2), (4, 1), (4, 2), (4, 3)):
+            an.tauberian_constant(n, k)
+        monkeypatch.undo()
+        assert len(built) == 5  # corank1-z3, corank1-z4 and corank12-z4 recur
+        for spec in built.values():
+            fast = an.euler_product(spec)
+            slow = an.euler_product(
+                an.EulerProductSpec(spec.name, spec.factor, spec.tail_exponent,
+                                    spec.tail_constant, cutoff=10**5)
+            )
+            assert abs(fast.value - slow.value) <= fast.bound + slow.bound, spec.name
+            assert fast.bound < 1e-12 < slow.bound
+
+    def test_stats_parts_sum_to_bound(self):
+        poly = an.EulerProductSpec.from_inverse_p_polynomial("t", [1, 0, -3, 2])
+        opaque = an.EulerProductSpec("t", poly.factor, 2, poly.tail_constant, cutoff=10**3)
+        for spec, cutoff, primes, terms in ((poly, 256, 54, 10), (opaque, 1000, 168, 1000)):
+            stats = {}
+            v = an.euler_product(spec, stats=stats)
+            assert (stats["head_cutoff"], stats["head_primes"], stats["series_terms"]) == (
+                cutoff, primes, terms)
+            parts = stats["tail_bound"] + stats["zeta_bound"] + stats["rounding_bound"]
+            assert min(stats["tail_bound"], stats["zeta_bound"], stats["rounding_bound"]) >= 0
+            assert parts <= v.bound
+        # the parts are filled also when the target is out of reach
+        stats = {}
+        with pytest.raises(an.EulerProductError):
+            an.euler_product(poly, target=1e-18, stats=stats)
+        assert stats["rounding_bound"] > 1e-18
 
 
 class TestCorankProbabilities:
@@ -139,6 +221,26 @@ class TestLatticeBaseline:
     def test_bad_k(self):
         with pytest.raises(ValueError):
             an.lattice_baseline(4, 0)
+
+    def test_integer_factor_equals_rational_reference(self):
+        def reference(n, k, p):
+            jmax = min(n, int(70 / math.log2(p)) + 1)
+            partial = [Fraction(1)]
+            for j in range(1, jmax + 1):
+                partial.append(partial[-1] * (1 - Fraction(1, p**j)))
+
+            def prod_to(j):
+                return partial[min(j, jmax)]
+
+            total = sum(1 / (Fraction(p) ** (i * i) * prod_to(i) ** 2 * prod_to(n - i))
+                        for i in range(k + 1))
+            return prod_to(n) ** 2 * total
+
+        for n in (3, 50):
+            for k in range(4):
+                for p in an.primes_up_to(200):
+                    num, den = an._lattice_factor(n, k, p)
+                    assert Fraction(num, den) == reference(n, k, p), (n, k, p)
 
 
 class TestGroupMass:

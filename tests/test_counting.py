@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from subring_census import counting
 from subring_census.counting import (
     CensusValidationError,
     CountLedger,
@@ -109,6 +110,48 @@ class TestLedgerPersistence:
         fresh = CountLedger(tmp_path)
         with pytest.raises(CensusValidationError):
             fresh.census(3, 2, 1, recheck=True)
+
+
+    def test_corank_count_reads_records_on_disk(self, tmp_path, monkeypatch):
+        expected = CountLedger(tmp_path).census(4, 2, 3).h_counts[2]
+
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("corank_count enumerated a record that is on disk")
+
+        monkeypatch.setattr(counting, "enumerate_subrings", no_enumeration)
+        assert CountLedger(tmp_path).corank_count(4, 2, 3, 2) == expected
+
+    def test_record_of_another_engine_is_a_miss(self, tmp_path):
+        record = CountLedger(tmp_path).census(3, 2, 2)
+        path = tmp_path / "census-n3-p2.json"
+        payload = record.payload()
+        payload["engine"] = "0.0.0-stale"
+        stale = type(record).from_payload(payload)
+        path.write_text(json.dumps({
+            "schema": 1, "n": 3, "p": 2,
+            "records": [{"record": stale.payload(), "checksum": stale.checksum()}],
+        }))
+        fresh = CountLedger(tmp_path)
+        assert fresh.cached(3, 2, 2) is None
+        with pytest.raises(MissingCensusError) as err:
+            multiplicative_extend(3, 4, fresh, compute=False)
+        assert (3, 2, 2) in err.value.missing
+        again = fresh.census(3, 2, 2)
+        assert again.engine_version == record.engine_version and again.counts_equal(record)
+        on_disk = json.loads(path.read_text())["records"]
+        assert [item["record"]["engine"] for item in on_disk] == [record.engine_version]
+        assert CountLedger(tmp_path).cached(3, 2, 2).counts_equal(record)
+
+    def test_record_of_other_rules_is_a_miss(self, tmp_path):
+        record = CountLedger(tmp_path).census(3, 2, 1)
+        payload = record.payload()
+        payload["rules"] = "rules-v1:00000"
+        other = type(record).from_payload(payload)
+        (tmp_path / "census-n3-p2.json").write_text(json.dumps({
+            "schema": 1, "n": 3, "p": 2,
+            "records": [{"record": other.payload(), "checksum": other.checksum()}],
+        }))
+        assert CountLedger(tmp_path).cached(3, 2, 1) is None
 
 
 class TestClosedForms:
