@@ -8,7 +8,7 @@ floating-point constants with rigorous error bounds.
 
 __version__ = "0.1.0"
 
-from .combinatorics import Composition, binomial, compositions
+from .combinatorics import binomial, compositions
 from .hnf import (
     Cotype,
     HnfMatrix,
@@ -35,7 +35,6 @@ from .catalog import catalog
 
 __all__ = [
     "BudgetExceededError",
-    "Composition",
     "Cotype",
     "EnumSpec",
     "HnfMatrix",

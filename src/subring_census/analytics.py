@@ -465,6 +465,9 @@ def _poly_pow(a: list[int], k: int) -> list[int]:
 
 
 def _poly_product(name: str, coeffs: list[int], target: float | None) -> BoundedValue:
+    if coeffs[0] == 1 and not any(coeffs[1:]):
+        # every local factor is exactly 1 (the cocyclic deviation at n = 2)
+        return BoundedValue.exact(1)
     return euler_product(EulerProductSpec.from_inverse_p_polynomial(name, coeffs), target)
 
 

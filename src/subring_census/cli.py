@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import __version__
@@ -37,13 +37,14 @@ from .verify import (
 
 CACHE_ENV_VAR = "SUBRING_CENSUS_CACHE_DIR"
 
-RULE_NAMES = (
-    "zero-one",
-    "exactly-one-one",
-    "block-divisibility",
-    "last-column",
-    "irreducible-block",
-)
+# --disable-rule name -> PruneRuleSet field
+RULE_NAMES = {
+    "zero-one": "zero_one_outside_support",
+    "exactly-one-one": "exactly_one_one",
+    "block-divisibility": "block_divisibility",
+    "last-column": "last_column",
+    "irreducible-block": "irreducible_block",
+}
 
 
 @dataclass
@@ -151,18 +152,18 @@ def _ledger(cfg: RunConfig) -> CountLedger:
 
 
 def _rules(cfg: RunConfig) -> PruneRuleSet:
-    disabled = set(cfg.disabled_rules)
-    return PruneRuleSet(
-        zero_one_outside_support="zero-one" not in disabled,
-        exactly_one_one="exactly-one-one" not in disabled,
-        block_divisibility="block-divisibility" not in disabled,
-        last_column="last-column" not in disabled,
-        irreducible_block="irreducible-block" not in disabled,
-    )
+    disabled = {RULE_NAMES[name] for name in cfg.disabled_rules}
+    return PruneRuleSet(**{f.name: f.name not in disabled for f in fields(PruneRuleSet)})
 
 
 def cmd_enumerate(cfg: RunConfig) -> int:
     assert cfg.n is not None and cfg.p is not None and cfg.e_range is not None
+    corank = cfg.corank
+    if cfg.irreducible:
+        # irreducible means corank n-1
+        if corank not in (None, cfg.n - 1):
+            raise ValueError(f"--irreducible selects corank {cfg.n - 1}, not {corank}")
+        corank = cfg.n - 1
     entries = []
     dump_fh = open(cfg.dump, "w") if cfg.dump else None
     try:
@@ -172,8 +173,7 @@ def cmd_enumerate(cfg: RunConfig) -> int:
                 p=cfg.p,
                 e=e,
                 mode=cfg.mode,
-                corank=cfg.corank,
-                irreducible_only=cfg.irreducible,
+                corank=corank,
                 rules=_rules(cfg),
                 node_budget=cfg.node_budget,
                 threads=cfg.threads,

@@ -7,7 +7,6 @@ any size and values are safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 
 def binomial(n: int, k: int) -> int:
@@ -19,55 +18,27 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-@dataclass(frozen=True)
-class Composition:
-    """Ordered tuple of nonnegative parts; ``strict`` means every part >= 1."""
-
-    parts: tuple[int, ...]
-    strict: bool = False
-
-    def __post_init__(self) -> None:
-        if any(p < 0 for p in self.parts):
-            raise ValueError("composition parts must be nonnegative")
-        if self.strict and any(p == 0 for p in self.parts):
-            raise ValueError("strict composition requires every part >= 1")
-
-    @property
-    def total(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        """Indices of the nonzero parts."""
-        return tuple(i for i, p in enumerate(self.parts) if p > 0)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-
-def compositions(total: int, parts: int, strict: bool = False) -> list[Composition]:
+def compositions(total: int, parts: int, strict: bool = False) -> list[tuple[int, ...]]:
     """All compositions of ``total`` into ``parts`` parts, lexicographic order.
 
-    Weak compositions allow zero parts; strict ones require every part >= 1.
-    The lexicographic order is a documented contract: parallel work can be
-    partitioned by composition and merged back deterministically.
+    Each composition is a plain tuple of parts.  Weak compositions allow zero
+    parts; strict ones require every part >= 1.  The lexicographic order is a
+    documented contract: parallel work can be partitioned by composition and
+    merged back deterministically.
     """
     if total < 0 or parts < 0:
         raise ValueError("compositions requires nonnegative arguments")
     lo = 1 if strict else 0
-    out: list[Composition] = []
+    out: list[tuple[int, ...]] = []
 
     def rec(prefix: list[int], remaining: int, slots: int) -> None:
         if slots == 0:
             if remaining == 0:
-                out.append(Composition(tuple(prefix), strict))
+                out.append(tuple(prefix))
             return
         if slots == 1:
             if remaining >= lo:
-                out.append(Composition(tuple(prefix) + (remaining,), strict))
+                out.append((*prefix, remaining))
             return
         for v in range(lo, remaining - lo * (slots - 1) + 1):
             prefix.append(v)

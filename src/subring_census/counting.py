@@ -161,26 +161,22 @@ def build_record(
     matrices: list[SubringMatrix],
     mode: str,
     rules: str,
-    check: bool = True,
 ) -> CensusRecord:
     h_counts = [0] * n
     cotypes: dict[tuple[int, ...], int] = {}
-    g_count = 0
     for m in matrices:
         ct = m.cotype()
-        if check:
-            _structural_check(m, ct.corank)
+        _structural_check(m, ct.corank)
         key = ct.alphas
         cotypes[key] = cotypes.get(key, 0) + 1
         h_counts[ct.corank] += 1
-        if m.is_irreducible(p):
-            g_count += 1
     record = CensusRecord(
         n=n,
         p=p,
         e=e,
         f_count=len(matrices),
-        g_count=g_count,
+        # irreducible means corank n-1 (see enumerate_irreducible)
+        g_count=h_counts[n - 1],
         h_counts=tuple(h_counts),
         cotype_counts=cotypes,
         mode=mode,

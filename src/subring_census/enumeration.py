@@ -25,14 +25,16 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
-from .combinatorics import Composition, compositions
+from .combinatorics import compositions
+# is_irreducible_rows and is_subring_rows are not called here;
+# perfbench/tracing.py wraps both as call sites of this module
 from .hnf import (
     HnfMatrix,
     SubringMatrix,
     _solve_rows,
-    is_irreducible_rows,  # no longer called here; perfbench/tracing.py wraps this name
+    is_irreducible_rows,
     is_subring_rows,
     products_in_span,
 )
@@ -97,19 +99,11 @@ class PruneRuleSet:
 
     @classmethod
     def none(cls) -> "PruneRuleSet":
-        return cls(False, False, False, False, False)
+        return cls(**{f.name: False for f in fields(cls)})
 
     def fingerprint(self) -> str:
-        bits = "".join(
-            "1" if flag else "0"
-            for flag in (
-                self.zero_one_outside_support,
-                self.exactly_one_one,
-                self.block_divisibility,
-                self.last_column,
-                self.irreducible_block,
-            )
-        )
+        """Rule bits in field order; ledger records store this string."""
+        bits = "".join("1" if getattr(self, f.name) else "0" for f in fields(self))
         return f"rules-v1:{bits}"
 
 
@@ -121,7 +115,7 @@ class EnumSpec:
     restricts diagonals to compositions with that support size; in naive mode
     matrices are filtered post hoc by their Smith-form corank, so comparing
     the two modes exercises the support-equals-corank fact rather than
-    assuming it.
+    assuming it.  Corank n-1 selects exactly the irreducible subrings.
     """
 
     n: int
@@ -129,8 +123,7 @@ class EnumSpec:
     e: int
     mode: str = "pruned"
     corank: int | None = None
-    diagonal: "tuple[int, ...] | Composition | None" = None
-    irreducible_only: bool = False
+    diagonal: tuple[int, ...] | None = None
     rules: PruneRuleSet = field(default_factory=PruneRuleSet)
     node_budget: int = 10**9
     threads: int = 1
@@ -215,11 +208,6 @@ def _naive_for_diagonal(
     powers = {i: p ** exps[i] for i in support}
     domains = [range(powers[i]) for i, _ in positions]
     out: list[Rows] = []
-    if not positions:
-        counter[0] += 1
-        if is_subring_rows(rows):
-            out.append(_snapshot(rows))
-        return out
     nodes = counter[0]
     for combo in itertools.product(*domains):
         nodes += 1
@@ -330,12 +318,7 @@ def _pruned_for_diagonal(
         if at is not None:
             block[at[0]][at[1]] = 0
 
-    if npos == 0:
-        counter[0] += 1
-        if is_subring_rows(rows):
-            out.append(_snapshot(rows))
-    else:
-        place(0)
+    place(0)
     return out
 
 
@@ -357,24 +340,11 @@ def _diagonal_task(args: tuple[EnumSpec, tuple[int, ...]]) -> tuple[list[Rows], 
 def _diagonals_for_spec(spec: EnumSpec) -> list[tuple[int, ...]]:
     if spec.diagonal is not None:
         return [tuple(spec.diagonal)]
-    comps = compositions(spec.e, spec.n - 1, strict=False)
-    exps_list = [tuple(c.parts) for c in comps]
-    if spec.mode == "pruned":
-        if spec.irreducible_only:
-            exps_list = [t for t in exps_list if all(v >= 1 for v in t)]
-        if spec.corank is not None:
-            k = spec.corank
-            exps_list = [t for t in exps_list if sum(1 for v in t if v > 0) == k]
+    exps_list = compositions(spec.e, spec.n - 1, strict=False)
+    if spec.mode == "pruned" and spec.corank is not None:
+        k = spec.corank
+        exps_list = [t for t in exps_list if sum(1 for v in t if v > 0) == k]
     return exps_list
-
-
-def _post_filter_naive(spec: EnumSpec, matrices: list[SubringMatrix]) -> list[SubringMatrix]:
-    out = matrices
-    if spec.irreducible_only:
-        out = [m for m in out if m.is_irreducible(spec.p)]
-    if spec.corank is not None:
-        out = [m for m in out if m.corank() == spec.corank]
-    return out
 
 
 def enumerate_subrings(spec: EnumSpec) -> list[SubringMatrix]:
@@ -417,8 +387,8 @@ def enumerate_subrings(spec: EnumSpec) -> list[SubringMatrix]:
     for exps, found in sorted(results, key=lambda item: item[0]):
         for rows in sorted(found, key=_matrix_key):
             matrices.append(SubringMatrix(HnfMatrix(rows)))
-    if spec.mode == "naive":
-        matrices = _post_filter_naive(spec, matrices)
+    if spec.mode == "naive" and spec.corank is not None:
+        matrices = [m for m in matrices if m.corank() == spec.corank]
     return matrices
 
 
@@ -427,23 +397,22 @@ def enumerate_irreducible(
 ) -> list[SubringMatrix]:
     """All irreducible subring matrices of Z^n with determinant p^e.
 
-    These are exactly the subring matrices on strict-composition (full
-    support) diagonals: such a subring has corank n-1, so it lies in
-    Z 1 + p Z^n and is irreducible.  Empty below the minimal index e = n-1.
+    A subring of p-power index splits uniquely into irreducible blocks, and
+    a block of size m and index > 1 has corank m-1 (Liu, JCTA 114, 2007), so
+    the irreducible ones are exactly those of corank n-1: the subring
+    matrices on strict-composition (full support) diagonals.  Empty below
+    the minimal index e = n-1.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-    return enumerate_subrings(EnumSpec(n, p, e, irreducible_only=True, node_budget=node_budget))
+    return enumerate_subrings(EnumSpec(n, p, e, corank=n - 1, node_budget=node_budget))
 
 
-def count_g_alpha(alpha: Composition | tuple[int, ...], p: int) -> int:
+def count_g_alpha(alpha: tuple[int, ...], p: int) -> int:
     """Number of irreducible subring matrices with diagonal exponents alpha.
 
     alpha has n-1 strict parts for matrices of size n = len(alpha) + 1.
     """
-    parts = tuple(alpha.parts if isinstance(alpha, Composition) else alpha)
-    if any(v < 1 for v in parts):
+    if any(v < 1 for v in alpha):
         raise ValueError("alpha must be a strict composition")
-    return len(enumerate_subrings(EnumSpec(len(parts) + 1, p, sum(parts), diagonal=parts)))
+    return len(enumerate_subrings(EnumSpec(len(alpha) + 1, p, sum(alpha), diagonal=alpha)))

@@ -116,7 +116,11 @@ def is_subring_matrix(a: HnfMatrix) -> bool:
 
 
 def is_irreducible_rows(rows: Sequence[Sequence[int]], p: int) -> bool:
-    """Matrix-level irreducibility: last column all ones, others 0 mod p."""
+    """Matrix-level irreducibility: last column all ones, others 0 mod p.
+
+    The library selects irreducible subrings by corank n-1 alone; this
+    independent criterion is the oracle tests compare that selection with.
+    """
     n = len(rows)
     for i in range(n):
         if rows[i][n - 1] != 1:
@@ -339,9 +343,6 @@ class SubringMatrix:
 
     def corank(self) -> int:
         return self.cotype().corank
-
-    def is_irreducible(self, p: int) -> bool:
-        return is_irreducible_rows(self.entries, p)
 
 
 def _prime_power_base(m: int) -> int | None:

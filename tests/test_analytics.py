@@ -197,6 +197,12 @@ class TestCorankProbabilities:
         with pytest.raises(ValueError):
             an.corank_probability(2, 2)
 
+    def test_rank2_tauberian_constant_is_one(self):
+        # C(2,2) - 1 = 0: the deviation polynomial is 1 and the constant 1/0! = 1
+        c = an.tauberian_constant(2, 1)
+        assert c.contains(1.0)
+        assert c.bound < 1e-14
+
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             an.corank_probability(5, 1)

@@ -1,8 +1,11 @@
 import json
+from dataclasses import fields
 
 import pytest
 
-from subring_census.cli import build_parser, config_from_args, main
+from subring_census.catalog import irreducible_count
+from subring_census.cli import RULE_NAMES, _rules, build_parser, config_from_args, main
+from subring_census.enumeration import PruneRuleSet
 from subring_census.hnf import load_matrices
 
 
@@ -50,6 +53,42 @@ def test_enumerate_dump_round_trip(capsys, tmp_path):
         loaded = load_matrices(fh)
     assert len(loaded) == 4
     assert all(p == 2 for _, p in loaded)
+
+
+def test_enumerate_irreducible_is_top_corank(capsys):
+    code, out, _ = run_cli(capsys, "enumerate", "-n", "4", "-p", "2", "-e", "0:6", "--irreducible")
+    assert code == 0
+    irreducible = json.loads(out)
+    code, out, _ = run_cli(capsys, "enumerate", "-n", "4", "-p", "2", "-e", "0:6", "--corank", "3")
+    assert code == 0
+    corank = json.loads(out)
+    assert irreducible["entries"] == corank["entries"]
+    assert [r["count"] for r in irreducible["entries"]] == [
+        irreducible_count(4, 2, e) for e in range(7)
+    ]
+    assert irreducible["config"]["irreducible"] is True
+    assert irreducible["config"]["corank"] is None
+    code, _, _ = run_cli(
+        capsys, "enumerate", "-n", "4", "-p", "2", "-e", "3", "--irreducible", "--corank", "3"
+    )
+    assert code == 0
+
+
+def test_enumerate_irreducible_with_other_corank_is_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys, "enumerate", "-n", "4", "-p", "2", "-e", "3", "--irreducible", "--corank", "2"
+    )
+    assert code == 2
+    assert out == ""
+    assert "--irreducible" in err
+
+
+def test_rule_names_cover_every_rule():
+    assert sorted(RULE_NAMES.values()) == sorted(f.name for f in fields(PruneRuleSet))
+    args = build_parser().parse_args(
+        ["enumerate", "-n", "3", "-p", "2", "-e", "1", "--disable-rule", "last-column"]
+    )
+    assert _rules(config_from_args(args)) == PruneRuleSet(last_column=False)
 
 
 def test_enumerate_budget_exit_code(capsys):

@@ -46,8 +46,12 @@ class TestCensus:
     def test_g_count_matches_series(self, ledger):
         from subring_census.catalog import irreducible_count
 
-        for e in range(5):
-            assert ledger.census(3, 2, e).g_count == irreducible_count(3, 2, e)
+        # g is read off h[n-1]: irreducible means corank n-1
+        for n, primes in ((3, (2, 3, 5)), (4, (2, 3))):
+            for p in primes:
+                for e in range(7):
+                    r = ledger.census(n, p, e)
+                    assert r.g_count == r.h_counts[n - 1] == irreducible_count(n, p, e)
 
     def test_h_tilde(self, ledger):
         r = ledger.census(4, 2, 2)
