@@ -164,17 +164,23 @@ class TestOracleEquivalence:
         assert PruneRuleSet(last_column=False).fingerprint() == "rules-v1:11101"
 
     def test_corank_filter_matches_posthoc(self):
-        # k = n-1 is the irreducible selection: checked against the
-        # matrix-level criterion on every matrix, kept or not
         for n, p, e in ((3, 2, 3), (3, 3, 4), (4, 2, 3), (4, 2, 5)):
-            every = enumerate_subrings(EnumSpec(n=n, p=p, e=e, mode="naive"))
             for k in range(1, n):
                 pruned = enumerate_subrings(EnumSpec(n=n, p=p, e=e, corank=k))
                 naive = enumerate_subrings(EnumSpec(n=n, p=p, e=e, mode="naive", corank=k))
                 assert entries(pruned) == entries(naive)
                 assert all(m.corank() == k for m in pruned)
+
+    def test_irreducible_filter_matches_posthoc(self):
+        # the irreducible selection is corank n-1: checked against the
+        # matrix-level criterion on every matrix, kept or not
+        for n, p, e in ((3, 2, 3), (3, 3, 4), (4, 2, 3), (4, 2, 5)):
+            every = enumerate_subrings(EnumSpec(n=n, p=p, e=e, mode="naive"))
             irreducible = [m.entries for m in every if is_irreducible_rows(m.entries, p)]
+            pruned = enumerate_subrings(EnumSpec(n=n, p=p, e=e, corank=n - 1))
+            naive = enumerate_subrings(EnumSpec(n=n, p=p, e=e, mode="naive", corank=n - 1))
             assert entries(pruned) == irreducible
+            assert entries(naive) == irreducible
             assert entries(enumerate_irreducible(n, p, e)) == irreducible
 
 
