@@ -4,6 +4,22 @@ A census record fixes (n, p, e) and stores the total count, the count of
 irreducible matrices, per-corank counts, and the full cotype census.  Records
 are persisted one file per (n, p) as sorted-key JSON with a per-record
 checksum, so long enumerations survive restarts and the cache is auditable.
+
+A record is built from irreducible blocks, not by searching every diagonal.
+A subring of p-power index splits uniquely into irreducible subrings over a
+set partition of the coordinates, an irreducible block of size m and index
+> 1 has corank m-1, and the cokernel is the direct sum of the blocks'
+cokernels.  Splitting off the block that holds the first coordinate gives
+
+    F_n(e) = sum_{m, j} C(n-1, m-1) G_m(j) (x) F_{n-m}(e-j)
+
+where F_n(e) is the cotype census of Z^n at index p^e, G_m(j) that of its
+irreducible subrings, and (x) merges the multisets of invariant factors.
+G_1 is the trivial block at j = 0, G_m is empty for j < m-1, and G_m(j) is
+the pruned engine on full-support diagonals (corank m-1), with the
+structural check on every matrix.  `census(recheck=True)` still enumerates
+every diagonal of Z^n and compares, so it stays the independent check.
+
 Composite-index counts are never enumerated: they are reconstructed
 multiplicatively from the prime-power records.
 """
@@ -154,27 +170,28 @@ def _structural_check(m: SubringMatrix, corank: int) -> None:
                 raise CensusValidationError(f"last-column pair rule violated in {entries}")
 
 
-def build_record(
-    n: int,
-    p: int,
-    e: int,
-    matrices: list[SubringMatrix],
-    mode: str,
-    rules: str,
-) -> CensusRecord:
-    h_counts = [0] * n
+def _cotype_census(matrices: list[SubringMatrix]) -> dict[tuple[int, ...], int]:
+    """Counts of the matrices by cotype, after the structural check on each."""
     cotypes: dict[tuple[int, ...], int] = {}
     for m in matrices:
         ct = m.cotype()
         _structural_check(m, ct.corank)
-        key = ct.alphas
-        cotypes[key] = cotypes.get(key, 0) + 1
-        h_counts[ct.corank] += 1
+        cotypes[ct.alphas] = cotypes.get(ct.alphas, 0) + 1
+    return cotypes
+
+
+def _record_from_cotypes(
+    n: int, p: int, e: int, cotypes: dict[tuple[int, ...], int], mode: str, rules: str
+) -> CensusRecord:
+    """The validated census record of (n, p, e) with the given cotype census."""
+    h_counts = [0] * n
+    for key, count in cotypes.items():
+        h_counts[sum(1 for a in key if a > 1)] += count
     record = CensusRecord(
         n=n,
         p=p,
         e=e,
-        f_count=len(matrices),
+        f_count=sum(h_counts),
         # irreducible means corank n-1 (see enumerate_irreducible)
         g_count=h_counts[n - 1],
         h_counts=tuple(h_counts),
@@ -187,6 +204,17 @@ def build_record(
     return record
 
 
+def build_record(
+    n: int,
+    p: int,
+    e: int,
+    matrices: list[SubringMatrix],
+    mode: str,
+    rules: str,
+) -> CensusRecord:
+    return _record_from_cotypes(n, p, e, _cotype_census(matrices), mode, rules)
+
+
 class CountLedger:
     """Cache of census records, optionally persisted one JSON file per (n, p).
 
@@ -194,12 +222,28 @@ class CountLedger:
     replace; reads are lock-free.  Stored records carry a checksum that is
     verified on load.  Only records of this engine version and pruning rules
     are served; any other is a miss, and census overwrites it.
+
+    A missed census is built from irreducible blocks (see the module
+    docstring).  The irreducible cotype censuses G_m(j) are kept in memory
+    for the life of the ledger, keyed by (m, p, j), so each is enumerated
+    once and shared across n and e; they are not persisted.  The merged
+    censuses F_k(d) live for one census call only.  census(recheck=True)
+    enumerates every diagonal of Z^n instead.
+
+    stats holds deterministic counters of census calls: hits (served from
+    the cache), misses (built from blocks), rechecks (fully enumerated),
+    irreducible_built and irreducible_reused (G_m(j) enumerated, or taken
+    from memory).
     """
 
     def __init__(self, directory: str | Path | None = None):
         self.directory = Path(directory) if directory is not None else None
         self._records: dict[tuple[int, int, int], CensusRecord] = {}
         self._corank_counts: dict[tuple[int, int, int, int], int] = {}
+        self._irreducible: dict[tuple[int, int, int], dict[tuple[int, ...], int]] = {}
+        self.stats = dict.fromkeys(
+            ("hits", "misses", "rechecks", "irreducible_built", "irreducible_reused"), 0
+        )
         self._write_lock = threading.Lock()
         self._rules = PruneRuleSet().fingerprint()
         if self.directory is not None:
@@ -270,30 +314,88 @@ class CountLedger:
     ) -> CensusRecord:
         """Exact census at (n, p, e); cached unless recheck forces recomputation.
 
-        With recheck, a fresh enumeration is compared against the cached
-        record and a mismatch raises (stale engine guard).  Budget exhaustion
-        propagates as BudgetExceededError; nothing partial is stored.
+        A miss is built from irreducible blocks.  With recheck, a full
+        enumeration of every diagonal is compared against the cached record
+        and a mismatch raises (stale engine guard).  The enumerations of one
+        call share node_budget; exhaustion propagates as BudgetExceededError
+        and nothing partial is stored.
         """
         cached = self.cached(n, p, e)
-        if cached is not None and not recheck:
+        if recheck:
+            self.stats["rechecks"] += 1
+        elif cached is not None:
+            self.stats["hits"] += 1
             return cached
-        spec = EnumSpec(
-            n=n,
-            p=p,
-            e=e,
-            mode="pruned",
-            node_budget=node_budget,
-            threads=threads,
-            progress=progress,
-        )
-        matrices = enumerate_subrings(spec)
-        record = build_record(n, p, e, matrices, "pruned", self._rules)
+        else:
+            self.stats["misses"] += 1
+        counter = [0]
+        opts = {"node_budget": node_budget, "threads": threads, "progress": progress}
+        if recheck:
+            matrices = enumerate_subrings(EnumSpec(n, p, e, **opts), counter)
+            record = build_record(n, p, e, matrices, "pruned", self._rules)
+        else:
+            merged = self._merged_cotypes(n, p, e, opts, counter)
+            cotypes = {key + (1,) * (n - 1 - len(key)): count for key, count in merged.items()}
+            record = _record_from_cotypes(n, p, e, cotypes, "pruned", self._rules)
         if cached is not None and not record.counts_equal(cached):
             raise CensusValidationError(
                 f"recheck mismatch at (n={n}, p={p}, e={e}): cache is stale"
             )
         self._store(record)
         return record
+
+    def _merged_cotypes(
+        self, n: int, p: int, e: int, opts: dict, counter: list[int]
+    ) -> dict[tuple[int, ...], int]:
+        """F_n(e) by the block recursion, keyed by the invariant factors > 1.
+
+        G_m(j) is looked up only when F_{n-m}(e-j) is non-empty, so a block
+        of size n is enumerated at j = e alone.
+        """
+        memo: dict[tuple[int, int], dict[tuple[int, ...], int]] = {}
+
+        def merged(k: int, d: int) -> dict[tuple[int, ...], int]:
+            if k == 0:
+                return {(): 1} if d == 0 else {}
+            if (k, d) in memo:
+                return memo[(k, d)]
+            out: dict[tuple[int, ...], int] = {}
+            for m in range(1, k + 1):
+                ways = binomial(k - 1, m - 1)
+                for j in range(m - 1, d + 1) if m > 1 else (0,):
+                    rest = merged(k - m, d - j)
+                    if not rest:
+                        continue
+                    # G_1 is the trivial block Z at j = 0
+                    if m == 1:
+                        block = {(): 1}
+                    else:
+                        block = self._irreducible_cotypes(m, p, j, opts, counter)
+                    for a, ca in block.items():
+                        for b, cb in rest.items():
+                            key = tuple(sorted(a + b, reverse=True))
+                            out[key] = out.get(key, 0) + ways * ca * cb
+            memo[(k, d)] = out
+            return out
+
+        return merged(n, e)
+
+    def _irreducible_cotypes(
+        self, m: int, p: int, j: int, opts: dict, counter: list[int]
+    ) -> dict[tuple[int, ...], int]:
+        """G_m(j) for j >= m-1 >= 1: cotype census of the irreducible subrings
+        of Z^m at index p^j."""
+        key = (m, p, j)
+        if key in self._irreducible:
+            self.stats["irreducible_reused"] += 1
+            return self._irreducible[key]
+        # stored only once the enumeration completes: a budget error leaves
+        # no partial entry
+        spec = EnumSpec(m, p, j, corank=m - 1, **opts)
+        cotypes = _cotype_census(enumerate_subrings(spec, counter))
+        self._irreducible[key] = cotypes
+        self.stats["irreducible_built"] += 1
+        return cotypes
 
     def corank_count(
         self, n: int, p: int, e: int, k: int, node_budget: int = 10**9, threads: int = 1

@@ -347,14 +347,19 @@ def _diagonals_for_spec(spec: EnumSpec) -> list[tuple[int, ...]]:
     return exps_list
 
 
-def enumerate_subrings(spec: EnumSpec) -> list[SubringMatrix]:
+def enumerate_subrings(spec: EnumSpec, counter: list[int] | None = None) -> list[SubringMatrix]:
     """All subring matrices matching the spec, in canonical order.
 
     Raises BudgetExceededError when the node budget runs out; partial output
     is never returned.  With threads > 1 the per-diagonal subtrees run in
     worker processes and are merged back in composition order, so the result
     is identical to a serial run.
+
+    counter, a one-element list, accrues the search nodes; the budget bounds
+    its running total, so calls that pass the same counter share one budget.
     """
+    if counter is None:
+        counter = [0]
     exps_list = _diagonals_for_spec(spec)
     total = len(exps_list)
     results: list[tuple[tuple[int, ...], list[Rows]]] = []
@@ -363,20 +368,18 @@ def enumerate_subrings(spec: EnumSpec) -> list[SubringMatrix]:
         # a worker stops its diagonal at the whole budget; the running sum
         # bounds the run, and raising leaves the with block, which terminates
         # the pool without waiting for the other workers
-        nodes = 0
         ctx = multiprocessing.get_context()
         with ctx.Pool(processes=spec.threads) as pool:
             tasks = pool.imap(_diagonal_task, [(spec, t) for t in exps_list])
             for done, (exps, (found, used)) in enumerate(zip(exps_list, tasks), start=1):
-                nodes += used
-                if nodes > spec.node_budget:
-                    raise BudgetExceededError(nodes, spec.node_budget)
+                counter[0] += used
+                if counter[0] > spec.node_budget:
+                    raise BudgetExceededError(counter[0], spec.node_budget)
                 results.append((exps, found))
                 if spec.progress:
                     print(f"diagonals {done}/{total}", file=sys.stderr)
     else:
         # one counter across diagonals: the budget bounds the whole serial run
-        counter = [0]
         for done, exps in enumerate(exps_list, start=1):
             results.append((exps, _search_diagonal(spec, exps, counter)))
             if spec.progress:

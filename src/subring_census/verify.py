@@ -481,8 +481,9 @@ def suite_identities(scope: VerifyScope) -> list[CheckResult]:
 
 def suite_invariants(scope: VerifyScope) -> list[CheckResult]:
     out = []
-    # censuses validate per-matrix structure on construction; touching them
-    # here re-runs those checks across the criterion grids.
+    # a full enumeration validates the structure of every matrix it records;
+    # recheck forces one, since a census built from irreducible blocks checks
+    # only the blocks' matrices, and compares it with any cached record.
     grids = [(3, 2, 4), (3, 3, 3), (4, 2, 4), (4, 3, 3)]
     if not scope.small:
         grids += [(3, 5, 5), (4, 5, 4), (5, 2, 4), (6, 2, 3)]
@@ -492,7 +493,7 @@ def suite_invariants(scope: VerifyScope) -> list[CheckResult]:
         for n, p, emax in grids:
             for e in range(emax + 1):
                 record = scope.ledger.census(
-                    n, p, e, node_budget=scope.node_budget, threads=scope.threads
+                    n, p, e, recheck=True, node_budget=scope.node_budget, threads=scope.threads
                 )
                 checked += record.f_count
     except CensusValidationError as exc:

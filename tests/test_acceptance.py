@@ -175,15 +175,16 @@ def test_criterion_5_rational_function_identities():
 
 
 def test_criterion_6_structural_invariants():
-    # censuses raise on any violation of corank-vs-support, the last-column
-    # rules, or the exactly-one-1 rule, so touching the criterion grids is the
-    # check; the count sandwich is asserted on top.
+    # a full enumeration (recheck) raises on any violation of corank-vs-support,
+    # the last-column rules, or the exactly-one-1 rule in any matrix, so
+    # enumerating the criterion grids is the check; the count sandwich is
+    # asserted on top.
     start = time.time()
     checked = 0
     for n, emax, primes in ((3, 8, (2, 3, 5)), (4, 6, (2, 3, 5)), (4, 10, (2,))):
         for p in primes:
             for e in range(emax + 1):
-                checked += LEDGER.census(n, p, e).f_count
+                checked += LEDGER.census(n, p, e, recheck=True).f_count
     violations = []
     for n in (3, 4, 5, 6):
         for k in (1, 2, 3):

@@ -7,6 +7,7 @@ from subring_census.counting import (
     CensusValidationError,
     CountLedger,
     MissingCensusError,
+    build_record,
     corank2_formula_coefficients,
     corank3_formula_coefficients,
     formula_h,
@@ -15,6 +16,12 @@ from subring_census.counting import (
     multiplicative_table,
     sandwich_bounds,
     smallest_prime_factors,
+)
+from subring_census.enumeration import (
+    BudgetExceededError,
+    EnumSpec,
+    PruneRuleSet,
+    enumerate_subrings,
 )
 
 
@@ -68,6 +75,109 @@ class TestCensus:
         again = type(r).from_payload(json.loads(json.dumps(r.payload())))
         assert again.checksum() == r.checksum()
         assert again.counts_equal(r)
+
+
+# (n, p, e_max): every cell e <= e_max is compared with full enumeration
+DECOMPOSITION_GRID = [
+    (2, 2, 8), (3, 2, 9), (3, 3, 6), (3, 5, 4), (4, 2, 9),
+    (4, 3, 6), (5, 2, 6), (5, 3, 4), (6, 2, 5),
+]
+
+
+def full_record(n, p, e):
+    matrices = enumerate_subrings(EnumSpec(n, p, e))
+    return build_record(n, p, e, matrices, "pruned", PruneRuleSet().fingerprint())
+
+
+def spy_on_enumeration(monkeypatch):
+    """Record (spec, nodes so far) of every enumeration census runs."""
+    calls = []
+
+    def spy(spec, counter):
+        out = enumerate_subrings(spec, counter)
+        calls.append((spec, counter[0]))
+        return out
+
+    monkeypatch.setattr(counting, "enumerate_subrings", spy)
+    return calls
+
+
+class TestDecomposition:
+    def test_matches_full_enumeration(self):
+        led = CountLedger()
+        cells = [(n, p, e) for n, p, top in DECOMPOSITION_GRID for e in range(top + 1)]
+        assert len(cells) == 66
+        for n, p, e in cells:
+            record, full = led.census(n, p, e), full_record(n, p, e)
+            assert record.counts_equal(full), (n, p, e)
+            assert record.checksum() == full.checksum(), (n, p, e)
+
+    def test_census_enumerates_irreducible_blocks_only(self, monkeypatch):
+        calls = spy_on_enumeration(monkeypatch)
+        led = CountLedger()
+        led.census(5, 2, 5)
+        assert calls and all(spec.corank == spec.n - 1 for spec, _ in calls)
+        assert max(spec.n for spec, _ in calls) == 5
+        del calls[:]
+        led.census(5, 2, 5, recheck=True)
+        assert [spec for spec, _ in calls] == [EnumSpec(5, 2, 5)]
+
+    def test_budget_exhaustion_leaves_nothing_partial(self, tmp_path, monkeypatch):
+        calls = spy_on_enumeration(monkeypatch)
+        CountLedger().census(5, 2, 6)
+        totals = [nodes for _, nodes in calls]
+        used = [b - a for a, b in zip([0] + totals, totals)]
+        # every enumeration fits the budget alone, but not all of them together
+        budget = max(used)
+        assert totals[-1] > budget
+        cut = next(i for i, t in enumerate(totals) if t > budget)
+        assert cut > 0
+        keys = [(spec.n, spec.p, spec.e) for spec, _ in calls]
+        led = CountLedger(tmp_path)
+        with pytest.raises(BudgetExceededError):
+            led.census(5, 2, 6, node_budget=budget)
+        assert list(tmp_path.iterdir()) == []
+        assert CountLedger(tmp_path).cached(5, 2, 6) is None
+        assert sorted(led._irreducible) == sorted(keys[:cut])
+        fresh = CountLedger()
+        for m, p, j in led._irreducible:
+            assert led._irreducible[(m, p, j)] == fresh._irreducible_cotypes(
+                m, p, j, {}, [0]
+            )
+        record = led.census(5, 2, 6)
+        full = full_record(5, 2, 6)
+        assert record.counts_equal(full) and record.checksum() == full.checksum()
+        assert CountLedger(tmp_path).cached(5, 2, 6).counts_equal(full)
+
+    def test_stats(self):
+        led = CountLedger()
+        for e in range(6):
+            led.census(4, 2, e)
+        # G_2(1..5), G_3(2..5) and G_4(3..5) are each enumerated once.  The
+        # census at 2^e looks G up 2e + [e>=1] + 2[e>=2] + [e>=3] times:
+        # 0 + 3 + 7 + 10 + 12 + 14 = 46 lookups, 12 of them builds.
+        assert led.stats == {
+            "hits": 0,
+            "misses": 6,
+            "rechecks": 0,
+            "irreducible_built": 12,
+            "irreducible_reused": 34,
+        }
+        led.census(4, 2, 5)
+        led.census(4, 2, 3, recheck=True)
+        assert led.stats == {
+            "hits": 1,
+            "misses": 6,
+            "rechecks": 1,
+            "irreducible_built": 12,
+            "irreducible_reused": 34,
+        }
+
+    @pytest.mark.stretch
+    def test_cold_z7_matches_full_enumeration(self):
+        record = CountLedger().census(7, 2, 7)
+        full = CountLedger().census(7, 2, 7, recheck=True)
+        assert record.counts_equal(full) and record.checksum() == full.checksum()
 
 
 class TestLedgerPersistence:
