@@ -2,8 +2,10 @@
 
 A census record fixes (n, p, e) and stores the total count, the count of
 irreducible matrices, per-corank counts, and the full cotype census.  Records
-are persisted one file per (n, p) as sorted-key JSON with a per-record
-checksum, so long enumerations survive restarts and the cache is auditable.
+are persisted in one append-only log per n, census-n{n}.jsonl, one line
+{"checksum": sha256, "record": payload} per record in compact sorted-key
+JSON, so long enumerations survive restarts, several processes can share a
+directory, and the cache is auditable.
 
 A record is built from irreducible blocks, not by searching every diagonal.
 A subring of p-power index splits uniquely into irreducible subrings over a
@@ -26,11 +28,11 @@ multiplicatively from the prime-power records.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import math
 import os
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -39,8 +41,6 @@ from .catalog import irreducible_count
 from .combinatorics import binomial
 from .enumeration import ENGINE_VERSION, EnumSpec, PruneRuleSet, enumerate_subrings
 from .hnf import SubringMatrix, diagonal_support_corank
-
-LEDGER_SCHEMA_VERSION = 1
 
 
 class CensusValidationError(RuntimeError):
@@ -215,13 +215,30 @@ def build_record(
     return _record_from_cotypes(n, p, e, _cotype_census(matrices), mode, rules)
 
 
-class CountLedger:
-    """Cache of census records, optionally persisted one JSON file per (n, p).
+def _complete_length(fd: int, end: int) -> int:
+    """Length of the first end bytes of the file open at fd, up to and
+    including their last newline."""
+    while end > 0:
+        start = max(0, end - (1 << 16))
+        tail = os.pread(fd, end - start, start)
+        cut = tail.rfind(b"\n")
+        if cut >= 0:
+            return start + cut + 1
+        end = start
+    return 0
 
-    File writes go through a single in-process commit lock and an atomic
-    replace; reads are lock-free.  Stored records carry a checksum that is
-    verified on load.  Only records of this engine version and pruning rules
-    are served; any other is a miss, and census overwrites it.
+
+class CountLedger:
+    """Cache of census records, optionally persisted as one append-only
+    checksummed log per n (see `_store` and `_read_new`).
+
+    A record is appended as one line under an exclusive flock, so several
+    processes may share a directory; reads take no lock and parse only the
+    complete lines past what this ledger has already read.  Every line's
+    checksum and counts are verified on load, and a malformed line raises a
+    ValueError naming the file and line.  Only records of this engine version
+    and pruning rules are served; any other is a miss, census appends a
+    current line, and the later line for a (p, e) replaces an earlier one.
 
     A missed census is built from irreducible blocks (see the module
     docstring).  The irreducible cotype censuses G_m(j) are kept in memory
@@ -239,67 +256,105 @@ class CountLedger:
     def __init__(self, directory: str | Path | None = None):
         self.directory = Path(directory) if directory is not None else None
         self._records: dict[tuple[int, int, int], CensusRecord] = {}
+        # per n: bytes of the log already parsed, and the lines in them
+        self._read_upto: dict[int, tuple[int, int]] = {}
         self._corank_counts: dict[tuple[int, int, int, int], int] = {}
         self._irreducible: dict[tuple[int, int, int], dict[tuple[int, ...], int]] = {}
         self.stats = dict.fromkeys(
             ("hits", "misses", "rechecks", "irreducible_built", "irreducible_reused"), 0
         )
-        self._write_lock = threading.Lock()
         self._rules = PruneRuleSet().fingerprint()
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
 
-    def _file(self, n: int, p: int) -> Path:
+    def _file(self, n: int) -> Path:
         assert self.directory is not None
-        return self.directory / f"census-n{n}-p{p}.json"
+        return self.directory / f"census-n{n}.jsonl"
 
-    def _load_file(self, n: int, p: int) -> dict[int, CensusRecord]:
-        out: dict[int, CensusRecord] = {}
-        if self.directory is None:
-            return out
-        path = self._file(n, p)
-        if not path.exists():
-            return out
-        doc = json.loads(path.read_text())
-        if doc.get("schema") != LEDGER_SCHEMA_VERSION:
-            raise ValueError(f"unsupported ledger schema in {path}")
-        for item in doc["records"]:
+    def _parse_line(self, path: Path, lineno: int, line: bytes) -> CensusRecord:
+        """The verified record of one complete log line."""
+        where = f"{path}:{lineno}"
+        try:
+            item = json.loads(line)
+        except ValueError as exc:
+            raise ValueError(f"{where}: not JSON ({exc})") from None
+        if not isinstance(item, dict) or not {"record", "checksum"} <= item.keys():
+            raise ValueError(f"{where}: not an object with record and checksum")
+        try:
             record = CensusRecord.from_payload(item["record"])
-            if record.checksum() != item["checksum"]:
-                raise ValueError(f"checksum mismatch in {path} at e={record.e}")
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            raise ValueError(f"{where}: malformed record ({exc!r})") from None
+        if record.checksum() != item["checksum"]:
+            raise ValueError(f"{where}: checksum mismatch at e={record.e}")
+        try:
             record.validate()
-            out[record.e] = record
-        return out
+        except CensusValidationError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        return record
 
-    def _store(self, record: CensusRecord) -> None:
-        key = (record.n, record.p, record.e)
-        self._records[key] = record
+    def _read_new(self, n: int) -> None:
+        """Take in the complete lines appended to the n-log since the last read.
+
+        A final line without its newline is still being written (or was torn
+        by a writer that died), so it is left for a later read.
+        """
         if self.directory is None:
             return
-        with self._write_lock:
-            existing = self._load_file(record.n, record.p)
-            existing[record.e] = record
-            doc = {
-                "schema": LEDGER_SCHEMA_VERSION,
-                "n": record.n,
-                "p": record.p,
-                "records": [
-                    {"record": existing[e].payload(), "checksum": existing[e].checksum()}
-                    for e in sorted(existing)
-                ],
-            }
-            path = self._file(record.n, record.p)
-            tmp = path.with_suffix(".tmp")
-            tmp.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
-            os.replace(tmp, path)
+        path = self._file(n)
+        offset, lines = self._read_upto.get(n, (0, 0))
+        try:
+            size = os.stat(path).st_size
+        except FileNotFoundError:
+            return
+        if size == offset:
+            return
+        if size < offset:  # the log was replaced: read it afresh
+            offset, lines = 0, 0
+        with open(path, "rb") as fh:
+            fh.seek(offset)
+            chunk = fh.read(size - offset)
+        complete = chunk[: chunk.rfind(b"\n") + 1]
+        for line in complete.splitlines():
+            lines += 1
+            record = self._parse_line(path, lines, line)
+            if record.engine_version == ENGINE_VERSION and record.rules == self._rules:
+                self._records[(n, record.p, record.e)] = record
+        self._read_upto[n] = (offset + len(complete), lines)
+
+    def _store(self, record: CensusRecord) -> None:
+        """Keep record, and append it to the n-log as one checksummed line.
+
+        The append holds an exclusive flock on the log.  Under it, a tail
+        without a final newline can only be what a dead writer left, and is
+        cut off before the line goes out in a single write.
+        """
+        n = record.n
+        self._records[(n, record.p, record.e)] = record
+        if self.directory is None:
+            return
+        body = json.dumps(record.payload(), sort_keys=True, separators=(",", ":")).encode()
+        digest = hashlib.sha256(body).hexdigest()
+        line = b'{"checksum":"' + digest.encode() + b'","record":' + body + b"}\n"
+        path = self._file(n)
+        fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            size = os.fstat(fd).st_size
+            if size and os.pread(fd, 1, size - 1) != b"\n":
+                size = _complete_length(fd, size)
+                os.ftruncate(fd, size)
+            if os.write(fd, line) != len(line):
+                raise OSError(f"short append to {path}")
+        finally:
+            os.close(fd)
+        offset, lines = self._read_upto.get(n, (0, 0))
+        if offset == size:
+            self._read_upto[n] = (size + len(line), lines + 1)
 
     def cached(self, n: int, p: int, e: int) -> CensusRecord | None:
         key = (n, p, e)
-        if key in self._records:
-            return self._records[key]
-        for e2, record in self._load_file(n, p).items():
-            if record.engine_version == ENGINE_VERSION and record.rules == self._rules:
-                self._records[(n, p, e2)] = record
+        if key not in self._records:
+            self._read_new(n)
         return self._records.get(key)
 
     def census(
@@ -337,10 +392,13 @@ class CountLedger:
             merged = self._merged_cotypes(n, p, e, opts, counter)
             cotypes = {key + (1,) * (n - 1 - len(key)): count for key, count in merged.items()}
             record = _record_from_cotypes(n, p, e, cotypes, "pruned", self._rules)
-        if cached is not None and not record.counts_equal(cached):
-            raise CensusValidationError(
-                f"recheck mismatch at (n={n}, p={p}, e={e}): cache is stale"
-            )
+        if cached is not None:
+            if not record.counts_equal(cached):
+                raise CensusValidationError(
+                    f"recheck mismatch at (n={n}, p={p}, e={e}): cache is stale"
+                )
+            if record == cached:  # the log already holds this line
+                return cached
         self._store(record)
         return record
 

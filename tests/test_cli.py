@@ -41,6 +41,22 @@ def test_census_text_format(capsys, tmp_path):
     assert "f=1" in out and "f=3" in out and "f=4" in out
 
 
+@pytest.mark.parametrize("bad", ["[1, 2]", "{truncated json", '{"checksum": "00"}'])
+def test_census_over_corrupted_ledger_fails_cleanly(capsys, tmp_path, bad):
+    code, _, _ = run_cli(
+        capsys, "census", "-n", "3", "-p", "2", "-e", "1", "--cache-dir", str(tmp_path)
+    )
+    assert code == 0
+    with (tmp_path / "census-n3.jsonl").open("a") as fh:
+        fh.write(bad + "\n")
+    code, out, err = run_cli(
+        capsys, "census", "-n", "3", "-p", "2", "-e", "0:2", "--cache-dir", str(tmp_path)
+    )
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("error: ") and "census-n3.jsonl:2: " in err
+
+
 def test_enumerate_dump_round_trip(capsys, tmp_path):
     dump = tmp_path / "matrices.txt"
     code, out, _ = run_cli(

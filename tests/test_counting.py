@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 
 import pytest
 
@@ -180,6 +181,22 @@ class TestDecomposition:
         assert record.counts_equal(full) and record.checksum() == full.checksum()
 
 
+def ledger_line(record):
+    """One log line as the ledger writes it."""
+    item = {"checksum": record.checksum(), "record": record.payload()}
+    return json.dumps(item, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def log_lines(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def append_cells(directory, cells):
+    led = CountLedger(directory)
+    for n, p, e in cells:
+        led.census(n, p, e)
+
+
 class TestLedgerPersistence:
     def test_cache_and_reload(self, tmp_path):
         led = CountLedger(tmp_path)
@@ -187,8 +204,9 @@ class TestLedgerPersistence:
         led2 = CountLedger(tmp_path)
         r2 = led2.cached(3, 2, 3)
         assert r2 is not None and r2.counts_equal(r1)
-        files = list(tmp_path.glob("census-n3-p2.json"))
+        files = list(tmp_path.glob("census-n3.jsonl"))
         assert len(files) == 1
+        assert files[0].read_text() == ledger_line(r1)
 
     def test_recheck_passes_on_fresh_cache(self, tmp_path):
         led = CountLedger(tmp_path)
@@ -198,33 +216,25 @@ class TestLedgerPersistence:
     def test_corrupted_checksum_detected(self, tmp_path):
         led = CountLedger(tmp_path)
         led.census(3, 2, 1)
-        path = tmp_path / "census-n3-p2.json"
-        doc = json.loads(path.read_text())
-        doc["records"][0]["record"]["f"] += 1
-        path.write_text(json.dumps(doc))
+        path = tmp_path / "census-n3.jsonl"
+        [item] = log_lines(path)
+        item["record"]["f"] += 1
+        path.write_text(json.dumps(item) + "\n")
         with pytest.raises(ValueError):
             CountLedger(tmp_path).cached(3, 2, 1)
 
     def test_stale_cache_recheck_mismatch(self, tmp_path):
         led = CountLedger(tmp_path)
         record = led.census(3, 2, 1)
-        doc = {
-            "schema": 1,
-            "n": 3,
-            "p": 2,
-            "records": [],
-        }
         tampered = record.payload()
         tampered["f"] = 99
         tampered["h"] = [0, 99, 0]
         tampered["cotypes"] = {"2,1": 99}
         bad = type(record).from_payload(tampered)
-        doc["records"] = [{"record": bad.payload(), "checksum": bad.checksum()}]
-        (tmp_path / "census-n3-p2.json").write_text(json.dumps(doc))
+        (tmp_path / "census-n3.jsonl").write_text(ledger_line(bad))
         fresh = CountLedger(tmp_path)
         with pytest.raises(CensusValidationError):
             fresh.census(3, 2, 1, recheck=True)
-
 
     def test_corank_count_reads_records_on_disk(self, tmp_path, monkeypatch):
         expected = CountLedger(tmp_path).census(4, 2, 3).h_counts[2]
@@ -237,14 +247,11 @@ class TestLedgerPersistence:
 
     def test_record_of_another_engine_is_a_miss(self, tmp_path):
         record = CountLedger(tmp_path).census(3, 2, 2)
-        path = tmp_path / "census-n3-p2.json"
+        path = tmp_path / "census-n3.jsonl"
         payload = record.payload()
         payload["engine"] = "0.0.0-stale"
         stale = type(record).from_payload(payload)
-        path.write_text(json.dumps({
-            "schema": 1, "n": 3, "p": 2,
-            "records": [{"record": stale.payload(), "checksum": stale.checksum()}],
-        }))
+        path.write_text(ledger_line(stale))
         fresh = CountLedger(tmp_path)
         assert fresh.cached(3, 2, 2) is None
         with pytest.raises(MissingCensusError) as err:
@@ -252,8 +259,8 @@ class TestLedgerPersistence:
         assert (3, 2, 2) in err.value.missing
         again = fresh.census(3, 2, 2)
         assert again.engine_version == record.engine_version and again.counts_equal(record)
-        on_disk = json.loads(path.read_text())["records"]
-        assert [item["record"]["engine"] for item in on_disk] == [record.engine_version]
+        on_disk = [item["record"] for item in log_lines(path)]
+        assert [r["engine"] for r in on_disk if r["e"] == 2][-1] == record.engine_version
         assert CountLedger(tmp_path).cached(3, 2, 2).counts_equal(record)
 
     def test_record_of_other_rules_is_a_miss(self, tmp_path):
@@ -261,11 +268,96 @@ class TestLedgerPersistence:
         payload = record.payload()
         payload["rules"] = "rules-v1:00000"
         other = type(record).from_payload(payload)
-        (tmp_path / "census-n3-p2.json").write_text(json.dumps({
-            "schema": 1, "n": 3, "p": 2,
-            "records": [{"record": other.payload(), "checksum": other.checksum()}],
-        }))
+        (tmp_path / "census-n3.jsonl").write_text(ledger_line(other))
         assert CountLedger(tmp_path).cached(3, 2, 1) is None
+
+    def test_later_line_replaces_earlier(self, tmp_path):
+        record = CountLedger(tmp_path).census(3, 2, 1)
+        other = record.payload()
+        other["f"], other["h"], other["cotypes"] = 5, [0, 5, 0], {"2,1": 5}
+        other = type(record).from_payload(other)
+        stale = record.payload()
+        stale["engine"] = "0.0.0-stale"
+        stale = type(record).from_payload(stale)
+        path = tmp_path / "census-n3.jsonl"
+        path.write_text(ledger_line(other) + ledger_line(record))
+        assert CountLedger(tmp_path).cached(3, 2, 1) == record
+        path.write_text(ledger_line(record) + ledger_line(other))
+        assert CountLedger(tmp_path).cached(3, 2, 1) == other
+        # a later line of another engine does not hide a current one
+        path.write_text(ledger_line(record) + ledger_line(stale))
+        assert CountLedger(tmp_path).cached(3, 2, 1) == record
+
+    def test_concurrent_processes_lose_nothing(self, tmp_path):
+        every = [(3, 2, e) for e in range(12)] + [(3, 3, e) for e in range(8)]
+        # more writers than the cores of a two-core machine, each with cells of its own
+        ctx = multiprocessing.get_context("spawn")
+        workers = [
+            ctx.Process(target=append_cells, args=(tmp_path, every[k::3])) for k in range(3)
+        ]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(60)
+            assert w.exitcode == 0
+        assert len(log_lines(tmp_path / "census-n3.jsonl")) == 20
+        fresh, check = CountLedger(tmp_path), CountLedger()
+        for n, p, e in every:
+            assert fresh.cached(n, p, e) == check.census(n, p, e), (n, p, e)
+
+    def test_torn_final_line_is_a_miss(self, tmp_path):
+        led = CountLedger(tmp_path)
+        r1 = led.census(3, 2, 1)
+        r2 = CountLedger().census(3, 2, 2)
+        path = tmp_path / "census-n3.jsonl"
+        torn = ledger_line(r2)[:-20]
+        with path.open("a") as fh:
+            fh.write(torn)
+        fresh = CountLedger(tmp_path)
+        assert fresh.cached(3, 2, 2) is None
+        assert fresh.cached(3, 2, 1) == r1
+        assert fresh.census(3, 2, 2) == r2
+        assert path.read_text() == ledger_line(r1) + ledger_line(r2)
+        again = CountLedger(tmp_path)
+        assert again.cached(3, 2, 1) == r1 and again.cached(3, 2, 2) == r2
+
+    def test_reads_lines_another_instance_appended(self, tmp_path, monkeypatch):
+        reader, writer = CountLedger(tmp_path), CountLedger(tmp_path)
+        writer.census(3, 2, 1)
+        assert reader.cached(3, 2, 1) is not None
+        assert reader.cached(3, 2, 2) is None
+        record = writer.census(3, 2, 2)
+        # the reader's own append lands after a line it has not read yet
+        reader._store(CountLedger().census(3, 2, 3))
+        calls = spy_on_enumeration(monkeypatch)
+        assert reader.census(3, 2, 2) == record
+        assert calls == [] and reader.stats["hits"] == 1
+
+    def test_recheck_of_cached_record_appends_nothing(self, tmp_path):
+        led = CountLedger(tmp_path)
+        record = led.census(3, 2, 4)
+        path = tmp_path / "census-n3.jsonl"
+        size = path.stat().st_size
+        assert led.census(3, 2, 4, recheck=True) == record
+        assert CountLedger(tmp_path).census(3, 2, 4, recheck=True) == record
+        assert path.stat().st_size == size
+
+    @pytest.mark.parametrize(
+        "line, problem",
+        [
+            ("{not json", "not JSON"),
+            ("[1, 2]", "not an object"),
+            ('{"record": {}}', "not an object with record and checksum"),
+            ('{"checksum": "00"}', "not an object with record and checksum"),
+            ('{"checksum": "00", "record": {"n": 3}}', "malformed record"),
+        ],
+    )
+    def test_malformed_line_names_file_and_line(self, tmp_path, line, problem):
+        record = CountLedger(tmp_path).census(3, 2, 1)
+        path = tmp_path / "census-n3.jsonl"
+        path.write_text(ledger_line(record) + line + "\n")
+        with pytest.raises(ValueError, match=f"census-n3.jsonl:2: {problem}"):
+            CountLedger(tmp_path).cached(3, 2, 2)
 
 
 class TestClosedForms:
