@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Audit the corank-2/3 closed-form counts against exact enumeration.
+"""Audit the corank-2/3 closed-form counts against the exact census records.
 
-For every (n, k, p, e) cell in the requested grid this prints the enumerated
-count, the displayed closed form, `formula_h`, and (for k = 3) the unweighted
-variant of the displayed pair term, then the number of cells where each form
-differs from enumeration.
+For every (n, k, p, e) cell in the requested grid this prints the census
+count h_counts[k] of `CountLedger.census`, the displayed closed form,
+`formula_h`, and (for k = 3) the unweighted variant of the displayed pair
+term, then the number of cells where each form differs from the census.
 
-The displayed forms agree with enumeration through n = 4 and fail from n = 5
+The displayed forms agree with the census through n = 4 and fail from n = 5
 on; `formula_h` agrees everywhere.  The cause is the decomposition into
 irreducible subrings (R. Liu, JCTA 114, 2007): a subring of Z_p^n of p-power
 index splits uniquely into irreducible subrings over a set partition of the
@@ -48,12 +48,12 @@ def main() -> int:
     displayed_mismatches = 0
     exact_mismatches = 0
 
-    print(f"{'cell':>24}  {'enumerated':>10}  {'displayed':>9}  {'formula_h':>9}  variant")
+    print(f"{'cell':>24}  {'census':>10}  {'displayed':>9}  {'formula_h':>9}  variant")
     for k in (2, 3):
         for n in range(k + 1, args.max_n + 1):
             for p in primes:
                 for e in range(k, args.max_e + 1):
-                    got = ledger.corank_count(n, p, e, k)
+                    got = ledger.census(n, p, e).h_counts[k]
                     displayed = displayed_formula_h(n, k, p, e)
                     exact = formula_h(n, k, p, e)
                     variant = ""

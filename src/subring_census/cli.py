@@ -4,8 +4,9 @@ Runs are reproducible: the parsed configuration is normalized and embedded in
 every report, reports are written atomically, and identical configurations
 produce byte-identical reports apart from the timestamp field.
 
-Exit codes: 0 all requested checks pass; 1 at least one verification failure;
-2 usage error; 3 node budget exhausted.
+Exit codes: 0 all requested checks pass; 1 at least one verification failure
+(a failed check, or a census recheck that finds a stale cache); 2 usage
+error; 3 node budget exhausted.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 
 from . import __version__
 from .catalog import CATALOG_IDS, catalog
-from .counting import CountLedger
+from .counting import CensusValidationError, CountLedger
 from .enumeration import BudgetExceededError, EnumSpec, PruneRuleSet, enumerate_subrings
 from .hnf import dump_matrices
 from .polynomials import expand
@@ -301,12 +302,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, cache=True):
+    def common(sp, search=False, progress=False, cache=False):
         sp.add_argument("--format", choices=("json", "csv", "text"), default="json")
         sp.add_argument("--out", help="write the report to this path (atomically)")
-        sp.add_argument("--threads", type=int, default=1)
-        sp.add_argument("--budget", type=int, default=10**9, help="search node budget")
-        sp.add_argument("--progress", action="store_true", help="diagonal progress on stderr")
+        if search:
+            sp.add_argument("--threads", type=int, default=1)
+            sp.add_argument("--budget", type=int, default=10**9, help="search node budget")
+        if progress:
+            sp.add_argument("--progress", action="store_true", help="diagonal progress on stderr")
         if cache:
             sp.add_argument(
                 "--cache-dir",
@@ -322,14 +325,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--irreducible", action="store_true")
     sp.add_argument("--disable-rule", action="append", choices=RULE_NAMES, default=[])
     sp.add_argument("--dump", help="write matrices in the text exchange format")
-    common(sp, cache=False)
+    common(sp, search=True, progress=True)
 
     sp = sub.add_parser("census", help="exact census records for one (n, p, e) range")
     sp.add_argument("-n", type=int, required=True)
     sp.add_argument("-p", type=int, required=True)
     sp.add_argument("-e", type=_parse_e_range, required=True, metavar="E or LO:HI")
     sp.add_argument("--recheck", action="store_true", help="recompute and compare to cache")
-    common(sp)
+    common(sp, search=True, progress=True, cache=True)
 
     sp = sub.add_parser("series", help="series coefficients of a catalogued function")
     sp.add_argument("--id", required=True, choices=CATALOG_IDS)
@@ -337,11 +340,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--bounds", help="x,y,z truncation bounds, e.g. 8,0,0")
     sp.add_argument("--total", type=int, help="total-degree truncation")
     sp.add_argument("--at-p", type=int, help="also evaluate coefficients at this prime")
-    common(sp, cache=False)
+    common(sp)
 
     sp = sub.add_parser("constants", help="numeric constants with error enclosures")
     sp.add_argument("--id", action="append", default=[], help="constant id (repeatable)")
-    common(sp, cache=False)
+    common(sp)
 
     sp = sub.add_parser("verify", help="run verification suites")
     sp.add_argument(
@@ -354,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--stretch", action="store_true", help="extended budget-gated grids")
     sp.add_argument("-p", "--prime", type=int, help="narrow the cotype-z4 suite to one prime")
     sp.add_argument("--max-index", type=int, help="index bound for the cotype-z4 suite")
-    common(sp)
+    common(sp, search=True, cache=True)
 
     return parser
 
@@ -418,6 +421,9 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except CensusValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,6 +21,7 @@ G_1 is the trivial block at j = 0, G_m is empty for j < m-1, and G_m(j) is
 the pruned engine on full-support diagonals (corank m-1), with the
 structural check on every matrix.  `census(recheck=True)` still enumerates
 every diagonal of Z^n and compares, so it stays the independent check.
+Per-corank counts h_{n,k}(p^e) are read off the record, as `h_counts[k]`.
 
 Composite-index counts are never enumerated: they are reconstructed
 multiplicatively from the prime-power records.
@@ -258,7 +259,6 @@ class CountLedger:
         self._records: dict[tuple[int, int, int], CensusRecord] = {}
         # per n: bytes of the log already parsed, and the lines in them
         self._read_upto: dict[int, tuple[int, int]] = {}
-        self._corank_counts: dict[tuple[int, int, int, int], int] = {}
         self._irreducible: dict[tuple[int, int, int], dict[tuple[int, ...], int]] = {}
         self.stats = dict.fromkeys(
             ("hits", "misses", "rechecks", "irreducible_built", "irreducible_reused"), 0
@@ -369,11 +369,12 @@ class CountLedger:
     ) -> CensusRecord:
         """Exact census at (n, p, e); cached unless recheck forces recomputation.
 
-        A miss is built from irreducible blocks.  With recheck, a full
-        enumeration of every diagonal is compared against the cached record
-        and a mismatch raises (stale engine guard).  The enumerations of one
-        call share node_budget; exhaustion propagates as BudgetExceededError
-        and nothing partial is stored.
+        A miss is built from irreducible blocks, serially.  With recheck, a
+        full enumeration of every diagonal, spread over `threads` worker
+        processes, is compared against the cached record and a mismatch
+        raises (stale engine guard).  The enumerations of one call share
+        node_budget; exhaustion propagates as BudgetExceededError and nothing
+        partial is stored.
         """
         cached = self.cached(n, p, e)
         if recheck:
@@ -384,9 +385,9 @@ class CountLedger:
         else:
             self.stats["misses"] += 1
         counter = [0]
-        opts = {"node_budget": node_budget, "threads": threads, "progress": progress}
+        opts = {"node_budget": node_budget, "progress": progress}
         if recheck:
-            matrices = enumerate_subrings(EnumSpec(n, p, e, **opts), counter)
+            matrices = enumerate_subrings(EnumSpec(n, p, e, threads=threads, **opts), counter)
             record = build_record(n, p, e, matrices, "pruned", self._rules)
         else:
             merged = self._merged_cotypes(n, p, e, opts, counter)
@@ -454,27 +455,6 @@ class CountLedger:
         self._irreducible[key] = cotypes
         self.stats["irreducible_built"] += 1
         return cotypes
-
-    def corank_count(
-        self, n: int, p: int, e: int, k: int, node_budget: int = 10**9, threads: int = 1
-    ) -> int:
-        """h_{n,k}(p^e) via a corank-filtered enumeration (or the full record)."""
-        key = (n, p, e, k)
-        if key in self._corank_counts:
-            return self._corank_counts[key]
-        full = self.cached(n, p, e)
-        if full is not None:
-            value = full.h_counts[k]
-        else:
-            spec = EnumSpec(
-                n=n, p=p, e=e, mode="pruned", corank=k, node_budget=node_budget, threads=threads
-            )
-            matrices = enumerate_subrings(spec)
-            for m in matrices:
-                _structural_check(m, m.corank())
-            value = len(matrices)
-        self._corank_counts[key] = value
-        return value
 
 
 def corank2_formula_coefficients(n: int) -> tuple[int, int]:

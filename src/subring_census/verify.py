@@ -67,7 +67,8 @@ class VerifyScope:
     """Which suites to run and at what scale.
 
     prime/max_index narrow the cotype-z4 grid to a single prime and index
-    bound; the other suites keep their stock grids.
+    bound; the other suites keep their stock grids.  threads reaches only the
+    full enumerations: the oracle's pruned runs and the invariants rechecks.
     """
 
     suites: tuple[str, ...] = ("all",)
@@ -105,7 +106,7 @@ def suite_cocyclic(scope: VerifyScope) -> list[CheckResult]:
     for n in n_range:
         for p in p_range:
             counts = [
-                scope.ledger.corank_count(n, p, e, 1, scope.node_budget, scope.threads)
+                scope.ledger.census(n, p, e, node_budget=scope.node_budget).h_counts[1]
                 for e in range(1, e_max + 1)
             ]
             expected = [binomial(n, 2)] * e_max
@@ -135,7 +136,7 @@ def suite_corank_formulas(scope: VerifyScope) -> list[CheckResult]:
     for n in n2_range:
         for p in (2, 3):
             counts = [
-                scope.ledger.corank_count(n, p, e, 2, scope.node_budget, scope.threads)
+                scope.ledger.census(n, p, e, node_budget=scope.node_budget).h_counts[2]
                 for e in e2
             ]
             expected = [displayed_formula_h(n, 2, p, e) for e in e2]
@@ -150,7 +151,7 @@ def suite_corank_formulas(scope: VerifyScope) -> list[CheckResult]:
     for n in n3_range:
         for p in (2, 3):
             counts = [
-                scope.ledger.corank_count(n, p, e, 3, scope.node_budget, scope.threads)
+                scope.ledger.census(n, p, e, node_budget=scope.node_budget).h_counts[3]
                 for e in e3
             ]
             expected = [displayed_formula_h(n, 3, p, e) for e in e3]
@@ -167,7 +168,7 @@ def suite_corank_formulas(scope: VerifyScope) -> list[CheckResult]:
     n0, p0, e0 = n2_range[0], 2, 2
     a, b = corank2_formula_coefficients(n0)
     variant = a * irreducible_count(3, p0, 3) + b * (e0 - 1)
-    true_count = scope.ledger.corank_count(n0, p0, e0, 2, scope.node_budget, scope.threads)
+    true_count = scope.ledger.census(n0, p0, e0, node_budget=scope.node_budget).h_counts[2]
     out.append(
         _result(
             "corank2-variant-flag",
@@ -186,7 +187,7 @@ def suite_corank_formulas(scope: VerifyScope) -> list[CheckResult]:
             irreducible_count(3, 2, j) for j in range(2, 4)
         )
         weighted = displayed_formula_h(5, 3, 2, 4)
-        enumerated = scope.ledger.corank_count(5, 2, 4, 3, scope.node_budget, scope.threads)
+        enumerated = scope.ledger.census(5, 2, 4, node_budget=scope.node_budget).h_counts[3]
         out.append(
             _result(
                 "corank3-weight-flag",
@@ -215,9 +216,7 @@ def suite_local_factors(scope: VerifyScope) -> list[CheckResult]:
         table = expand(catalog(entry), (e_max, 0, 0))
         for p in p_range:
             counts = [
-                scope.ledger.census(
-                    n, p, e, node_budget=scope.node_budget, threads=scope.threads
-                ).f_count
+                scope.ledger.census(n, p, e, node_budget=scope.node_budget).f_count
                 for e in range(e_max + 1)
             ]
             predicted = [table.x_coefficient_at(e, p) for e in range(e_max + 1)]
@@ -238,7 +237,7 @@ def suite_local_factors(scope: VerifyScope) -> list[CheckResult]:
 
 
 def _census_cotype_exponents(scope: VerifyScope, p: int, e: int) -> dict[tuple[int, int, int], int]:
-    record = scope.ledger.census(4, p, e, node_budget=scope.node_budget, threads=scope.threads)
+    record = scope.ledger.census(4, p, e, node_budget=scope.node_budget)
     return {Cotype(alphas).exponents(p): count for alphas, count in record.cotype_counts.items()}
 
 
@@ -516,7 +515,7 @@ def suite_invariants(scope: VerifyScope) -> list[CheckResult]:
             for p in (2, 3):
                 emax = 3 if scope.small else 5
                 for e in range(k, emax + 1):
-                    h = scope.ledger.corank_count(n, p, e, k, scope.node_budget, scope.threads)
+                    h = scope.ledger.census(n, p, e, node_budget=scope.node_budget).h_counts[k]
                     lo, hi = sandwich_bounds(n, k, p, e)
                     if not lo <= h <= hi:
                         sandwich_ok = False
@@ -764,9 +763,7 @@ def suite_rpstar(scope: VerifyScope) -> list[CheckResult]:
     n_range = (3, 4) if scope.small else (3, 4, 5)
     for n in n_range:
         for p in (2, 3):
-            record = scope.ledger.census(
-                n, p, n - 1, node_budget=scope.node_budget, threads=scope.threads
-            )
+            record = scope.ledger.census(n, p, n - 1, node_budget=scope.node_budget)
             key = tuple([p] * (n - 1))
             out.append(
                 _result(
@@ -786,9 +783,7 @@ def suite_rpstar(scope: VerifyScope) -> list[CheckResult]:
 def suite_stretch(scope: VerifyScope) -> list[CheckResult]:
     out = []
     try:
-        record = scope.ledger.census(
-            6, 2, 7, node_budget=scope.node_budget, threads=scope.threads
-        )
+        record = scope.ledger.census(6, 2, 7, node_budget=scope.node_budget)
         out.append(
             _result(
                 "stretch/z6-index-128",

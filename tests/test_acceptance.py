@@ -43,7 +43,7 @@ def test_criterion_1_cocyclic_counts():
     for n in (2, 3, 4, 5, 6):
         for p in (2, 3, 5):
             for e in range(1, 7):
-                got = LEDGER.corank_count(n, p, e, 1)
+                got = LEDGER.census(n, p, e).h_counts[1]
                 if got != binomial(n, 2):
                     bad.append((n, p, e, got))
     elapsed = time.time() - start
@@ -59,14 +59,14 @@ def test_criterion_2_corank_closed_forms():
     for n in (3, 4, 5, 6):
         for p in (2, 3):
             for e in range(2, 7):
-                got = LEDGER.corank_count(n, p, e, 2)
+                got = LEDGER.census(n, p, e).h_counts[2]
                 want = formula_h(n, 2, p, e)
                 if got != want:
                     mism.append((n, 2, p, e, got, want))
     for n in (4, 5, 6):
         for p in (2, 3):
             for e in range(3, 7):
-                got = LEDGER.corank_count(n, p, e, 3)
+                got = LEDGER.census(n, p, e).h_counts[3]
                 want = formula_h(n, 3, p, e)
                 if got != want:
                     mism.append((n, 3, p, e, got, want))
@@ -76,17 +76,18 @@ def test_criterion_2_corank_closed_forms():
         2,
         ok,
         f"corank-2/3 closed forms over 64 cells in {elapsed:.1f}s"
-        + ("" if ok else f"; {len(mism)} cells refuted by enumeration"),
+        + ("" if ok else f"; {len(mism)} cells refuted by the census"),
     )
     assert elapsed < 1800
     # formula_h gives the counts of the irreducible decomposition over set
     # partitions of the coordinates.  The refutation from n = 5 on concerns
     # the displayed forms (a(n), b(n), c(n), d(n)), which the corank-formulas
-    # verify suite keeps on record.  Enumeration (validated against the
-    # definition-only oracle) is authoritative.
+    # verify suite keeps on record.  The census (its block recursion checked
+    # against full enumeration, and that against the definition-only oracle)
+    # is authoritative.
     assert mism == [], (
-        "enumerated counts differ from formula_h at "
-        f"(n, k, p, e, enumerated, formula_h): {mism}"
+        "census counts differ from formula_h at "
+        f"(n, k, p, e, census, formula_h): {mism}"
     )
 
 
@@ -192,7 +193,7 @@ def test_criterion_6_structural_invariants():
                 continue
             for p in (2, 3):
                 for e in range(k, 7):
-                    h = LEDGER.corank_count(n, p, e, k)
+                    h = LEDGER.census(n, p, e).h_counts[k]
                     lo, hi = sandwich_bounds(n, k, p, e)
                     if not lo <= h <= hi:
                         violations.append((n, k, p, e, lo, h, hi))

@@ -5,6 +5,7 @@ import pytest
 
 from subring_census.catalog import irreducible_count
 from subring_census.cli import RULE_NAMES, _rules, build_parser, config_from_args, main
+from subring_census.counting import CensusRecord
 from subring_census.enumeration import PruneRuleSet
 from subring_census.hnf import load_matrices
 
@@ -55,6 +56,26 @@ def test_census_over_corrupted_ledger_fails_cleanly(capsys, tmp_path, bad):
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith("error: ") and "census-n3.jsonl:2: " in err
+
+
+def test_stale_recheck_fails_cleanly(capsys, tmp_path):
+    code, _, _ = run_cli(
+        capsys, "census", "-n", "3", "-p", "2", "-e", "1", "--cache-dir", str(tmp_path)
+    )
+    assert code == 0
+    path = tmp_path / "census-n3.jsonl"
+    item = json.loads(path.read_text())
+    # counts that validate and carry a valid checksum, but are wrong
+    payload = dict(item["record"], f=99, h=[0, 99, 0], cotypes={"2,1": 99})
+    stale = CensusRecord.from_payload(payload)
+    path.write_text(json.dumps({"checksum": stale.checksum(), "record": payload}) + "\n")
+    code, out, err = run_cli(
+        capsys, "census", "-n", "3", "-p", "2", "-e", "1", "--recheck",
+        "--cache-dir", str(tmp_path),
+    )
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("error: ") and "cache is stale" in err
 
 
 def test_enumerate_dump_round_trip(capsys, tmp_path):
@@ -124,6 +145,21 @@ def test_series_command(capsys):
     doc = json.loads(out)
     values = {e["x"]: e["value"] for e in doc["entries"]}
     assert values == {2: 1, 3: 3, 4: 7}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["series", "--id", "cotype_z2", "--threads", "2"],
+        ["series", "--id", "cotype_z2", "--budget", "50"],
+        ["constants", "--id", "zeta_2", "--progress"],
+        ["verify", "--suite", "rpstar", "--progress"],
+    ],
+)
+def test_flags_a_command_ignores_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
 
 
 def test_series_needs_n(capsys):

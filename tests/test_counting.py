@@ -66,11 +66,6 @@ class TestCensus:
         assert r.h_tilde(1) == 6
         assert r.h_tilde(3) == r.f_count
 
-    def test_corank_count_consistent_with_census(self, ledger):
-        fresh = CountLedger()
-        filtered = fresh.corank_count(4, 2, 3, 2)
-        assert filtered == ledger.census(4, 2, 3).h_counts[2]
-
     def test_checksum_round_trip(self, ledger):
         r = ledger.census(3, 2, 2)
         again = type(r).from_payload(json.loads(json.dumps(r.payload())))
@@ -122,6 +117,15 @@ class TestDecomposition:
         del calls[:]
         led.census(5, 2, 5, recheck=True)
         assert [spec for spec, _ in calls] == [EnumSpec(5, 2, 5)]
+
+    def test_only_recheck_starts_workers(self, monkeypatch):
+        calls = spy_on_enumeration(monkeypatch)
+        led = CountLedger()
+        led.census(5, 2, 6, threads=2)
+        assert calls and all(spec.threads == 1 for spec, _ in calls)
+        del calls[:]
+        led.census(5, 2, 6, recheck=True, threads=2)
+        assert [spec for spec, _ in calls] == [EnumSpec(5, 2, 6, threads=2)]
 
     def test_budget_exhaustion_leaves_nothing_partial(self, tmp_path, monkeypatch):
         calls = spy_on_enumeration(monkeypatch)
@@ -236,14 +240,14 @@ class TestLedgerPersistence:
         with pytest.raises(CensusValidationError):
             fresh.census(3, 2, 1, recheck=True)
 
-    def test_corank_count_reads_records_on_disk(self, tmp_path, monkeypatch):
+    def test_h_counts_read_from_records_on_disk(self, tmp_path, monkeypatch):
         expected = CountLedger(tmp_path).census(4, 2, 3).h_counts[2]
 
         def no_enumeration(*args, **kwargs):
-            raise AssertionError("corank_count enumerated a record that is on disk")
+            raise AssertionError("census enumerated a record that is on disk")
 
         monkeypatch.setattr(counting, "enumerate_subrings", no_enumeration)
-        assert CountLedger(tmp_path).corank_count(4, 2, 3, 2) == expected
+        assert CountLedger(tmp_path).census(4, 2, 3).h_counts[2] == expected
 
     def test_record_of_another_engine_is_a_miss(self, tmp_path):
         record = CountLedger(tmp_path).census(3, 2, 2)
@@ -409,14 +413,14 @@ class TestClosedForms:
         # displayed forms are refuted from n = 5 on
         for p in (2, 3):
             for e in range(2, 5):
-                assert ledger.corank_count(4, p, e, 2) == formula_h(4, 2, p, e)
+                assert ledger.census(4, p, e).h_counts[2] == formula_h(4, 2, p, e)
             for e in range(3, 5):
-                assert ledger.corank_count(4, p, e, 3) == formula_h(4, 3, p, e)
+                assert ledger.census(4, p, e).h_counts[3] == formula_h(4, 3, p, e)
 
     def test_sandwich(self, ledger):
         for (n, k, p, e) in [(4, 2, 2, 4), (5, 2, 2, 4), (6, 3, 2, 4), (5, 1, 3, 2)]:
             lo, hi = sandwich_bounds(n, k, p, e)
-            h = ledger.corank_count(n, p, e, k)
+            h = ledger.census(n, p, e).h_counts[k]
             assert lo <= h <= hi
 
 
