@@ -14,7 +14,9 @@ pairwise column products must lie in the column span):
   definitional certificate before emission, so the rules only ever have to
   be sound, never complete.  The irreducible-block rule is checked as each
   support-block entry is placed, on the principal sub-block it completes,
-  so a subtree is cut at the first entry that breaks closure.
+  so a subtree is cut at the first entry that breaks closure.  Only the top
+  row of that check involves the entry: the rest is solved once per prefix,
+  and each candidate value is tested by at most s-r congruences.
 
 Output order is canonical (diagonal composition in lexicographic order, then
 column-major entry order) and independent of rule toggles and worker count.
@@ -26,6 +28,7 @@ import itertools
 import multiprocessing
 import sys
 from dataclasses import dataclass, field, fields
+from typing import Callable
 
 from .combinatorics import compositions
 # is_irreducible_rows and is_subring_rows are not called here;
@@ -88,7 +91,10 @@ class PruneRuleSet:
         its entries are 0 mod p and col(B) is closed under products.  Checked
         as each block entry (r, s) is placed: the products of block column s
         with block columns r..s, cut to block rows r..s, lie in the span of
-        the principal sub-block B[r..s, r..s].
+        the principal sub-block B[r..s, r..s].  The product with column r
+        always does; for each later column, block rows r+1..s are solved
+        once per prefix, and a candidate value of the entry is tested by
+        one congruence mod B[r, r] per column, at most s-r in all.
     """
 
     zero_one_outside_support: bool = True
@@ -222,20 +228,51 @@ def _naive_for_diagonal(
     return out
 
 
-def _sub_block_closed(block: list[list[int]], r: int, s: int) -> bool:
-    """Products of block column s with block columns r..s, cut to rows r..s,
-    lie in the span of the principal sub-block block[r..s][r..s].
+def _entry_test(block: list[list[int]], r: int, s: int) -> Callable[[int], bool]:
+    """Test of the value v of block entry (r, s), given every entry placed
+    before it: the products of block column s with block columns r..s, cut
+    to rows r..s, lie in the span of the principal sub-block block[r..s][r..s].
 
     A block whose columns span a ring has every principal sub-block closed:
     columns 0..s span col(B) meet (Z^(s+1) x 0), an ideal, and projecting to
     coordinates r..s is a ring map onto the span of block[r..s][r..s].
+
+    The product with column r is v times column r, so it always lies in the
+    span.  For r < t <= s, rows r+1..s of the triangular system for the
+    product with column t do not contain v; their solution c[r+1..s] is
+    found once, the first time a candidate reaches t, and when it fails no
+    candidate passes.  A candidate then passes at t iff the top row's
+    residue v*block[r][t] - sum_{r<j<s} block[r][j]*c[j] - v*c[s] is 0 mod
+    block[r][r], with block[r][t] read as v when t = s.  So each candidate
+    costs at most s-r congruences.
     """
-    sub = [row[r : s + 1] for row in block[r : s + 1]]
+    top = block[r]
+    pivot = top[r]
+    sub = [row[r + 1 : s + 1] for row in block[r + 1 : s + 1]]
     last = [row[-1] for row in sub]
-    for t in range(s - r + 1):
-        if _solve_rows(sub, [x * row[t] for x, row in zip(last, sub)]) is None:
-            return False
-    return True
+    width = s - r
+    # t = r+1+u -> (sum_{r<j<s} block[r][j]*c[j], c[s]), or None when rows
+    # r+1..s have no solution
+    solved: dict[int, tuple[int, int] | None] = {}
+
+    def accepts(v: int) -> bool:
+        for u in range(width):
+            if u not in solved:
+                c = _solve_rows(sub, [x * row[u] for x, row in zip(last, sub)])
+                if c is None:
+                    solved[u] = None
+                else:
+                    solved[u] = (sum(a * b for a, b in zip(top[r + 1 : s], c)), c[-1])
+            cond = solved[u]
+            if cond is None:
+                return False
+            known, c_s = cond
+            top_t = v if u == width - 1 else top[r + 1 + u]
+            if (v * (top_t - c_s) - known) % pivot:
+                return False
+        return True
+
+    return accepts
 
 
 def _pruned_for_diagonal(
@@ -291,15 +328,17 @@ def _pruned_for_diagonal(
         i, j = positions[idx]
         row_i = rows[i]
         at = block_at[idx]
+        if at is not None:
+            r, s = at
+            accepts = _entry_test(block, r, s)
         for v in domains[idx]:
             counter[0] += 1
             if counter[0] > budget:
                 raise BudgetExceededError(counter[0], budget)
             row_i[j] = v
             if at is not None:
-                r, s = at
                 block[r][s] = v
-                if v % p or not _sub_block_closed(block, r, s):
+                if v % p or not accepts(v):
                     continue
             if j == last_col:
                 if rule_one and sum(1 for jj in unit_cols[i] if row_i[jj] == 1) != 1:
@@ -347,6 +386,15 @@ def _diagonals_for_spec(spec: EnumSpec) -> list[tuple[int, ...]]:
     return exps_list
 
 
+def _report_progress(spec: EnumSpec, done: int, total: int, nodes: int) -> None:
+    # nodes is the running total of the counter the caller shares, so it
+    # keeps growing across the enumerations of one census
+    print(
+        f"Z^{spec.n} at {spec.p}^{spec.e}: diagonals {done}/{total}, {nodes} nodes",
+        file=sys.stderr,
+    )
+
+
 def enumerate_subrings(spec: EnumSpec, counter: list[int] | None = None) -> list[SubringMatrix]:
     """All subring matrices matching the spec, in canonical order.
 
@@ -377,13 +425,13 @@ def enumerate_subrings(spec: EnumSpec, counter: list[int] | None = None) -> list
                     raise BudgetExceededError(counter[0], spec.node_budget)
                 results.append((exps, found))
                 if spec.progress:
-                    print(f"diagonals {done}/{total}", file=sys.stderr)
+                    _report_progress(spec, done, total, counter[0])
     else:
         # one counter across diagonals: the budget bounds the whole serial run
         for done, exps in enumerate(exps_list, start=1):
             results.append((exps, _search_diagonal(spec, exps, counter)))
             if spec.progress:
-                print(f"diagonals {done}/{total}", file=sys.stderr)
+                _report_progress(spec, done, total, counter[0])
 
     # every survivor already passed identity + products_in_span in the search
     matrices: list[SubringMatrix] = []

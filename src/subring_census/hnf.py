@@ -345,18 +345,34 @@ class SubringMatrix:
         return self.cotype().corank
 
 
+def _iroot(m: int, k: int) -> int:
+    """Largest r with r^k <= m, for m >= 1: integer Newton steps from above."""
+    r = 1 << -(-m.bit_length() // k)
+    while True:
+        y = ((k - 1) * r + m // r ** (k - 1)) // k
+        if y >= r:
+            return r
+        r = y
+
+
 def _prime_power_base(m: int) -> int | None:
-    """Prime p with m = p^k (k >= 1), or None when m is 1 or not a prime power."""
+    """Prime p with m = p^k (k >= 1), or None when m is 1 or not a prime power.
+
+    m = r^k for the largest such k has a base r that is no perfect power,
+    and m is a prime power iff that r is prime; only r is trial-divided.
+    """
     if m <= 1:
         return None
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            return p if m == 1 else None
-        p += 1
-    return m
+    for k in range(m.bit_length(), 0, -1):
+        r = _iroot(m, k)
+        if r > 1 and r**k == m:
+            break
+    f = 2
+    while f * f <= r:
+        if r % f == 0:
+            return None
+        f += 1
+    return r
 
 
 def diagonal_support_corank(a: SubringMatrix) -> int:

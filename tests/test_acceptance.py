@@ -160,7 +160,7 @@ def test_criterion_4_cotype_census():
 @pytest.mark.stretch
 def test_criterion_4_cotype_census_stretch():
     start = time.time()
-    _criterion_4_body([(2, 14), (3, 6)])
+    _criterion_4_body([(2, 16), (3, 6)])
     assert time.time() - start < 12 * 3600
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import fields
 
 import pytest
@@ -40,6 +41,31 @@ def test_census_text_format(capsys, tmp_path):
     )
     assert code == 0
     assert "f=1" in out and "f=3" in out and "f=4" in out
+
+
+def test_census_progress_names_each_enumeration(capsys, tmp_path):
+    # a miss enumerates one irreducible block per (m, j); each series of
+    # progress lines names its block, and the node count runs on across them
+    argv = ["census", "-n", "4", "-p", "2", "-e", "6", "--cache-dir"]
+    code, quiet_out, _ = run_cli(capsys, *argv, str(tmp_path / "quiet"))
+    assert code == 0
+    argv.append(str(tmp_path / "loud"))
+    code, out, err = run_cli(capsys, *argv, "--progress")
+    assert code == 0 and json.loads(out)["entries"] == json.loads(quiet_out)["entries"]
+    line = re.compile(r"Z\^(\d+) at 2\^(\d+): diagonals (\d+)/(\d+), (\d+) nodes")
+    found = [tuple(map(int, line.fullmatch(text).groups())) for text in err.splitlines()]
+    series = {}
+    for m, j, done, total, _ in found:
+        series.setdefault((m, j), []).append((done, total))
+    assert sorted(series) == [(2, j) for j in range(1, 7)] + [(3, 6), (4, 6)]
+    for runs in series.values():
+        assert runs == [(k, len(runs)) for k in range(1, len(runs) + 1)]
+    assert len(series[(3, 6)]) == 5 and len(series[(4, 6)]) == 10
+    nodes = [n for *_, n in found]
+    assert nodes == sorted(set(nodes))
+    # a hit enumerates nothing, so it reports no progress
+    code, _, err = run_cli(capsys, *argv, "--progress")
+    assert code == 0 and err == ""
 
 
 @pytest.mark.parametrize("bad", ["[1, 2]", "{truncated json", '{"checksum": "00"}'])

@@ -19,12 +19,13 @@ from subring_census.enumeration import (
     PruneRuleSet,
     _diagonal_task,
     _diagonals_for_spec,
-    _sub_block_closed,
+    _entry_test,
     count_g_alpha,
     enumerate_irreducible,
     enumerate_subrings,
 )
 from subring_census.hnf import (
+    _solve_rows,
     canonical_rpstar,
     is_irreducible_rows,
     is_subring_matrix,
@@ -190,6 +191,18 @@ def _bordered(block):
     return [list(row) + [1] for row in block] + [[0] * k + [1]]
 
 
+def _sub_block_closed(block, r, s):
+    """Products of block column s with block columns r..s, cut to rows r..s,
+    lie in the span of the principal sub-block block[r..s][r..s]: the slow
+    oracle for the search's entry test, one back-substitution per product."""
+    sub = [row[r : s + 1] for row in block[r : s + 1]]
+    last = [row[-1] for row in sub]
+    for t in range(s - r + 1):
+        if _solve_rows(sub, [x * row[t] for x, row in zip(last, sub)]) is None:
+            return False
+    return True
+
+
 class TestSubBlockCheck:
     @pytest.mark.parametrize("p", [2, 3])
     def test_matches_bordered_certificate(self, p):
@@ -216,6 +229,36 @@ class TestSubBlockCheck:
                     assert all(
                         _sub_block_closed(block, r, s) for s in range(k) for r in range(s + 1)
                     )
+        assert min(seen.values()) >= 20, seen
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_entry_test_matches_oracle(self, p):
+        # One test per (r, s), built before block[r][s] holds a candidate and
+        # reused across candidates as in the search; it must accept exactly
+        # the values the full sub-block solve accepts.
+        rng = random.Random(100 + p)
+        seen = {"rows below fail": 0, "accepted": 0, "rejected": 0}
+        for k in range(2, 6):
+            for _ in range(60):
+                block = [[0] * k for _ in range(k)]
+                for r in range(k):
+                    block[r][r] = p ** rng.randint(1, 3)
+                    for s in range(r + 1, k):
+                        block[r][s] = rng.randrange(0, block[r][r], p)
+                for s in range(1, k):
+                    for r in range(s):
+                        accepts = _entry_test(block, r, s)
+                        rows_below_fail = not _sub_block_closed(block, r + 1, s)
+                        seen["rows below fail"] += rows_below_fail
+                        kept = block[r][s]
+                        for v in range(0, block[r][r], p):
+                            block[r][s] = v
+                            closed = _sub_block_closed(block, r, s)
+                            assert accepts(v) == closed, (block, r, s, v)
+                            assert not (closed and rows_below_fail)
+                            if not rows_below_fail:
+                                seen["accepted" if closed else "rejected"] += 1
+                        block[r][s] = kept
         assert min(seen.values()) >= 20, seen
 
 
@@ -254,6 +297,13 @@ class TestDeterminism:
 
 
 class TestBudget:
+    def test_node_count_pin(self):
+        # the irreducible-block rule's entry test decides which subtrees are
+        # cut, so a change to it that keeps the output can still move this
+        counter = [0]
+        enumerate_subrings(EnumSpec(4, 2, 11), counter)
+        assert counter[0] == 31064
+
     def test_budget_exhaustion(self):
         with pytest.raises(BudgetExceededError):
             enumerate_subrings(EnumSpec(n=4, p=3, e=4, mode="naive", node_budget=100))

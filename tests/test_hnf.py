@@ -9,6 +9,7 @@ from subring_census.hnf import (
     HnfMatrix,
     SubringMatrix,
     _det_bareiss,
+    _prime_power_base,
     canonical_rpstar,
     diagonal_support_corank,
     dump_matrices,
@@ -217,12 +218,52 @@ class TestDiagonalSupport:
         with pytest.raises(ValueError):
             diagonal_support_corank(m)
 
+    @pytest.mark.parametrize(
+        "det,support",
+        [(10007**3, 1), (1009**4, 1), (10007 * 10009, None), (2 * 10007**2, None)],
+    )
+    def test_large_determinants(self, det, support):
+        m = SubringMatrix(hnf([[det, 1], [0, 1]]))
+        if support is None:
+            with pytest.raises(ValueError, match="not a prime power"):
+                diagonal_support_corank(m)
+        else:
+            assert diagonal_support_corank(m) == support
+
     def test_lattice_counterexample_is_not_a_subring(self):
         # the support/corank equality genuinely needs the subring property:
         # this Hermite matrix has two non-unit diagonal entries but corank 1
         a = hnf([[2, 1, 1], [0, 2, 1], [0, 0, 1]])
         assert not is_subring_matrix(a)
         assert smith_normal_form(a) == (1, 1, 4)
+
+
+def _prime_power_base_by_trial_division(m):
+    """The reference: trial division by 2, 3, ... up to the first factor."""
+    if m <= 1:
+        return None
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            while m % p == 0:
+                m //= p
+            return p if m == 1 else None
+        p += 1
+    return m
+
+
+class TestPrimePowerBase:
+    def test_matches_trial_division(self):
+        for m in range(-2, 10**5 + 1):
+            assert _prime_power_base(m) == _prime_power_base_by_trial_division(m), m
+
+    @pytest.mark.parametrize(
+        "m,base",
+        [(10007**3, 10007), (1009**4, 1009), (10007 * 10009, None), (2 * 10007**2, None),
+         (1, None), (2**64, 2), (3**40 * 2, None)],
+    )
+    def test_large_values(self, m, base):
+        assert _prime_power_base(m) == base
 
 
 class TestTextFormat:
