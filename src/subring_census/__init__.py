@@ -26,7 +26,6 @@ from .enumeration import (
     BudgetExceededError,
     EnumSpec,
     PruneRuleSet,
-    count_g_alpha,
     enumerate_irreducible,
     enumerate_subrings,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "canonical_rpstar",
     "catalog",
     "compositions",
-    "count_g_alpha",
     "diagonal_support_corank",
     "dump_matrices",
     "enumerate_irreducible",

@@ -9,6 +9,7 @@ All entries are stored pre-converted to these coordinates, with p formal.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from pathlib import Path
 
 from .polynomials import MPoly, P, RatFunc, SeriesTable, X, Y, Z, expand
@@ -16,23 +17,6 @@ from .polynomials import MPoly, P, RatFunc, SeriesTable, X, Y, Z, expand
 _ONE = MPoly.const(1)
 
 _DATA_DIR = Path(__file__).parent / "data"
-
-#: ids accepted by :func:`catalog`; entries marked (n) take the n parameter.
-CATALOG_IDS = (
-    "subring_local_z2",
-    "subring_local_z3",
-    "subring_local_z4",
-    "irreducible_z3",
-    "irreducible_z4",
-    "cotype_z2",
-    "cotype_z3",
-    "cotype_z4",
-    "cocyclic_local",  # (n)
-    "corank2_local",  # (n)
-    "corank2_local_z4",
-    "lattice_local",  # (n)
-)
-
 
 def _coeff_term(text: str) -> tuple[int, int]:
     """Parse one coefficient term like '-14*p^2', 'p', or '5' -> (c, p-exp)."""
@@ -87,6 +71,10 @@ def _product(*factors: MPoly) -> MPoly:
     for f in factors:
         out = out * f
     return out
+
+
+def _subring_local_z2() -> RatFunc:
+    return RatFunc(_ONE, _ONE - X)
 
 
 def _subring_local_z3() -> RatFunc:
@@ -219,41 +207,42 @@ def _lattice_local(n: int) -> RatFunc:
     return RatFunc(_ONE, den)
 
 
+#: builder of each id accepted by :func:`catalog`, in documented order, and
+#: whether it takes the dimension n.
+_BUILDERS: dict[str, tuple[Callable[..., RatFunc], bool]] = {
+    "subring_local_z2": (_subring_local_z2, False),
+    "subring_local_z3": (_subring_local_z3, False),
+    "subring_local_z4": (_subring_local_z4, False),
+    "irreducible_z3": (_irreducible_z3, False),
+    "irreducible_z4": (_irreducible_z4, False),
+    "cotype_z2": (_subring_local_z2, False),
+    "cotype_z3": (_cotype_z3, False),
+    "cotype_z4": (_cotype_z4, False),
+    "cocyclic_local": (_cocyclic_local, True),
+    "corank2_local": (_corank2_local, True),
+    "corank2_local_z4": (_corank2_local_z4, False),
+    "lattice_local": (_lattice_local, True),
+}
+
+CATALOG_IDS = tuple(_BUILDERS)
+
+
 def catalog(entry_id: str, n: int | None = None) -> RatFunc:
     """Exact rational function for a documented catalog id.
 
     Parameterized entries ('cocyclic_local', 'corank2_local', 'lattice_local')
     require the dimension n; all others reject it.
     """
-    parameterized = {"cocyclic_local", "corank2_local", "lattice_local"}
-    if entry_id in parameterized:
+    if entry_id not in _BUILDERS:
+        raise KeyError(f"unknown catalog id {entry_id!r}")
+    builder, takes_n = _BUILDERS[entry_id]
+    if takes_n:
         if n is None:
             raise ValueError(f"catalog entry {entry_id!r} needs the dimension n")
-    elif n is not None:
+        return builder(n)
+    if n is not None:
         raise ValueError(f"catalog entry {entry_id!r} does not take a dimension")
-    if entry_id == "subring_local_z2" or entry_id == "cotype_z2":
-        return RatFunc(_ONE, _ONE - X)
-    if entry_id == "subring_local_z3":
-        return _subring_local_z3()
-    if entry_id == "subring_local_z4":
-        return _subring_local_z4()
-    if entry_id == "irreducible_z3":
-        return _irreducible_z3()
-    if entry_id == "irreducible_z4":
-        return _irreducible_z4()
-    if entry_id == "cotype_z3":
-        return _cotype_z3()
-    if entry_id == "cotype_z4":
-        return _cotype_z4()
-    if entry_id == "cocyclic_local":
-        return _cocyclic_local(n)  # type: ignore[arg-type]
-    if entry_id == "corank2_local":
-        return _corank2_local(n)  # type: ignore[arg-type]
-    if entry_id == "corank2_local_z4":
-        return _corank2_local_z4()
-    if entry_id == "lattice_local":
-        return _lattice_local(n)  # type: ignore[arg-type]
-    raise KeyError(f"unknown catalog id {entry_id!r}")
+    return builder()
 
 
 _SERIES_CACHE: dict[tuple[str, int], SeriesTable] = {}

@@ -93,9 +93,12 @@ class CensusRecord:
             "engine": self.engine_version,
         }
 
+    def serialized(self) -> bytes:
+        """The payload as compact sorted-key JSON, as the log stores it."""
+        return json.dumps(self.payload(), sort_keys=True, separators=(",", ":")).encode()
+
     def checksum(self) -> str:
-        body = json.dumps(self.payload(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(body.encode()).hexdigest()
+        return hashlib.sha256(self.serialized()).hexdigest()
 
     @classmethod
     def from_payload(cls, payload: dict) -> "CensusRecord":
@@ -332,7 +335,7 @@ class CountLedger:
         self._records[(n, record.p, record.e)] = record
         if self.directory is None:
             return
-        body = json.dumps(record.payload(), sort_keys=True, separators=(",", ":")).encode()
+        body = record.serialized()
         digest = hashlib.sha256(body).hexdigest()
         line = b'{"checksum":"' + digest.encode() + b'","record":' + body + b"}\n"
         path = self._file(n)
@@ -463,7 +466,7 @@ def corank2_formula_coefficients(n: int) -> tuple[int, int]:
     These are the displayed coefficients a(n) = (3n^2 - 17n + 36)/12 C(n-1, 2)
     and b(n) = 3 C(n-1, 3).  They equal the exact C(n, 3) and 3 C(n, 4) of
     `formula_h` only for n <= 4; from n = 5 on the displayed form is refuted
-    by enumeration (the `corank-formulas` verify suite records this).  They
+    by the census (the `corank-formulas` verify suite records this).  They
     are still used by `analytics._corank2_deviation` / `_corank3_deviation`,
     which feed `analytics.tauberian_constant` for k = 2, 3.
     """
@@ -500,7 +503,7 @@ def displayed_formula_h(n: int, k: int, p: int, e: int) -> int:
         a(n) g_3(p^e) + b(n) (e-1)                            (k = 2, e >= 2)
         c(n) g_4(p^e) + d(n) sum_{j=2}^{e-1} (j-1) g_3(p^j)   (k = 3, e >= 3)
 
-    Exact only for n <= 4; kept as the record that enumeration refutes it
+    Exact only for n <= 4; kept as the record that the census refutes it
     from n = 5 on.  `formula_h` gives the exact counts.
     """
     if k not in (2, 3):
@@ -586,34 +589,23 @@ def smallest_prime_factors(limit: int) -> list[int]:
 
 def multiplicative_table(limit: int, prime_power_value) -> list[int]:
     """values[j] for 1 <= j <= limit of the multiplicative function determined
-    by prime_power_value(p, e); values[0] is unused."""
+    by prime_power_value(p, e); values[0] is unused.
+
+    prime_power_value is called once per prime power p^e <= limit, in
+    ascending order of p^e; every other j takes the product of the values
+    at its p-part q (p its smallest prime factor) and at j / q.
+    """
     spf = smallest_prime_factors(limit)
     values = [0] * (limit + 1)
     if limit >= 1:
         values[1] = 1
-    missing: list[tuple[int, int]] = []
-    cache: dict[tuple[int, int], int] = {}
-
-    def local(p: int, e: int) -> int:
-        key = (p, e)
-        if key not in cache:
-            try:
-                cache[key] = prime_power_value(p, e)
-            except KeyError:
-                missing.append(key)
-                cache[key] = 0
-        return cache[key]
-
     for j in range(2, limit + 1):
         p = spf[j]
-        m = j
-        e = 0
-        while m % p == 0:
-            m //= p
+        q, e = p, 1
+        while j % (q * p) == 0:
+            q *= p
             e += 1
-        values[j] = values[m] * local(p, e) if m > 1 else local(p, e)
-    if missing:
-        raise MissingCensusError([(0, p, e) for p, e in sorted(set(missing))])
+        values[j] = prime_power_value(p, e) if q == j else values[q] * values[j // q]
     return values
 
 
@@ -637,9 +629,8 @@ class ExtendedCounts:
     """Exact Dirichlet coefficients of Z^n counts up to a bound X.
 
     f[j] counts subrings of index j; h_tilde[k][j] counts those of corank at
-    most k; lattice[j] counts sublattices of index j.  Partial-sum helpers
-    follow the source conventions: subring and lattice accumulations are
-    strict (index < X), corank accumulations are inclusive (index <= X).
+    most k; lattice[j] counts sublattices of index j; index 0 is unused.  A
+    count over indices up to X is a slice sum, e.g. sum(f[1 : X + 1]).
     """
 
     n: int
@@ -647,15 +638,6 @@ class ExtendedCounts:
     f: list[int]
     h_tilde: dict[int, list[int]]
     lattice: list[int] = field(repr=False, default_factory=list)
-
-    def subring_partial_sum(self, x: int) -> int:
-        return sum(self.f[1 : min(x, self.limit + 1)])
-
-    def corank_partial_sum(self, k: int, x: int) -> int:
-        return sum(self.h_tilde[k][1 : min(x, self.limit) + 1])
-
-    def lattice_partial_sum(self, x: int) -> int:
-        return sum(self.lattice[1 : min(x, self.limit + 1)])
 
 
 def multiplicative_extend(
@@ -668,29 +650,27 @@ def multiplicative_extend(
 ) -> ExtendedCounts:
     """Extend prime-power censuses multiplicatively to every index <= limit.
 
+    Each prime-power record is fetched by one ledger.census call, in
+    ascending order of p^e, and every table is built from the records kept.
     With compute=False, absent census records are reported (all of them, in a
     MissingCensusError) instead of being enumerated on demand.
     """
+    records: dict[tuple[int, int], CensusRecord] = {}
     missing: list[tuple[int, int, int]] = []
 
-    def f_source(p: int, e: int) -> int:
+    def f_value(p: int, e: int) -> int:
         if not compute and ledger.cached(n, p, e) is None:
             missing.append((n, p, e))
-            raise KeyError
-        return ledger.census(n, p, e, node_budget=node_budget).f_count
+            return 0
+        record = records[(p, e)] = ledger.census(n, p, e, node_budget=node_budget)
+        return record.f_count
 
-    try:
-        f = multiplicative_table(limit, f_source)
-    except MissingCensusError:
-        raise MissingCensusError(missing) from None
-
-    h_tables: dict[int, list[int]] = {}
-    for k in coranks:
-
-        def ht_source(p: int, e: int, k: int = k) -> int:
-            return ledger.census(n, p, e, node_budget=node_budget).h_tilde(k)
-
-        h_tables[k] = multiplicative_table(limit, ht_source)
-
+    f = multiplicative_table(limit, f_value)
+    if missing:
+        raise MissingCensusError(missing)
+    h_tilde = {
+        k: multiplicative_table(limit, lambda p, e, k=k: records[(p, e)].h_tilde(k))
+        for k in coranks
+    }
     lattice = multiplicative_table(limit, lambda p, e: lattice_prime_power_count(n, p, e))
-    return ExtendedCounts(n=n, limit=limit, f=f, h_tilde=h_tables, lattice=lattice)
+    return ExtendedCounts(n=n, limit=limit, f=f, h_tilde=h_tilde, lattice=lattice)

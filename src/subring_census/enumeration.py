@@ -457,13 +457,3 @@ def enumerate_irreducible(
     if n < 2:
         raise ValueError("need n >= 2")
     return enumerate_subrings(EnumSpec(n, p, e, corank=n - 1, node_budget=node_budget))
-
-
-def count_g_alpha(alpha: tuple[int, ...], p: int) -> int:
-    """Number of irreducible subring matrices with diagonal exponents alpha.
-
-    alpha has n-1 strict parts for matrices of size n = len(alpha) + 1.
-    """
-    if any(v < 1 for v in alpha):
-        raise ValueError("alpha must be a strict composition")
-    return len(enumerate_subrings(EnumSpec(len(alpha) + 1, p, sum(alpha), diagonal=alpha)))

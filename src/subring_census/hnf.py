@@ -54,9 +54,6 @@ class HnfMatrix:
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(self.entries[i][j] for i in range(self.n))
 
-    def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(self.n)]
-
 
 def _solve_rows(rows: Sequence[Sequence[int]], w: Sequence[int]) -> tuple[int, ...] | None:
     """Back-substitute A c = w bottom-up; None when some pivot division fails."""

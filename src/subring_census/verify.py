@@ -123,7 +123,7 @@ def suite_cocyclic(scope: VerifyScope) -> list[CheckResult]:
 
 # ---------------------------------------------------------------------------
 # corank-formulas: the displayed closed forms for h_{n,2} and h_{n,3}, kept as
-# the record that enumeration refutes them from n = 5 on (formula_h holds the
+# the record that the census refutes them from n = 5 on (formula_h holds the
 # exact counts of the irreducible decomposition)
 
 
@@ -164,7 +164,7 @@ def suite_corank_formulas(scope: VerifyScope) -> list[CheckResult]:
                 )
             )
     # informational: the variant reading with the fixed argument g_3(p^3) in
-    # place of g_3(p^e) disagrees with enumeration once e != 3.
+    # place of g_3(p^e) disagrees with the census once e != 3.
     n0, p0, e0 = n2_range[0], 2, 2
     a, b = corank2_formula_coefficients(n0)
     variant = a * irreducible_count(3, p0, 3) + b * (e0 - 1)
@@ -172,32 +172,32 @@ def suite_corank_formulas(scope: VerifyScope) -> list[CheckResult]:
     out.append(
         _result(
             "corank2-variant-flag",
-            "fixed-argument variant a(n) g_3(p^3) + b(n)(e-1) does NOT match enumeration "
+            "fixed-argument variant a(n) g_3(p^3) + b(n)(e-1) does NOT match the census "
             f"at n={n0}, p={p0}, e={e0} (informational; the e-dependent form does)",
             variant != true_count,
             True,
-            note=f"variant={variant}, enumerated={true_count}",
+            note=f"variant={variant}, census={true_count}",
         )
     )
     if not scope.small:
         # informational: at n = 5 the pair contribution aggregates WITHOUT the
-        # (j-1) weight; enumeration sides with the unweighted sum there.
+        # (j-1) weight; the census sides with the unweighted sum there.
         c5, d5 = corank3_formula_coefficients(5)
         unweighted = c5 * irreducible_count(4, 2, 4) + d5 * sum(
             irreducible_count(3, 2, j) for j in range(2, 4)
         )
         weighted = displayed_formula_h(5, 3, 2, 4)
-        enumerated = scope.ledger.census(5, 2, 4, node_budget=scope.node_budget).h_counts[3]
+        census_count = scope.ledger.census(5, 2, 4, node_budget=scope.node_budget).h_counts[3]
         out.append(
             _result(
                 "corank3-weight-flag",
                 "unweighted pair sum c(5) g_4(2^4) + d(5) sum_j g_3(2^j) matches "
-                "enumeration at n=5 while the (j-1)-weighted form does not "
+                "the census at n=5 while the (j-1)-weighted form does not "
                 "(informational erratum evidence)",
-                unweighted == enumerated,
+                unweighted == census_count,
                 True,
                 note=f"unweighted={unweighted}, weighted={weighted}, "
-                f"enumerated={enumerated}",
+                f"census={census_count}",
             )
         )
     return out
@@ -537,10 +537,6 @@ def suite_invariants(scope: VerifyScope) -> list[CheckResult]:
 # oracle: naive vs pruned enumeration; elimination vs minor-gcd Smith form
 
 
-def _matrix_set(matrices) -> set[tuple[tuple[int, ...], ...]]:
-    return {m.entries for m in matrices}
-
-
 def suite_oracle(scope: VerifyScope) -> list[CheckResult]:
     out = []
     e_max = 3 if scope.small else 5
@@ -562,9 +558,7 @@ def suite_oracle(scope: VerifyScope) -> list[CheckResult]:
                         threads=scope.threads,
                     )
                 )
-                if _matrix_set(naive) != _matrix_set(pruned) or [
-                    m.entries for m in naive
-                ] != [m.entries for m in pruned]:
+                if [m.entries for m in naive] != [m.entries for m in pruned]:
                     agree = False
                     detail = f"mismatch at e={e}"
                     break

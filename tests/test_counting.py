@@ -433,15 +433,72 @@ class TestMultiplicative:
         tab = multiplicative_table(12, lambda p, e: p**e)
         assert tab[1:] == [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]
 
-    def test_missing_listed(self):
-        def source(p, e):
-            if p == 3:
-                raise KeyError
-            return 1
-
+    def test_missing_listed(self, tmp_path):
         with pytest.raises(MissingCensusError) as err:
-            multiplicative_table(10, source)
-        assert (0, 3, 1) in err.value.missing and (0, 3, 2) in err.value.missing
+            multiplicative_extend(3, 6, CountLedger(tmp_path), compute=False)
+        assert err.value.missing == [(3, 2, 1), (3, 2, 2), (3, 3, 1), (3, 5, 1)]
+
+    def test_missing_after_partial_extend(self, tmp_path):
+        multiplicative_extend(3, 4, CountLedger(tmp_path))
+        with pytest.raises(MissingCensusError) as err:
+            multiplicative_extend(3, 6, CountLedger(tmp_path), coranks=(1, 2), compute=False)
+        assert err.value.missing == [(3, 5, 1)]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_tables_match_factorisation(self, ledger, n):
+        def factorise(j):
+            out, d = [], 2
+            while d * d <= j:
+                e = 0
+                while j % d == 0:
+                    j //= d
+                    e += 1
+                if e:
+                    out.append((d, e))
+                d += 1
+            return out + [(j, 1)] if j > 1 else out
+
+        def product(j, value):
+            out = 1
+            for p, e in factorise(j):
+                out *= value(p, e)
+            return out
+
+        coranks = tuple(range(1, n))
+        for limit in (0, 1, 2, 60):
+            t = multiplicative_extend(n, limit, ledger, coranks=coranks)
+            assert len(t.f) == len(t.lattice) == limit + 1
+            indices = range(1, limit + 1)
+            assert t.f[1:] == [
+                product(j, lambda p, e: ledger.census(n, p, e).f_count) for j in indices
+            ]
+            assert t.lattice[1:] == [
+                product(j, lambda p, e: lattice_prime_power_count(n, p, e)) for j in indices
+            ]
+            assert sorted(t.h_tilde) == list(coranks)
+            for k in coranks:
+                assert t.h_tilde[k][1:] == [
+                    product(j, lambda p, e: ledger.census(n, p, e).h_tilde(k))
+                    for j in indices
+                ]
+
+    def test_one_census_call_per_prime_power(self, tmp_path, monkeypatch):
+        calls = []
+        census = CountLedger.census
+
+        def counted(self, n, p, e, **kwargs):
+            calls.append((n, p, e))
+            return census(self, n, p, e, **kwargs)
+
+        monkeypatch.setattr(CountLedger, "census", counted)
+        prime_powers = [(3, 2, 1), (3, 3, 1), (3, 2, 2), (3, 5, 1), (3, 7, 1),
+                        (3, 2, 3), (3, 3, 2), (3, 11, 1), (3, 13, 1), (3, 2, 4)]
+        for compute, misses, hits in ((True, 10, 0), (True, 0, 10), (False, 0, 10)):
+            calls.clear()
+            led = CountLedger(tmp_path)
+            multiplicative_extend(3, 16, led, coranks=(1, 2), compute=compute)
+            assert calls == prime_powers
+            assert (led.stats["misses"], led.stats["hits"]) == (misses, hits)
 
     def test_extend_rank2(self, ledger):
         t = multiplicative_extend(2, 20, ledger)
@@ -453,7 +510,7 @@ class TestMultiplicative:
         assert t.f[12] == 12        # f(4) f(3) = 4 * 3
         assert t.h_tilde[2][8] == t.f[8]
         assert t.h_tilde[1][4] == 3  # corank <= 1 subrings of index 4
-        assert t.corank_partial_sum(2, 12) == t.subring_partial_sum(13)
+        assert sum(t.h_tilde[2][1:13]) == sum(t.f[1:13])
 
     def test_extend_requires_data(self, tmp_path):
         led = CountLedger(tmp_path)
@@ -464,7 +521,7 @@ class TestMultiplicative:
     def test_lattice_counts(self, ledger):
         t = multiplicative_extend(2, 10, ledger)
         assert t.lattice[1:] == [1, 3, 4, 7, 6, 12, 8, 15, 13, 18]
-        assert t.lattice_partial_sum(10) == 69
+        assert sum(t.lattice[1:10]) == 69  # indices below 10
 
     def test_lattice_prime_power(self):
         # rank 2, determinant p^e: 1 + p + ... + p^e Hermite forms

@@ -20,7 +20,6 @@ from subring_census.enumeration import (
     _diagonal_task,
     _diagonals_for_spec,
     _entry_test,
-    count_g_alpha,
     enumerate_irreducible,
     enumerate_subrings,
 )
@@ -35,6 +34,16 @@ from subring_census.hnf import (
 
 def entries(ms):
     return [m.entries for m in ms]
+
+
+def count_g_alpha(alpha: tuple[int, ...], p: int) -> int:
+    """Number of irreducible subring matrices with diagonal exponents alpha.
+
+    alpha has n-1 strict parts for matrices of size n = len(alpha) + 1.
+    """
+    if any(v < 1 for v in alpha):
+        raise ValueError("alpha must be a strict composition")
+    return len(enumerate_subrings(EnumSpec(len(alpha) + 1, p, sum(alpha), diagonal=alpha)))
 
 
 class TestSpecValidation:
