@@ -1,7 +1,8 @@
 """Enumeration of subring matrices of Z^n with determinant p^e.
 
-Two engines share one definitional certificate (the identity vector and all
-pairwise column products must lie in the column span):
+Two engines emit exactly the matrices that pass one definitional certificate
+(the identity vector and all pairwise column products must lie in the column
+span):
 
 * naive -- for every admissible diagonal, iterate the full Cartesian product
   of Hermite-form entry assignments and keep those whose matrix certifies.
@@ -10,13 +11,18 @@ pairwise column products must lie in the column span):
 
 * pruned -- backtracking over the same assignments with structural rules
   narrowing entry domains and cutting subtrees.  Each rule is a named,
-  individually toggleable predicate; every survivor still receives the full
-  definitional certificate before emission, so the rules only ever have to
-  be sound, never complete.  The irreducible-block rule is checked as each
-  support-block entry is placed, on the principal sub-block it completes,
-  so a subtree is cut at the first entry that breaks closure.  Only the top
-  row of that check involves the entry: the rest is solved once per prefix,
-  and each candidate value is tested by at most s-r congruences.
+  individually toggleable predicate.  The irreducible-block rule is checked
+  as each support-block entry is placed, on the principal sub-block it
+  completes, so a subtree is cut at the first entry that breaks closure.
+  Only the top row of that check involves the entry: the rest is solved once
+  per prefix, and each candidate value is tested by at most s-r congruences.
+  On a diagonal whose support is not full, or with any rule off, every
+  survivor still receives the full certificate, so there the rules only have
+  to be sound.  On a full-support diagonal with every rule on, the rules
+  carry closure: the last column is all ones and the block-entry checks at
+  r = 0 prove col(B) closed under products, so the leaf checks the identity
+  alone and the rules must also be complete.  The naive engine (through
+  n = 4), census rechecks and `permutation_gaps` check that completeness.
 
 Output order is canonical (diagonal composition in lexicographic order, then
 column-major entry order) and independent of rule toggles and worker count.
@@ -37,6 +43,7 @@ from .hnf import (
     HnfMatrix,
     SubringMatrix,
     _solve_rows,
+    hnf_from_columns,
     is_irreducible_rows,
     is_subring_rows,
     products_in_span,
@@ -95,6 +102,13 @@ class PruneRuleSet:
         always does; for each later column, block rows r+1..s are solved
         once per prefix, and a candidate value of the entry is tested by
         one congruence mod B[r, r] per column, at most s-r in all.
+
+    On a diagonal whose support is not full, and whenever any rule is off,
+    every survivor still receives the full definitional certificate, so the
+    rules only have to be sound.  With every rule on, a full-support
+    diagonal skips the leaf's product checks: exactly_one_one makes the last
+    column all ones and the irreducible_block checks at r = 0 certify the
+    block, so there the rules must be complete too.
     """
 
     zero_one_outside_support: bool = True
@@ -316,13 +330,20 @@ def _pruned_for_diagonal(
     npos = len(positions)
     rule_one = rules.exactly_one_one
     rule_lc = rules.last_column
+    # On a full-support diagonal with every rule on, exactly_one_one makes the
+    # last column all ones, and the entry tests at (0, s), each run once column
+    # s holds its final values, prove col(B) closed under products: together
+    # they certify the products, so the leaf checks the identity alone.
+    closure_proved = len(support) == n - 1 and rules == PruneRuleSet()
 
     def place(idx: int) -> None:
         if idx == npos:
             counter[0] += 1
             if counter[0] > budget:
                 raise BudgetExceededError(counter[0], budget)
-            if _identity_check_support(rows, support, powers, n) and products_in_span(rows):
+            if _identity_check_support(rows, support, powers, n) and (
+                closure_proved or products_in_span(rows)
+            ):
                 out.append(_snapshot(rows))
             return
         i, j = positions[idx]
@@ -433,7 +454,7 @@ def enumerate_subrings(spec: EnumSpec, counter: list[int] | None = None) -> list
             if spec.progress:
                 _report_progress(spec, done, total, counter[0])
 
-    # every survivor already passed identity + products_in_span in the search
+    # every survivor is already certified by the search (see _pruned_for_diagonal)
     matrices: list[SubringMatrix] = []
     for exps, found in sorted(results, key=lambda item: item[0]):
         for rows in sorted(found, key=_matrix_key):
@@ -441,6 +462,34 @@ def enumerate_subrings(spec: EnumSpec, counter: list[int] | None = None) -> list
     if spec.mode == "naive" and spec.corank is not None:
         matrices = [m for m in matrices if m.corank() == spec.corank]
     return matrices
+
+
+def permutation_gaps(matrices: list[SubringMatrix]) -> list[SubringMatrix]:
+    """The members whose image under the coordinate swap (0 1) or the cycle
+    (0 1 ... n-1) is not in the set.
+
+    Permuting coordinates maps a subring to a subring of the same index and
+    corank, so the subrings of Z^n at one index, or the irreducible ones
+    among them, form a set closed under S_n; as the two permutations
+    generate S_n, a set with no gaps is closed.  An image is the Hermite
+    form of the permuted matrix's columns.  This checks a search for lost
+    matrices without trusting its rules, but a search that loses whole
+    S_n-orbits leaves no gap and escapes it.
+    """
+    present = {m.entries for m in matrices}
+    gaps = []
+    for m in matrices:
+        n = m.n
+        if n < 2:
+            continue
+        for image_of in ((1, 0, *range(2, n)), (*range(1, n), 0)):
+            rows: list[tuple[int, ...]] = [()] * n
+            for i, row in enumerate(m.entries):
+                rows[image_of[i]] = row
+            if hnf_from_columns(list(zip(*rows))).entries not in present:
+                gaps.append(m)
+                break
+    return gaps
 
 
 def enumerate_irreducible(

@@ -73,6 +73,43 @@ def _solve_rows(rows: Sequence[Sequence[int]], w: Sequence[int]) -> tuple[int, .
     return tuple(c)
 
 
+def hnf_from_columns(columns: Sequence[Sequence[int]]) -> HnfMatrix:
+    """Hermite normal form of the lattice spanned by n linearly independent
+    integer columns of length n.
+
+    Rows are cleared bottom-up: at row i, gcd steps among columns 0..i (zero
+    below row i) leave one of them nonzero there, which becomes column i.
+    Then the entries right of each pivot are reduced mod the pivot, bottom
+    row first, since reducing row i changes only the rows above it.
+    """
+    n = len(columns)
+    cols = [list(c) for c in columns]
+    for i in range(n - 1, -1, -1):
+        while True:
+            live = [j for j in range(i + 1) if cols[j][i]]
+            if not live:
+                raise ValueError("columns are linearly dependent")
+            piv = min(live, key=lambda j: abs(cols[j][i]))
+            pc = cols[piv]
+            done = True
+            for j in live:
+                if j != piv:
+                    q = cols[j][i] // pc[i]
+                    cols[j] = [a - q * b for a, b in zip(cols[j], pc)]
+                    done = done and not cols[j][i]
+            if done:
+                break
+        cols[i], cols[piv] = cols[piv], cols[i]
+        if cols[i][i] < 0:
+            cols[i] = [-a for a in cols[i]]
+    for i in range(n - 1, -1, -1):
+        for j in range(i + 1, n):
+            q = cols[j][i] // cols[i][i]
+            if q:
+                cols[j] = [a - q * b for a, b in zip(cols[j], cols[i])]
+    return HnfMatrix(tuple(tuple(col[i] for col in cols) for i in range(n)))
+
+
 def membership(a: HnfMatrix, w: Sequence[int]) -> tuple[int, ...] | None:
     """Integer coefficients c with A c = w, or None when w is not in col(A).
 

@@ -30,6 +30,7 @@ from .enumeration import (
     EnumSpec,
     PruneRuleSet,
     enumerate_subrings,
+    permutation_gaps,
 )
 from .hnf import Cotype, HnfMatrix, smith_normal_form, snf_oracle_minor_gcds
 from .polynomials import MPoly, RatFunc, expand, functional_equation_check, specialize
@@ -530,6 +531,32 @@ def suite_invariants(scope: VerifyScope) -> list[CheckResult]:
             note=worst,
         )
     )
+    # The full-support search certifies products by its pruning rules alone
+    # (see enumeration._pruned_for_diagonal); coordinate symmetry checks its
+    # output without them, at cells the naive engine cannot reach.
+    for n, p, e in ((4, 2, 5), (5, 2, 6), (5, 3, 5), (6, 2, 7), (7, 2, 8)):
+        check_id = f"invariants/permutation-closure/n={n}/p={p}/e={e}"
+        description = (
+            f"the irreducible subrings of Z^{n} at index {p}^{e} are closed under the "
+            f"coordinate permutations (0 1) and (0 1 ... {n - 1}), which generate S_{n}; "
+            f"a search that lost whole S_{n}-orbits would still pass"
+        )
+        try:
+            matrices = enumerate_subrings(
+                EnumSpec(n, p, e, corank=n - 1, node_budget=scope.node_budget)
+            )
+        except BudgetExceededError as exc:
+            out.append(_skipped(check_id, description, f"budget exhausted: {exc}"))
+            continue
+        out.append(
+            _result(
+                check_id,
+                description,
+                len(permutation_gaps(matrices)),
+                0,
+                note=f"{len(matrices)} matrices",
+            )
+        )
     return out
 
 

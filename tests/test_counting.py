@@ -3,7 +3,7 @@ import multiprocessing
 
 import pytest
 
-from subring_census import counting
+from subring_census import counting, hnf
 from subring_census.counting import (
     CensusValidationError,
     CountLedger,
@@ -22,8 +22,10 @@ from subring_census.enumeration import (
     BudgetExceededError,
     EnumSpec,
     PruneRuleSet,
+    enumerate_irreducible,
     enumerate_subrings,
 )
+from subring_census.hnf import HnfMatrix, SubringMatrix, snf_oracle_minor_gcds
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +185,52 @@ class TestDecomposition:
         record = CountLedger().census(7, 2, 7)
         full = CountLedger().census(7, 2, 7, recheck=True)
         assert record.counts_equal(full) and record.checksum() == full.checksum()
+
+
+class TestBlockCotype:
+    # G_m(j) takes each cotype from the Smith form of the (m-1) x (m-1)
+    # block; the full Smith form and the minor-gcd oracle must agree.
+
+    def test_matches_full_smith_form_and_minor_gcds(self):
+        seen = 0
+        for p, m_max, j_max in ((2, 6, 8), (3, 5, 5)):
+            for m in range(2, m_max + 1):
+                for j in range(m - 1, j_max + 1):
+                    for matrix in enumerate_irreducible(m, p, j):
+                        cotype = counting._block_cotype(matrix)
+                        assert cotype == matrix.cotype(), matrix.entries
+                        oracle = snf_oracle_minor_gcds(matrix.hnf)
+                        assert cotype.alphas == tuple(reversed(oracle[1:])), matrix.entries
+                        seen += 1
+        assert seen > 5000
+
+    def test_rejects_last_column_entry_other_than_one(self):
+        # a subring matrix, but not an irreducible one
+        matrix = SubringMatrix(HnfMatrix.from_rows([[2, 1, 1], [0, 2, 0], [0, 0, 1]]))
+        with pytest.raises(CensusValidationError, match="last column"):
+            counting._block_cotype(matrix)
+
+    @pytest.mark.parametrize("cell", [(6, 2, 8), (5, 3, 6)])
+    def test_recheck_agrees(self, cell):
+        led = CountLedger()
+        record = led.census(*cell)
+        full = led.census(*cell, recheck=True)
+        assert full.counts_equal(record) and full.checksum() == record.checksum()
+
+
+class TestStructuralCheck:
+    def test_wrong_index_raises(self):
+        matrices = enumerate_subrings(EnumSpec(3, 2, 3))
+        with pytest.raises(CensusValidationError, match="determinant"):
+            build_record(3, 2, 4, matrices, "pruned", PruneRuleSet().fingerprint())
+
+    def test_no_prime_power_search_per_matrix(self, monkeypatch):
+        # the index p^e is known, so no determinant is factored
+        def refuse(m):
+            raise AssertionError("prime-power search")
+
+        monkeypatch.setattr(hnf, "_prime_power_base", refuse)
+        assert CountLedger().census(4, 2, 5).counts_equal(full_record(4, 2, 5))
 
 
 def ledger_line(record):

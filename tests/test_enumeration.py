@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import subring_census
+from subring_census import enumeration
 from subring_census.catalog import irreducible_count
 from subring_census.combinatorics import binomial
 from subring_census.enumeration import (
@@ -22,6 +23,7 @@ from subring_census.enumeration import (
     _entry_test,
     enumerate_irreducible,
     enumerate_subrings,
+    permutation_gaps,
 )
 from subring_census.hnf import (
     _solve_rows,
@@ -29,6 +31,7 @@ from subring_census.hnf import (
     is_irreducible_rows,
     is_subring_matrix,
     is_subring_rows,
+    products_in_span,
 )
 
 
@@ -269,6 +272,80 @@ class TestSubBlockCheck:
                                 seen["accepted" if closed else "rejected"] += 1
                         block[r][s] = kept
         assert min(seen.values()) >= 20, seen
+
+
+def uncertified(matrices):
+    """The matrices that fail the definitional certificate, by either route."""
+    return [
+        m for m in matrices if not (products_in_span(m.entries) and is_subring_rows(m.entries))
+    ]
+
+
+class TestIdentityLeaf:
+    # On full-support diagonals with every rule on, the leaf trusts the
+    # entry tests at (0, s) for closure and checks only the identity.
+
+    @pytest.mark.parametrize(
+        "p,tops", [(2, {3: 12, 4: 10, 5: 9, 6: 8}), (3, {3: 8, 4: 7, 5: 6, 6: 7})]
+    )
+    def test_full_support_survivors_certify(self, p, tops):
+        seen = 0
+        for m, top in tops.items():
+            for e in range(m - 1, top + 1):
+                survivors = enumerate_subrings(EnumSpec(m, p, e, corank=m - 1))
+                assert uncertified(survivors) == [], (m, p, e)
+                seen += len(survivors)
+        assert seen > 1000
+
+    @pytest.mark.parametrize("s0", [1, 2])
+    def test_dropped_top_entry_test_is_caught(self, monkeypatch, s0):
+        # accepting every value at (0, s0) lets non-subrings through the
+        # leaf; both the certificate and the permutation closure see them
+        def accept_all_at_s0(block, r, s):
+            return (lambda v: True) if (r, s) == (0, s0) else _entry_test(block, r, s)
+
+        monkeypatch.setattr(enumeration, "_entry_test", accept_all_at_s0)
+        survivors = enumerate_subrings(EnumSpec(4, 2, 6, corank=3))
+        assert uncertified(survivors)
+        assert permutation_gaps(survivors)
+
+    def test_products_skipped_only_with_full_support_and_every_rule(self, monkeypatch):
+        calls = [0]
+
+        def counted(rows):
+            calls[0] += 1
+            return products_in_span(rows)
+
+        monkeypatch.setattr(enumeration, "products_in_span", counted)
+        full = EnumSpec(4, 2, 6, corank=3)
+        expected = entries(enumerate_subrings(full))
+        assert expected and calls[0] == 0
+        for f in fields(PruneRuleSet):
+            calls[0] = 0
+            rules = PruneRuleSet(**{f.name: False})
+            got = enumerate_subrings(EnumSpec(4, 2, 6, corank=3, rules=rules))
+            assert entries(got) == expected and calls[0] >= len(expected), f.name
+        naive = EnumSpec(4, 2, 3, mode="naive", diagonal=(1, 1, 1))
+        for spec in (EnumSpec(4, 2, 6, corank=2), naive):
+            calls[0] = 0
+            assert enumerate_subrings(spec) and calls[0] > 0, spec
+
+
+class TestPermutationClosure:
+    def test_irreducible_sets_closed(self):
+        for m in range(2, 8):
+            for j in range(m - 1, 9):
+                assert permutation_gaps(enumerate_irreducible(m, 2, j)) == [], (m, j)
+
+    def test_full_census_closed(self):
+        for n, p, e in ((3, 2, 6), (4, 2, 6), (4, 3, 4)):
+            assert permutation_gaps(enumerate_subrings(EnumSpec(n, p, e))) == []
+
+    def test_missing_matrix_leaves_gaps(self):
+        matrices = enumerate_irreducible(4, 2, 5)
+        for drop in range(len(matrices)):
+            rest = matrices[:drop] + matrices[drop + 1 :]
+            assert permutation_gaps(rest), drop
 
 
 class TestDeterminism:

@@ -13,6 +13,7 @@ from subring_census.hnf import (
     canonical_rpstar,
     diagonal_support_corank,
     dump_matrices,
+    hnf_from_columns,
     is_subring_matrix,
     load_matrices,
     membership,
@@ -50,6 +51,33 @@ class TestHnfMatrix:
         assert a.det() == 4
         assert a.column(2) == (1, 1, 1)
         assert a.diagonal == (2, 2, 1)
+
+
+class TestHnfFromColumns:
+    def test_recovers_form_after_unimodular_column_operations(self):
+        rng = random.Random(7)
+        for _ in range(2000):
+            n = rng.randint(1, 6)
+            a = random_hnf(rng, n, max_diag=20)
+            cols = [list(c) for c in zip(*a.entries)]
+            for _ in range(rng.randint(0, 12)):
+                x, y = rng.randrange(n), rng.randrange(n)
+                op = rng.random()
+                if x != y and op < 0.6:
+                    k = rng.randint(-5, 5)
+                    cols[x] = [u + k * v for u, v in zip(cols[x], cols[y])]
+                elif op < 0.8:
+                    cols[x], cols[y] = cols[y], cols[x]
+                else:
+                    cols[x] = [-u for u in cols[x]]
+            assert hnf_from_columns(cols) == a, (a, cols)
+
+    def test_small_cases(self):
+        assert hnf_from_columns([(4, 0), (0, 6)]) == hnf([[4, 0], [0, 6]])
+        # det 20, gcd(4, 6) = 2, and (4, 6) - (6, 4) = (8, 2) - (10, 0)
+        assert hnf_from_columns([(6, 4), (4, 6)]) == hnf([[10, 8], [0, 2]])
+        with pytest.raises(ValueError):
+            hnf_from_columns([(1, 2), (2, 4)])
 
 
 class TestMembership:
