@@ -18,11 +18,13 @@ cokernels.  Splitting off the block that holds the first coordinate gives
 where F_n(e) is the cotype census of Z^n at index p^e, G_m(j) that of its
 irreducible subrings, and (x) merges the multisets of invariant factors.
 G_1 is the trivial block at j = 0, G_m is empty for j < m-1, and G_m(j) is
-the pruned engine on full-support diagonals (corank m-1), with the
-structural check on every matrix and each cotype taken from the Smith form
-of the (m-1) x (m-1) block (see `_block_cotype`).  `census(recheck=True)`
-still enumerates every diagonal of Z^n, certifies every leaf in full, takes
-full Smith forms and compares, so it stays the independent check.
+counted at the leaves of the pruned search on full-support diagonals
+(corank m-1), through `enumeration.visit_subrings`, with no matrix list:
+each survivor's last column is checked to be all ones, its cotype is taken
+from the Smith form of its live (m-1) x (m-1) block (`_block_cotype`), and
+its live rows get the structural check.  `census(recheck=True)` still
+enumerates every diagonal of Z^n, certifies every leaf in full, takes full
+Smith forms and compares, so it stays the independent check.
 Per-corank counts h_{n,k}(p^e) are read off the record, as `h_counts[k]`.
 
 Composite-index counts are never enumerated: they are reconstructed
@@ -39,13 +41,19 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable
+from typing import Sequence
 
 from . import hnf
 from .catalog import irreducible_count
 from .combinatorics import binomial
-from .enumeration import ENGINE_VERSION, EnumSpec, PruneRuleSet, enumerate_subrings
-from .hnf import Cotype, HnfMatrix, SubringMatrix
+from .enumeration import (
+    ENGINE_VERSION,
+    EnumSpec,
+    PruneRuleSet,
+    enumerate_subrings,
+    visit_subrings,
+)
+from .hnf import Cotype, SubringMatrix
 # not called here; perfbench/tracing.py wraps it as a call site of this module
 from .hnf import diagonal_support_corank  # noqa: F401
 
@@ -149,18 +157,17 @@ class CensusRecord:
         )
 
 
-def _structural_check(m: SubringMatrix, corank: int, index: int) -> None:
+def _structural_check(entries: Sequence[Sequence[int]], corank: int, index: int) -> None:
     """Per-matrix invariants every emitted subring matrix of index p^e must
     satisfy.
 
-    corank is the Smith-form corank of m, which the caller has computed, and
-    index is p^e.  For a subring matrix of prime-power index the corank is
-    the number of non-unit diagonal entries.
+    entries are the rows of the matrix, corank its Smith-form corank, which
+    the caller has computed, and index is p^e.  For a subring matrix of
+    prime-power index the corank is the number of non-unit diagonal entries.
     """
-    n = m.n
-    entries = m.entries
+    n = len(entries)
     support = tuple(i for i in range(n) if entries[i][i] > 1)
-    if m.det() != index:
+    if math.prod(entries[i][i] for i in range(n)) != index:
         raise CensusValidationError(f"determinant is not {index} for {entries}")
     if corank != len(support):
         raise CensusValidationError(f"corank != diagonal support for {entries}")
@@ -185,35 +192,27 @@ def _structural_check(m: SubringMatrix, corank: int, index: int) -> None:
                 raise CensusValidationError(f"last-column pair rule violated in {entries}")
 
 
-def _block_cotype(m: SubringMatrix) -> Cotype:
-    """Cotype of an irreducible subring matrix [[B, 1], [0, 1]] from its block.
+def _block_cotype(rows: Sequence[Sequence[int]], block: Sequence[Sequence[int]]) -> Cotype:
+    """Cotype of an irreducible subring matrix [[B, 1], [0, 1]] from its
+    (m-1) x (m-1) block B.
 
     Subtracting the last row from the others turns the matrix into
-    diag(B, 1), so the cotype is the reversed Smith diagonal of the
-    (m-1) x (m-1) block B.  `SubringMatrix.cotype` takes the full Smith form,
-    the independent path that `build_record` keeps.
+    diag(B, 1), so the cotype is the reversed Smith diagonal of B.
+    `SubringMatrix.cotype` takes the full Smith form, the independent path
+    that `build_record` keeps.
     """
-    entries = m.entries
-    k = m.n - 1
-    if any(row[k] != 1 for row in entries):
-        raise CensusValidationError(f"last column entry is not 1 in {entries}")
-    block = HnfMatrix(tuple(row[:k] for row in entries[:k]))
+    if any(row[-1] != 1 for row in rows):
+        raise CensusValidationError(f"last column entry is not 1 in {rows}")
     # looked up on the module, whose attribute perfbench/tracing.py wraps
     return Cotype(tuple(reversed(hnf.smith_normal_form(block))))
 
 
-def _cotype_census(
-    matrices: list[SubringMatrix], p: int, e: int, cotype_of: Callable[[SubringMatrix], Cotype]
-) -> dict[tuple[int, ...], int]:
-    """Counts of the matrices of index p^e by cotype_of, after the structural
-    check on each."""
-    index = p**e
-    cotypes: dict[tuple[int, ...], int] = {}
-    for m in matrices:
-        ct = cotype_of(m)
-        _structural_check(m, ct.corank, index)
-        cotypes[ct.alphas] = cotypes.get(ct.alphas, 0) + 1
-    return cotypes
+def _count_cotype(
+    cotypes: dict[tuple[int, ...], int], entries: Sequence[Sequence[int]], ct: Cotype, index: int
+) -> None:
+    """Count one matrix of index p^e under its cotype, after its structural check."""
+    _structural_check(entries, ct.corank, index)
+    cotypes[ct.alphas] = cotypes.get(ct.alphas, 0) + 1
 
 
 def _record_from_cotypes(
@@ -248,7 +247,10 @@ def build_record(
     mode: str,
     rules: str,
 ) -> CensusRecord:
-    cotypes = _cotype_census(matrices, p, e, SubringMatrix.cotype)
+    index = p**e
+    cotypes: dict[tuple[int, ...], int] = {}
+    for m in matrices:
+        _count_cotype(cotypes, m.entries, m.cotype(), index)
     return _record_from_cotypes(n, p, e, cotypes, mode, rules)
 
 
@@ -278,25 +280,27 @@ class CountLedger:
     current line, and the later line for a (p, e) replaces an earlier one.
 
     A missed census is built from irreducible blocks (see the module
-    docstring).  The irreducible cotype censuses G_m(j) are kept in memory
-    for the life of the ledger, keyed by (m, p, j), so each is enumerated
-    once and shared across n and e; they are not persisted.  The merged
-    censuses F_k(d) live for one census call only.  census(recheck=True)
-    enumerates every diagonal of Z^n instead.
+    docstring).  The irreducible cotype censuses G_m(j) are counted at the
+    search leaves, without a matrix list, and kept in memory for the life of
+    the ledger, keyed by (m, p, j), so each is searched once and shared
+    across n and e; they are not persisted.  The merged censuses F_k(d) live
+    for one census call only.  census(recheck=True) enumerates every
+    diagonal of Z^n instead.
 
-    Where the pruning rules carry closure: G_m(j) is enumerated on
-    full-support diagonals with every rule on, where the search certifies
-    products by its block-entry checks and not at the leaf (see
-    `enumeration.PruneRuleSet`), so a missed census trusts the rules to be
-    complete.  census(recheck=True) certifies every leaf in full on the
-    diagonals of Z^n whose support is not full, where each G_m(j) with m < n
-    reappears, and takes full Smith forms; G_n(e) itself, on the full-support
-    diagonals, is covered by the naive engine up to n = 4 and by the verify
-    checks `invariants/permutation-closure/...` (coordinate symmetry).
+    Where the pruning rules carry closure: G_m(j) is searched on
+    full-support diagonals with every rule on, where the last column is set
+    to ones rather than searched and the search certifies products by its
+    block-entry checks and not at the leaf (see `enumeration.PruneRuleSet`),
+    so a missed census trusts the rules to be complete.  census(recheck=True)
+    certifies every leaf in full on the diagonals of Z^n whose support is
+    not full, where each G_m(j) with m < n reappears, and takes full Smith
+    forms; G_n(e) itself, on the full-support diagonals, is covered by the
+    naive engine up to n = 4 and by the verify checks
+    `invariants/permutation-closure/...` (coordinate symmetry).
 
     stats holds deterministic counters of census calls: hits (served from
     the cache), misses (built from blocks), rechecks (fully enumerated),
-    irreducible_built and irreducible_reused (G_m(j) enumerated, or taken
+    irreducible_built and irreducible_reused (G_m(j) searched, or taken
     from memory).
     """
 
@@ -494,10 +498,15 @@ class CountLedger:
         if key in self._irreducible:
             self.stats["irreducible_reused"] += 1
             return self._irreducible[key]
-        # stored only once the enumeration completes: a budget error leaves
-        # no partial entry
-        spec = EnumSpec(m, p, j, corank=m - 1, **opts)
-        cotypes = _cotype_census(enumerate_subrings(spec, counter), p, j, _block_cotype)
+        # stored only once the search completes: a budget error leaves no
+        # partial entry
+        index = p**j
+        cotypes: dict[tuple[int, ...], int] = {}
+
+        def count(rows, block):
+            _count_cotype(cotypes, rows, _block_cotype(rows, block), index)
+
+        visit_subrings(EnumSpec(m, p, j, corank=m - 1, **opts), count, counter)
         self._irreducible[key] = cotypes
         self.stats["irreducible_built"] += 1
         return cotypes
@@ -618,37 +627,78 @@ def sandwich_bounds(n: int, k: int, p: int, e: int) -> tuple[int, int]:
 
 
 def smallest_prime_factors(limit: int) -> list[int]:
-    """Sieve of smallest prime factors for 0..limit."""
+    """Sieve of smallest prime factors for 0..limit.
+
+    The primes up to sqrt(limit) mark their multiples from p^2 on, largest
+    prime first, so the smallest prime dividing j is written last.
+    """
     spf = list(range(limit + 1))
-    i = 2
-    while i * i <= limit:
-        if spf[i] == i:
-            for j in range(i * i, limit + 1, i):
-                if spf[j] == j:
-                    spf[j] = i
-        i += 1
+    root = math.isqrt(limit)
+    small = [i for i in range(2, root + 1) if all(i % d for d in range(2, math.isqrt(i) + 1))]
+    for p in reversed(small):
+        spf[p * p :: p] = [p] * len(range(p * p, limit + 1, p))
     return spf
 
 
-def multiplicative_table(limit: int, prime_power_value) -> list[int]:
+@dataclass(frozen=True)
+class IndexSplit:
+    """The indices 2..limit split at their smallest prime factor p.
+
+    part[j] is the p-part of j, and prime_powers holds (q, p, e) for each
+    prime power q = p^e <= limit in ascending order; every other j is
+    part[j] * (j / part[j]) with both factors smaller than j.  One split
+    serves every `multiplicative_table` over the same indices.
+    """
+
+    limit: int
+    part: list[int]
+    prime_powers: list[tuple[int, int, int]]
+
+    @classmethod
+    def of(cls, limit: int) -> "IndexSplit":
+        spf = smallest_prime_factors(limit)
+        # the p-part of j, p = spf[j], is p times that of j / p when p
+        # divides j / p, and p otherwise
+        part = list(range(limit + 1))
+        prime_powers = []
+        exponent = {1: 0}  # prime power -> its exponent
+        for j in range(2, limit + 1):
+            p = spf[j]
+            r = j // p
+            q = part[r] * p if spf[r] == p else p
+            part[j] = q
+            if q == j:
+                e = exponent[r] + 1
+                prime_powers.append((j, p, e))
+                exponent[j] = e
+        return cls(limit, part, prime_powers)
+
+
+def multiplicative_table(
+    limit: int, prime_power_value, split: IndexSplit | None = None
+) -> list[int]:
     """values[j] for 1 <= j <= limit of the multiplicative function determined
     by prime_power_value(p, e); values[0] is unused.
 
     prime_power_value is called once per prime power p^e <= limit, in
     ascending order of p^e; every other j takes the product of the values
-    at its p-part q (p its smallest prime factor) and at j / q.
+    at its p-part q (p its smallest prime factor) and at j / q.  split is
+    `IndexSplit.of(limit)`, built here when not given.
     """
-    spf = smallest_prime_factors(limit)
+    if split is None:
+        split = IndexSplit.of(limit)
+    if split.limit != limit:
+        raise ValueError(f"index split is for limit {split.limit}, not {limit}")
     values = [0] * (limit + 1)
     if limit >= 1:
         values[1] = 1
+    for q, p, e in split.prime_powers:
+        values[q] = prime_power_value(p, e)
+    part = split.part
     for j in range(2, limit + 1):
-        p = spf[j]
-        q, e = p, 1
-        while j % (q * p) == 0:
-            q *= p
-            e += 1
-        values[j] = prime_power_value(p, e) if q == j else values[q] * values[j // q]
+        q = part[j]
+        if q != j:
+            values[j] = values[q] * values[j // q]
     return values
 
 
@@ -694,7 +744,8 @@ def multiplicative_extend(
     """Extend prime-power censuses multiplicatively to every index <= limit.
 
     Each prime-power record is fetched by one ledger.census call, in
-    ascending order of p^e, and every table is built from the records kept.
+    ascending order of p^e, and every table is built from the records kept,
+    over one `IndexSplit` of the indices.
     With compute=False, absent census records are reported (all of them, in a
     MissingCensusError) instead of being enumerated on demand.
     """
@@ -708,12 +759,15 @@ def multiplicative_extend(
         record = records[(p, e)] = ledger.census(n, p, e, node_budget=node_budget)
         return record.f_count
 
-    f = multiplicative_table(limit, f_value)
+    split = IndexSplit.of(limit)
+    f = multiplicative_table(limit, f_value, split)
     if missing:
         raise MissingCensusError(missing)
     h_tilde = {
-        k: multiplicative_table(limit, lambda p, e, k=k: records[(p, e)].h_tilde(k))
+        k: multiplicative_table(limit, lambda p, e, k=k: records[(p, e)].h_tilde(k), split)
         for k in coranks
     }
-    lattice = multiplicative_table(limit, lambda p, e: lattice_prime_power_count(n, p, e))
+    lattice = multiplicative_table(
+        limit, lambda p, e: lattice_prime_power_count(n, p, e), split
+    )
     return ExtendedCounts(n=n, limit=limit, f=f, h_tilde=h_tilde, lattice=lattice)

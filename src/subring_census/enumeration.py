@@ -19,13 +19,20 @@ span):
   On a diagonal whose support is not full, or with any rule off, every
   survivor still receives the full certificate, so there the rules only have
   to be sound.  On a full-support diagonal with every rule on, the rules
-  carry closure: the last column is all ones and the block-entry checks at
+  carry closure: exactly_one_one makes the last column all ones, so it is
+  set in the template rather than searched, and the block-entry checks at
   r = 0 prove col(B) closed under products, so the leaf checks the identity
   alone and the rules must also be complete.  The naive engine (through
   n = 4), census rechecks and `permutation_gaps` check that completeness.
 
-Output order is canonical (diagonal composition in lexicographic order, then
-column-major entry order) and independent of rule toggles and worker count.
+`visit_subrings` is the one serial driver of both engines: it walks the
+diagonals under one node budget, prints the `--progress` lines and hands
+each survivor's live rows and support block to a visitor.
+`enumerate_subrings` collects snapshots through it (or through a worker pool
+with threads > 1) and returns them in canonical order: diagonal composition
+in lexicographic order, then column-major entry order, independent of rule
+toggles and worker count.  Census misses count cotypes with a visitor and
+build no matrix list (see `counting.CountLedger`).
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ import itertools
 import multiprocessing
 import sys
 from dataclasses import dataclass, field, fields
-from typing import Callable
+from typing import Callable, Sequence
 
 from .combinatorics import compositions
 # is_irreducible_rows and is_subring_rows are not called here;
@@ -52,6 +59,8 @@ from .hnf import (
 ENGINE_VERSION = "0.1.0"
 
 Rows = tuple[tuple[int, ...], ...]
+# visit(rows, block) at each survivor; see visit_subrings
+Visit = Callable[[Sequence[Sequence[int]], list[list[int]]], None]
 
 
 class BudgetExceededError(RuntimeError):
@@ -108,7 +117,10 @@ class PruneRuleSet:
     rules only have to be sound.  With every rule on, a full-support
     diagonal skips the leaf's product checks: exactly_one_one makes the last
     column all ones and the irreducible_block checks at r = 0 certify the
-    block, so there the rules must be complete too.
+    block, so there the rules must be complete too.  There the last column
+    is also set to ones instead of searched, which saves 2(n-1) nodes per
+    survivor (a 0 and a 1 tried at each of its n-1 entries); under any
+    other rule subset it is searched, and node counts are as before.
     """
 
     zero_one_outside_support: bool = True
@@ -195,7 +207,7 @@ def _matrix_key(rows: Rows) -> tuple[int, ...]:
     return tuple(rows[i][j] for j in range(n) for i in range(j + 1))
 
 
-def _snapshot(rows: list[list[int]]) -> Rows:
+def _snapshot(rows: Sequence[Sequence[int]]) -> Rows:
     return tuple(tuple(row) for row in rows)
 
 
@@ -296,7 +308,8 @@ def _pruned_for_diagonal(
     rules: PruneRuleSet,
     counter: list[int],
     budget: int,
-) -> list[Rows]:
+    visit: Visit,
+) -> None:
     support = tuple(i for i, v in enumerate(exps) if v > 0)
     supp_set = set(support)
     rows = _template_rows(n, p, exps)
@@ -304,17 +317,25 @@ def _pruned_for_diagonal(
     powers = {i: p ** exps[i] for i in support}
     last_col = n - 1
 
+    # On a full-support diagonal with every rule on, exactly_one_one makes the
+    # last column all ones, so it is set in the template and not searched; and
+    # the entry tests at (0, s), each run once column s holds its final
+    # values, prove col(B) closed under products: together they certify the
+    # products, so the leaf checks the identity alone.
+    closure_proved = len(support) == n - 1 and rules == PruneRuleSet()
+    if closure_proved:
+        for i in support:
+            rows[i][last_col] = 1
+        positions = [(i, j) for i, j in positions if j != last_col]
+
     unit_cols = {i: [j for j in range(i + 1, n) if j not in supp_set] for i in support}
     supp_after = {i: [j for j in support if j > i] for i in support}
 
-    # the support block, kept in step with rows for the irreducible_block
-    # rule; block_at[idx] holds the block indices of a checked position
+    # the support block, kept in step with rows; block_at[idx] holds the
+    # block indices of a position inside it
     block = [[powers[i] if i == j else 0 for j in support] for i in support]
     block_idx = {i: r for r, i in enumerate(support)}
-    block_at = [
-        (block_idx[i], block_idx[j]) if rules.irreducible_block and j in supp_set else None
-        for i, j in positions
-    ]
+    block_at = [(block_idx[i], block_idx[j]) if j in supp_set else None for i, j in positions]
 
     domains: list[range | tuple[int, ...]] = []
     for i, j in positions:
@@ -326,15 +347,10 @@ def _pruned_for_diagonal(
         else:
             domains.append(range(bound))
 
-    out: list[Rows] = []
     npos = len(positions)
     rule_one = rules.exactly_one_one
     rule_lc = rules.last_column
-    # On a full-support diagonal with every rule on, exactly_one_one makes the
-    # last column all ones, and the entry tests at (0, s), each run once column
-    # s holds its final values, prove col(B) closed under products: together
-    # they certify the products, so the leaf checks the identity alone.
-    closure_proved = len(support) == n - 1 and rules == PruneRuleSet()
+    rule_block = rules.irreducible_block
 
     def place(idx: int) -> None:
         if idx == npos:
@@ -344,22 +360,22 @@ def _pruned_for_diagonal(
             if _identity_check_support(rows, support, powers, n) and (
                 closure_proved or products_in_span(rows)
             ):
-                out.append(_snapshot(rows))
+                visit(rows, block)
             return
         i, j = positions[idx]
         row_i = rows[i]
         at = block_at[idx]
-        if at is not None:
-            r, s = at
-            accepts = _entry_test(block, r, s)
+        check_block = rule_block and at is not None
+        if check_block:
+            accepts = _entry_test(block, *at)
         for v in domains[idx]:
             counter[0] += 1
             if counter[0] > budget:
                 raise BudgetExceededError(counter[0], budget)
             row_i[j] = v
             if at is not None:
-                block[r][s] = v
-                if v % p or not accepts(v):
+                block[at[0]][at[1]] = v
+                if check_block and (v % p or not accepts(v)):
                     continue
             if j == last_col:
                 if rule_one and sum(1 for jj in unit_cols[i] if row_i[jj] == 1) != 1:
@@ -379,22 +395,33 @@ def _pruned_for_diagonal(
             block[at[0]][at[1]] = 0
 
     place(0)
-    return out
+
+
+def _support_block(rows: Rows, exps: tuple[int, ...]) -> list[list[int]]:
+    support = [i for i, v in enumerate(exps) if v > 0]
+    return [[rows[i][j] for j in support] for i in support]
 
 
 def _search_diagonal(
-    spec: EnumSpec, exps: tuple[int, ...], counter: list[int]
-) -> list[Rows]:
-    """Survivors of the spec's engine on one diagonal; nodes accrue in counter."""
+    spec: EnumSpec, exps: tuple[int, ...], counter: list[int], visit: Visit
+) -> None:
+    """Visit the survivors of the spec's engine on one diagonal; nodes accrue
+    in counter."""
     if spec.mode == "naive":
-        return _naive_for_diagonal(spec.n, spec.p, exps, counter, spec.node_budget)
-    return _pruned_for_diagonal(spec.n, spec.p, exps, spec.rules, counter, spec.node_budget)
+        for rows in _naive_for_diagonal(spec.n, spec.p, exps, counter, spec.node_budget):
+            visit(rows, _support_block(rows, exps))
+    else:
+        _pruned_for_diagonal(
+            spec.n, spec.p, exps, spec.rules, counter, spec.node_budget, visit
+        )
 
 
 def _diagonal_task(args: tuple[EnumSpec, tuple[int, ...]]) -> tuple[list[Rows], int]:
     spec, exps = args
     counter = [0]
-    return _search_diagonal(spec, exps, counter), counter[0]
+    found: list[Rows] = []
+    _search_diagonal(spec, exps, counter, lambda rows, block: found.append(_snapshot(rows)))
+    return found, counter[0]
 
 
 def _diagonals_for_spec(spec: EnumSpec) -> list[tuple[int, ...]]:
@@ -416,13 +443,42 @@ def _report_progress(spec: EnumSpec, done: int, total: int, nodes: int) -> None:
     )
 
 
+def visit_subrings(spec: EnumSpec, visit: Visit, counter: list[int] | None = None) -> None:
+    """Call visit(rows, block) on every survivor of the spec's search, serially,
+    diagonal by diagonal in composition order.
+
+    rows is the survivor's n x n matrix and block its support block (rows and
+    columns i with a diagonal entry > 1), both live lists of the search: the
+    visitor reads them during the call and copies what it keeps.  Within a
+    diagonal the order is the search's, not the canonical one; the naive
+    engine's corank filter is applied by `enumerate_subrings`, not here.
+
+    counter, a one-element list, accrues the search nodes; the budget bounds
+    its running total, so calls that pass the same counter share one budget.
+    Raises BudgetExceededError when it runs out, possibly after some visits.
+    """
+    if counter is None:
+        counter = [0]
+    exps_list = _diagonals_for_spec(spec)
+    total = len(exps_list)
+    for done, exps in enumerate(exps_list, start=1):
+        _search_diagonal(spec, exps, counter, visit)
+        if spec.progress:
+            _report_progress(spec, done, total, counter[0])
+
+
+def _canonical_key(rows: Rows) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # p^a is increasing in a, so diagonal entries order as exponent tuples
+    return tuple(row[i] for i, row in enumerate(rows)), _matrix_key(rows)
+
+
 def enumerate_subrings(spec: EnumSpec, counter: list[int] | None = None) -> list[SubringMatrix]:
     """All subring matrices matching the spec, in canonical order.
 
     Raises BudgetExceededError when the node budget runs out; partial output
     is never returned.  With threads > 1 the per-diagonal subtrees run in
-    worker processes and are merged back in composition order, so the result
-    is identical to a serial run.
+    worker processes and are merged back in canonical order, so the result
+    is identical to a serial run, which is `visit_subrings` with a collector.
 
     counter, a one-element list, accrues the search nodes; the budget bounds
     its running total, so calls that pass the same counter share one budget.
@@ -431,7 +487,7 @@ def enumerate_subrings(spec: EnumSpec, counter: list[int] | None = None) -> list
         counter = [0]
     exps_list = _diagonals_for_spec(spec)
     total = len(exps_list)
-    results: list[tuple[tuple[int, ...], list[Rows]]] = []
+    found: list[Rows] = []
 
     if spec.threads > 1 and total > 1:
         # a worker stops its diagonal at the whole budget; the running sum
@@ -440,25 +496,18 @@ def enumerate_subrings(spec: EnumSpec, counter: list[int] | None = None) -> list
         ctx = multiprocessing.get_context()
         with ctx.Pool(processes=spec.threads) as pool:
             tasks = pool.imap(_diagonal_task, [(spec, t) for t in exps_list])
-            for done, (exps, (found, used)) in enumerate(zip(exps_list, tasks), start=1):
+            for done, (rows_list, used) in enumerate(tasks, start=1):
                 counter[0] += used
                 if counter[0] > spec.node_budget:
                     raise BudgetExceededError(counter[0], spec.node_budget)
-                results.append((exps, found))
+                found.extend(rows_list)
                 if spec.progress:
                     _report_progress(spec, done, total, counter[0])
     else:
-        # one counter across diagonals: the budget bounds the whole serial run
-        for done, exps in enumerate(exps_list, start=1):
-            results.append((exps, _search_diagonal(spec, exps, counter)))
-            if spec.progress:
-                _report_progress(spec, done, total, counter[0])
+        visit_subrings(spec, lambda rows, block: found.append(_snapshot(rows)), counter)
 
     # every survivor is already certified by the search (see _pruned_for_diagonal)
-    matrices: list[SubringMatrix] = []
-    for exps, found in sorted(results, key=lambda item: item[0]):
-        for rows in sorted(found, key=_matrix_key):
-            matrices.append(SubringMatrix(HnfMatrix(rows)))
+    matrices = [SubringMatrix(HnfMatrix(rows)) for rows in sorted(found, key=_canonical_key)]
     if spec.mode == "naive" and spec.corank is not None:
         matrices = [m for m in matrices if m.corank() == spec.corank]
     return matrices

@@ -207,15 +207,16 @@ class Cotype:
         return ",".join(str(a) for a in self.alphas)
 
 
-def smith_normal_form(a: HnfMatrix) -> tuple[int, ...]:
+def smith_normal_form(a: HnfMatrix | Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Diagonal of the Smith normal form, ascending: s1 | s2 | ... | sn.
 
-    Gcd-based row/column elimination.  Pivot: smallest nonzero absolute
-    value in the working submatrix, ties broken by lowest (row, col), so the
-    reduction trace is deterministic.
+    a is an HnfMatrix or the rows of any square nonsingular integer matrix;
+    the rows are copied, not changed.  Gcd-based row/column elimination.
+    Pivot: smallest nonzero absolute value in the working submatrix, ties
+    broken by lowest (row, col), so the reduction trace is deterministic.
     """
-    n = a.n
-    m = [list(row) for row in a.entries]
+    m = [list(row) for row in (a.entries if isinstance(a, HnfMatrix) else a)]
+    n = len(m)
     diag: list[int] = []
     for t in range(n):
         while True:

@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+from collections import Counter
 
 import pytest
 
@@ -7,6 +8,7 @@ from subring_census import counting, hnf
 from subring_census.counting import (
     CensusValidationError,
     CountLedger,
+    IndexSplit,
     MissingCensusError,
     build_record,
     corank2_formula_coefficients,
@@ -24,8 +26,9 @@ from subring_census.enumeration import (
     PruneRuleSet,
     enumerate_irreducible,
     enumerate_subrings,
+    visit_subrings,
 )
-from subring_census.hnf import HnfMatrix, SubringMatrix, snf_oracle_minor_gcds
+from subring_census.hnf import snf_oracle_minor_gcds
 
 
 @pytest.fixture(scope="module")
@@ -88,15 +91,22 @@ def full_record(n, p, e):
 
 
 def spy_on_enumeration(monkeypatch):
-    """Record (spec, nodes so far) of every enumeration census runs."""
+    """Record (spec, nodes so far) of every search census runs: a miss visits
+    irreducible blocks through visit_subrings, a recheck calls
+    enumerate_subrings."""
     calls = []
 
-    def spy(spec, counter):
+    def spy_enumerate(spec, counter):
         out = enumerate_subrings(spec, counter)
         calls.append((spec, counter[0]))
         return out
 
-    monkeypatch.setattr(counting, "enumerate_subrings", spy)
+    def spy_visit(spec, visit, counter):
+        visit_subrings(spec, visit, counter)
+        calls.append((spec, counter[0]))
+
+    monkeypatch.setattr(counting, "enumerate_subrings", spy_enumerate)
+    monkeypatch.setattr(counting, "visit_subrings", spy_visit)
     return calls
 
 
@@ -134,6 +144,8 @@ class TestDecomposition:
         CountLedger().census(5, 2, 6)
         totals = [nodes for _, nodes in calls]
         used = [b - a for a, b in zip([0] + totals, totals)]
+        # the searches of one census run on one counter
+        assert min(used) > 0
         # every enumeration fits the budget alone, but not all of them together
         budget = max(used)
         assert totals[-1] > budget
@@ -188,27 +200,32 @@ class TestDecomposition:
 
 
 class TestBlockCotype:
-    # G_m(j) takes each cotype from the Smith form of the (m-1) x (m-1)
-    # block; the full Smith form and the minor-gcd oracle must agree.
+    # G_m(j) is counted at the search leaf, each cotype taken from the Smith
+    # form of the (m-1) x (m-1) block; its histogram must be that of the full
+    # Smith forms, and each of those must agree with the minor-gcd oracle.
 
     def test_matches_full_smith_form_and_minor_gcds(self):
         seen = 0
+        led = CountLedger()
         for p, m_max, j_max in ((2, 6, 8), (3, 5, 5)):
             for m in range(2, m_max + 1):
                 for j in range(m - 1, j_max + 1):
-                    for matrix in enumerate_irreducible(m, p, j):
-                        cotype = counting._block_cotype(matrix)
-                        assert cotype == matrix.cotype(), matrix.entries
+                    matrices = enumerate_irreducible(m, p, j)
+                    full = Counter(matrix.cotype().alphas for matrix in matrices)
+                    assert led._irreducible_cotypes(m, p, j, {}, [0]) == full, (m, p, j)
+                    for matrix in matrices:
                         oracle = snf_oracle_minor_gcds(matrix.hnf)
-                        assert cotype.alphas == tuple(reversed(oracle[1:])), matrix.entries
-                        seen += 1
+                        assert matrix.cotype().alphas == tuple(reversed(oracle[1:])), (
+                            matrix.entries
+                        )
+                    seen += len(matrices)
         assert seen > 5000
 
     def test_rejects_last_column_entry_other_than_one(self):
         # a subring matrix, but not an irreducible one
-        matrix = SubringMatrix(HnfMatrix.from_rows([[2, 1, 1], [0, 2, 0], [0, 0, 1]]))
+        rows = [[2, 1, 1], [0, 2, 0], [0, 0, 1]]
         with pytest.raises(CensusValidationError, match="last column"):
-            counting._block_cotype(matrix)
+            counting._block_cotype(rows, [row[:2] for row in rows[:2]])
 
     @pytest.mark.parametrize("cell", [(6, 2, 8), (5, 3, 6)])
     def test_recheck_agrees(self, cell):
@@ -295,6 +312,7 @@ class TestLedgerPersistence:
             raise AssertionError("census enumerated a record that is on disk")
 
         monkeypatch.setattr(counting, "enumerate_subrings", no_enumeration)
+        monkeypatch.setattr(counting, "visit_subrings", no_enumeration)
         assert CountLedger(tmp_path).census(4, 2, 3).h_counts[2] == expected
 
     def test_record_of_another_engine_is_a_miss(self, tmp_path):
@@ -476,10 +494,23 @@ class TestMultiplicative:
     def test_spf(self):
         spf = smallest_prime_factors(10)
         assert spf[9] == 3 and spf[10] == 2 and spf[7] == 7
+        for limit in (0, 1, 2, 4, 9, 48, 49, 50, 1000):
+            assert smallest_prime_factors(limit)[2:] == [
+                next(d for d in range(2, j + 1) if j % d == 0) for j in range(2, limit + 1)
+            ]
 
     def test_table(self):
         tab = multiplicative_table(12, lambda p, e: p**e)
         assert tab[1:] == [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]
+
+    def test_shared_split(self):
+        split = IndexSplit.of(100)
+        assert [q for q, _, _ in split.prime_powers][:8] == [2, 3, 4, 5, 7, 8, 9, 11]
+        assert (split.part[12], split.part[90], split.part[81]) == (4, 2, 81)
+        for value in (lambda p, e: p**e + e, lambda p, e: p + 2 * e):
+            assert multiplicative_table(100, value, split) == multiplicative_table(100, value)
+        with pytest.raises(ValueError, match="limit 100"):
+            multiplicative_table(99, lambda p, e: 1, split)
 
     def test_missing_listed(self, tmp_path):
         with pytest.raises(MissingCensusError) as err:

@@ -24,6 +24,7 @@ from subring_census.enumeration import (
     enumerate_irreducible,
     enumerate_subrings,
     permutation_gaps,
+    visit_subrings,
 )
 from subring_census.hnf import (
     _solve_rows,
@@ -331,6 +332,29 @@ class TestIdentityLeaf:
             assert enumerate_subrings(spec) and calls[0] > 0, spec
 
 
+class TestVisitSubrings:
+    @pytest.mark.parametrize(
+        "spec",
+        [EnumSpec(4, 2, 5), EnumSpec(4, 3, 4, corank=3), EnumSpec(4, 2, 3, mode="naive")]
+        + [EnumSpec(4, 2, 5, rules=PruneRuleSet(**{f.name: False})) for f in fields(PruneRuleSet)],
+    )
+    def test_visits_survivors_with_their_support_block(self, spec):
+        seen = []
+
+        def visit(rows, block):
+            support = [i for i in range(len(rows)) if rows[i][i] > 1]
+            assert block == [[rows[i][j] for j in support] for i in support]
+            seen.append(tuple(map(tuple, rows)))
+
+        counter = [0]
+        visit_subrings(spec, visit, counter)
+        expected = [m.entries for m in enumerate_subrings(spec, [0])]
+        assert sorted(seen) == sorted(expected) and len(seen) == len(set(seen))
+        again = [0]
+        enumerate_subrings(spec, again)
+        assert counter == again
+
+
 class TestPermutationClosure:
     def test_irreducible_sets_closed(self):
         for m in range(2, 8):
@@ -385,10 +409,33 @@ class TestDeterminism:
 class TestBudget:
     def test_node_count_pin(self):
         # the irreducible-block rule's entry test decides which subtrees are
-        # cut, so a change to it that keeps the output can still move this
+        # cut, so a change to it that keeps the output can still move this.
+        # 31064 nodes while the last column of full-support diagonals was
+        # searched: 0 and 1 at each of its 3 entries per survivor.
         counter = [0]
         enumerate_subrings(EnumSpec(4, 2, 11), counter)
-        assert counter[0] == 31064
+        assert counter[0] == 31064 - 6 * len(enumerate_irreducible(4, 2, 11))
+
+    def test_last_column_searched_unless_every_rule_on(self):
+        # The full-support cell's node counts with the last column searched;
+        # only with every rule on is it set, 2 * 3 nodes fewer per survivor.
+        searched = {
+            "zero_one_outside_support": 637,
+            "exactly_one_one": 1268,
+            "block_divisibility": 805,
+            "last_column": 637,
+            "irreducible_block": 1315,
+        }
+        expected = entries(enumerate_subrings(EnumSpec(4, 2, 6, corank=3)))
+        assert len(expected) == 67
+        for name, nodes in searched.items():
+            counter = [0]
+            spec = EnumSpec(4, 2, 6, corank=3, rules=PruneRuleSet(**{name: False}))
+            assert entries(enumerate_subrings(spec, counter)) == expected, name
+            assert counter[0] == nodes, name
+        counter = [0]
+        enumerate_subrings(EnumSpec(4, 2, 6, corank=3), counter)
+        assert counter[0] == 637 - 6 * 67
 
     def test_budget_exhaustion(self):
         with pytest.raises(BudgetExceededError):

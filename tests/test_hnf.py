@@ -174,6 +174,11 @@ class TestSmithForm:
     def test_identity(self):
         assert smith_normal_form(hnf([[1, 0], [0, 1]])) == (1, 1)
 
+    def test_rows_as_given(self):
+        rows = [[4, 2, 2], [0, 4, 0], [0, 0, 2]]
+        assert smith_normal_form(rows) == smith_normal_form(hnf(rows)) == (2, 2, 8)
+        assert rows == [[4, 2, 2], [0, 4, 0], [0, 0, 2]]
+
     def test_rpstar_cotype(self):
         for n, p in ((2, 3), (3, 2), (4, 5)):
             m = canonical_rpstar(n, p)
