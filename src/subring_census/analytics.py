@@ -36,6 +36,7 @@ from typing import Callable
 from .catalog import catalog
 from .combinatorics import binomial
 from .counting import corank2_formula_coefficients, corank3_formula_coefficients
+from .polynomials import X
 
 _EPS = 2.0**-52
 
@@ -448,22 +449,6 @@ def _series_product(spec: EulerProductSpec, target: float | None, stats: dict | 
     return BoundedValue(value, bound)
 
 
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _poly_pow(a: list[int], k: int) -> list[int]:
-    out = [1]
-    for _ in range(k):
-        out = _poly_mul(out, a)
-    return out
-
-
 def _poly_product(name: str, coeffs: list[int], target: float | None) -> BoundedValue:
     if coeffs[0] == 1 and not any(coeffs[1:]):
         # every local factor is exactly 1 (the cocyclic deviation at n = 2)
@@ -481,9 +466,7 @@ def corank_probability(n: int, k: int, target: float | None = None) -> BoundedVa
             raise ValueError("every proper subring of Z^2 has corank 1")
         return BoundedValue(1.0, 0.0)
     if n == 3:
-        p31 = zeta_int(2) * _poly_product(
-            "corank1-z3", _poly_mul(_poly_pow([1, -1], 2), [1, 2]), target or 2e-6
-        )
+        p31 = zeta_int(2) * _poly_product("corank1-z3", _deviation(3, 1), target or 2e-6)
         if k == 1:
             return p31
         if k == 2:
@@ -491,16 +474,10 @@ def corank_probability(n: int, k: int, target: float | None = None) -> BoundedVa
         raise ValueError("proper subrings of Z^3 have corank 1 or 2")
     if n == 4:
         z2 = zeta_int(2)
-        p41 = z2**3 * _poly_product(
-            "corank1-z4", _poly_mul(_poly_pow([1, -1], 5), [1, 5]), target or 2e-5
-        )
+        p41 = z2**3 * _poly_product("corank1-z4", _deviation(4, 1), target or 2e-5)
         if k == 1:
             return p41
-        upto2 = z2**4 * _poly_product(
-            "corank12-z4",
-            _poly_mul(_poly_mul(_poly_pow([1, -1], 5), [1, 1]), [1, 4, 6]),
-            target or 1e-5,
-        )
+        upto2 = z2**4 * _poly_product("corank12-z4", _deviation(4, 2), target or 1e-5)
         if k == 2:
             return upto2 - p41
         if k == 3:
@@ -509,25 +486,35 @@ def corank_probability(n: int, k: int, target: float | None = None) -> BoundedVa
     raise ValueError("absolute corank probabilities are known only for n <= 4")
 
 
-def _corank2_deviation(n: int) -> list[int]:
-    a, b = corank2_formula_coefficients(n)
-    m = binomial(n, 2)
-    quartic = [1, m - 2, 2 * a + b - m, -(m - 2), -(2 * a + b - m + 1)]
-    return _poly_mul(_poly_pow([1, -1], m - 2), quartic)
+def _deviation(n: int, k: int) -> list[int]:
+    """Coefficients a_0..a_d of the local factor sum_j a_j u^j (u = 1/p) of the
+    corank <= k accumulation constant of Z^n, for k in {1, 2, 3}; m = C(n, 2).
 
-
-def _corank3_deviation(n: int) -> list[int]:
-    a, b = corank2_formula_coefficients(n)
-    c, d = corank3_formula_coefficients(n)
+    The factor is (1-u)^(m-1) (1 + (m-1) u) for k = 1, and (1-u)^(m-2) or
+    (1-u)^(m-4) times a quartic in the displayed coefficients of
+    `corank2_formula_coefficients` and `corank3_formula_coefficients` for
+    k = 2 or 3.
+    """
     m = binomial(n, 2)
-    quartic = [
-        1,
-        m - 4,
-        6 + 2 * a + b + c - 3 * m,
-        -4 - 4 * a - 2 * b + 6 * c + 3 * d + 3 * m,
-        1 + 2 * a + b - 7 * c + 2 * d - m,
-    ]
-    return _poly_mul(_poly_pow([1, -1], m - 4), quartic)
+    u = X
+    if k == 1:
+        power, factor = m - 1, 1 + (m - 1) * u
+    elif k == 2:
+        a, b = corank2_formula_coefficients(n)
+        s = 2 * a + b - m
+        power, factor = m - 2, 1 + (m - 2) * u + s * u**2 - (m - 2) * u**3 - (s + 1) * u**4
+    else:
+        a, b = corank2_formula_coefficients(n)
+        c, d = corank3_formula_coefficients(n)
+        power, factor = m - 4, (
+            1
+            + (m - 4) * u
+            + (6 + 2 * a + b + c - 3 * m) * u**2
+            + (-4 - 4 * a - 2 * b + 6 * c + 3 * d + 3 * m) * u**3
+            + (1 + 2 * a + b - 7 * c + 2 * d - m) * u**4
+        )
+    poly = (1 - u) ** power * factor
+    return [poly.terms.get((0, j, 0, 0), 0) for j in range(poly.degrees()[1] + 1)]
 
 
 def tauberian_constant(n: int, k: int, target: float = 1e-4) -> BoundedValue:
@@ -537,15 +524,12 @@ def tauberian_constant(n: int, k: int, target: float = 1e-4) -> BoundedValue:
         raise ValueError("constants are computed only for corank 1, 2, 3")
     if n <= k:
         raise ValueError("need n > k")
-    m = binomial(n, 2)
-    lead = BoundedValue.exact(Fraction(1, math.factorial(m - 1)))
-    if k == 1:
-        dev = _poly_mul(_poly_pow([1, -1], m - 1), [1, m - 1])
-        return lead * _poly_product(f"cocyclic-constant-n{n}", dev, target)
+    lead = BoundedValue.exact(Fraction(1, math.factorial(binomial(n, 2) - 1)))
+    name = {1: "cocyclic", 2: "corank2", 3: "corank3"}[k]
+    prod = _poly_product(f"{name}-constant-n{n}", _deviation(n, k), target)
     if k == 2:
-        prod = _poly_product(f"corank2-constant-n{n}", _corank2_deviation(n), target)
         return zeta_int(2) * lead * prod
-    return lead * _poly_product(f"corank3-constant-n{n}", _corank3_deviation(n), target)
+    return lead * prod
 
 
 def tauberian_ratio(n: int, k_num: int, k_den: int, target: float = 1e-4) -> BoundedValue:

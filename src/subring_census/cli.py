@@ -294,6 +294,14 @@ def _parse_e_range(text: str) -> tuple[int, int]:
     return e, e
 
 
+def _parse_bounds(text: str) -> tuple[int, int, int]:
+    try:
+        x, y, z = (int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected three integers X,Y,Z, not {text!r}") from None
+    return x, y, z
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="subring-census",
@@ -337,7 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("series", help="series coefficients of a catalogued function")
     sp.add_argument("--id", required=True, choices=CATALOG_IDS)
     sp.add_argument("--n", type=int, help="dimension for parameterized entries")
-    sp.add_argument("--bounds", help="x,y,z truncation bounds, e.g. 8,0,0")
+    sp.add_argument(
+        "--bounds", type=_parse_bounds, metavar="X,Y,Z", help="truncation bounds, e.g. 8,0,0"
+    )
     sp.add_argument("--total", type=int, help="total-degree truncation")
     sp.add_argument("--at-p", type=int, help="also evaluate coefficients at this prime")
     common(sp)
@@ -385,11 +395,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.command == "series":
         cfg.series_id = args.id
         cfg.series_n = args.n
-        if args.bounds:
-            parts = [int(v) for v in args.bounds.split(",")]
-            if len(parts) != 3:
-                raise SystemExit(2)
-            cfg.bounds = (parts[0], parts[1], parts[2])
+        cfg.bounds = args.bounds
         cfg.total = args.total
         cfg.at_p = args.at_p
     if args.command == "constants":

@@ -50,6 +50,7 @@ from .enumeration import (
     ENGINE_VERSION,
     EnumSpec,
     PruneRuleSet,
+    check_cell,
     enumerate_subrings,
     visit_subrings,
 )
@@ -424,8 +425,10 @@ class CountLedger:
         processes, is compared against the cached record and a mismatch
         raises (stale engine guard).  The enumerations of one call share
         node_budget; exhaustion propagates as BudgetExceededError and nothing
-        partial is stored.
+        partial is stored.  An invalid cell raises ValueError before the
+        lookup, so nothing is appended.
         """
+        check_cell(n, p, e)
         cached = self.cached(n, p, e)
         if recheck:
             self.stats["rechecks"] += 1
@@ -519,8 +522,8 @@ def corank2_formula_coefficients(n: int) -> tuple[int, int]:
     and b(n) = 3 C(n-1, 3).  They equal the exact C(n, 3) and 3 C(n, 4) of
     `formula_h` only for n <= 4; from n = 5 on the displayed form is refuted
     by the census (the `corank-formulas` verify suite records this).  They
-    are still used by `analytics._corank2_deviation` / `_corank3_deviation`,
-    which feed `analytics.tauberian_constant` for k = 2, 3.
+    are still used by `analytics._deviation`, which feeds
+    `analytics.tauberian_constant` for k = 2, 3.
     """
     if n < 3:
         raise ValueError("corank-2 closed form needs n >= 3")
@@ -538,7 +541,7 @@ def corank3_formula_coefficients(n: int) -> tuple[int, int]:
     C(n-1, 3) and d(n) = (3n - 5) C(n-1, 4).  They equal the exact C(n, 4) and
     10 C(n, 5) of `formula_h` only for n <= 5, and the displayed form (with
     its (j-1) weight and no three-pair term) is exact only for n <= 4.  They
-    are still used by `analytics._corank3_deviation`, which feeds
+    are still used by `analytics._deviation`, which feeds
     `analytics.tauberian_constant` for k = 3.
     """
     if n < 4:

@@ -90,6 +90,16 @@ def is_prime(m: int) -> bool:
     return True
 
 
+def check_cell(n: int, p: int, e: int) -> None:
+    """Raise ValueError unless (n, p, e) names a census cell: n >= 1, p prime, e >= 0."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    if e < 0:
+        raise ValueError("need e >= 0")
+
+
 @dataclass(frozen=True)
 class PruneRuleSet:
     """Toggles for the structural pruning rules of the backtracking engine.
@@ -162,12 +172,7 @@ class EnumSpec:
     progress: bool = False
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("need n >= 1")
-        if not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
-        if self.e < 0:
-            raise ValueError("need e >= 0")
+        check_cell(self.n, self.p, self.e)
         if self.mode not in ("naive", "pruned"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.corank is not None and not 0 <= self.corank < self.n:

@@ -304,8 +304,9 @@ def snf_oracle_minor_gcds(a: HnfMatrix) -> tuple[int, ...]:
     Independent of the elimination path: s1...sk equals the gcd of all k x k
     minors, so sk is a ratio of successive minor gcds.  Minors with any row
     index exceeding its column index vanish (upper triangularity) and are
-    skipped; the scan of size-k minors stops early once the running gcd
-    reaches the previous level's gcd, which is its minimum possible value.
+    skipped.  Since s(k-1) divides sk, the size-k gcd is a multiple of
+    s1...s(k-1) s(k-1), and the scan of size-k minors stops early once the
+    running gcd reaches that floor.
     """
     n = a.n
     if n > 6:
@@ -314,6 +315,7 @@ def snf_oracle_minor_gcds(a: HnfMatrix) -> tuple[int, ...]:
     prev = 1
     out: list[int] = []
     for size in range(1, n + 1):
+        floor = prev * (out[-1] if out else 1)
         g = 0
         done = False
         for rsel in combinations(range(n), size):
@@ -324,7 +326,7 @@ def snf_oracle_minor_gcds(a: HnfMatrix) -> tuple[int, ...]:
                 d = _det_bareiss(sub)
                 if d:
                     g = math.gcd(g, d)
-                    if g == prev:
+                    if g == floor:
                         done = True
                         break
             if done:

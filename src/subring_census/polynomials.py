@@ -2,8 +2,8 @@
 
 Rational functions are compared by cross-multiplication; no gcd reduction is
 ever attempted.  Power series expansion inverts denominators with constant
-term +-1 by truncated convolution, yielding coefficients that are exact
-polynomials in p.
+term +-1 by a forward recurrence over the exponent keys, yielding
+coefficients that are exact polynomials in p.
 """
 
 from __future__ import annotations
@@ -350,8 +350,10 @@ def expand(
     """Expand f as a power series in x, y, z up to the given bounds.
 
     The denominator must have constant term +-1 in (x, y, z): write it as
-    c0 (1 - g) with g free of constant term, then 1/(1 - g) = sum g^m; the
-    convolution is truncated at the bounds after every multiplication.
+    c0 (1 - g) with g free of constant term, so f = c0 num + g f.  Keys are
+    visited in lexicographic order, and every term of g moves a key to a
+    later one, so each coefficient is final when its key is visited; g times
+    it is then added into the keys it reaches within the bounds.
     Coefficients are exact polynomials in p.
     """
     if isinstance(bounds, int):
@@ -361,67 +363,50 @@ def expand(
         raise ValueError("bounds must be nonnegative")
     if total is None:
         total = bx + by + bz
+    elif total < 0:
+        raise ValueError("total must be nonnegative")
     const_terms = {e: c for e, c in f.den.terms.items() if e[1] == e[2] == e[3] == 0}
     if list(const_terms.keys()) != [(0, 0, 0, 0)] or const_terms[(0, 0, 0, 0)] not in (1, -1):
         raise ValueError("denominator constant term in (x, y, z) must be +1 or -1")
     c0 = const_terms[(0, 0, 0, 0)]
-    # den = c0 (1 - g)  =>  g has coefficient -c/c0 = -c*c0 at each nonconstant term
-    g_items = [
-        (-c * c0, e[0], e[1], e[2], e[3])
+
+    def inside(a: int, b: int, c: int) -> bool:
+        return a <= bx and b <= by and c <= bz and a + b + c <= total
+
+    # den = c0 (1 - g)  =>  g has coefficient -c/c0 = -c*c0 at each nonconstant
+    # term.  Only terms within the bounds are ever used; sorted by total degree,
+    # each key's scan stops at the first one past the total.
+    g_items = sorted(
+        (sum(e[1:]), e[1:], e[0], -c * c0)
         for e, c in f.den.terms.items()
-        if e[1] or e[2] or e[3]
-    ]
-
-    def trunc_num() -> dict[tuple[int, int, int], dict[int, int]]:
-        acc: dict[tuple[int, int, int], dict[int, int]] = {}
-        for e, c in f.num.terms.items():
-            a, b, cz = e[1], e[2], e[3]
-            if a > bx or b > by or cz > bz or a + b + cz > total:
-                continue
-            acc.setdefault((a, b, cz), {})[e[0]] = acc.get((a, b, cz), {}).get(e[0], 0) + c
-        return acc
-
-    def mul_g(acc: dict[tuple[int, int, int], dict[int, int]]):
-        out: dict[tuple[int, int, int], dict[int, int]] = {}
-        for (a, b, cz), pd in acc.items():
-            for gc, gp, gx, gy, gz in g_items:
-                na, nb, nc = a + gx, b + gy, cz + gz
-                if na > bx or nb > by or nc > bz or na + nb + nc > total:
-                    continue
-                target = out.setdefault((na, nb, nc), {})
-                for pe, c in pd.items():
-                    npe = pe + gp
-                    s = target.get(npe, 0) + c * gc
-                    if s:
-                        target[npe] = s
-                    else:
-                        target.pop(npe, None)
-        return {k: v for k, v in out.items() if v}
-
-    acc = trunc_num()
-    series: dict[tuple[int, int, int], dict[int, int]] = {}
-
-    def fold(src) -> None:
-        for key, pd in src.items():
-            target = series.setdefault(key, {})
-            for pe, c in pd.items():
-                s = target.get(pe, 0) + c
-                if s:
-                    target[pe] = s
-                else:
-                    target.pop(pe, None)
-
-    fold(acc)
-    for _ in range(total):
-        acc = mul_g(acc)
-        if not acc:
-            break
-        fold(acc)
-
-    coefficients = {
-        key: MPoly({(pe, 0, 0, 0): c * c0 for pe, c in pd.items()})
-        for key, pd in series.items()
-        if pd
-    }
-    coefficients = {k: v for k, v in coefficients.items() if not v.is_zero()}
+        if (e[1] or e[2] or e[3]) and inside(*e[1:])
+    )
+    # pending[(a, b, c)] maps p-exponents to the coefficient gathered so far
+    pending: dict[tuple[int, int, int], dict[int, int]] = {}
+    for e, c in f.num.terms.items():
+        if inside(*e[1:]):
+            pd = pending.setdefault(e[1:], {})
+            pd[e[0]] = pd.get(e[0], 0) + c * c0
+    coefficients: dict[tuple[int, int, int], MPoly] = {}
+    # every key within the bounds, in lexicographic order
+    keys = (
+        (a, b, c)
+        for a in range(bx + 1)
+        for b in range(min(by, total - a) + 1)
+        for c in range(min(bz, total - a - b) + 1)
+    )
+    for key in keys:
+        poly = MPoly({(pe, 0, 0, 0): c for pe, c in pending.pop(key, {}).items()})
+        if poly.is_zero():
+            continue
+        coefficients[key] = poly
+        room = total - sum(key)
+        for deg, (gx, gy, gz), gp, gc in g_items:
+            if deg > room:
+                break
+            succ = (key[0] + gx, key[1] + gy, key[2] + gz)
+            if inside(*succ):
+                pd = pending.setdefault(succ, {})
+                for e, c in poly.terms.items():
+                    pd[e[0] + gp] = pd.get(e[0] + gp, 0) + gc * c
     return SeriesTable((bx, by, bz), total, coefficients)

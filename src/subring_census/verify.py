@@ -874,6 +874,9 @@ SUITES: dict[str, Callable[[VerifyScope], list[CheckResult]]] = {
 
 def run_verify(scope: VerifyScope) -> list[CheckResult]:
     """Run the selected suites; check ids are unique across the run."""
+    unknown = sorted(set(scope.suites) - {"all", *SUITES})
+    if unknown:
+        raise ValueError(f"unknown suite {', '.join(unknown)}")
     results: list[CheckResult] = []
     for name, fn in SUITES.items():
         if scope.wants(name):

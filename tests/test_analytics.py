@@ -191,7 +191,62 @@ class TestEulerProduct:
         assert stats["rounding_bound"] > 1e-18
 
 
+# The local factors corank_probability spelled out by hand before they came
+# from _deviation: (1-u)^2 (1+2u), (1-u)^5 (1+5u), (1-u)^5 (1+u) (1+4u+6u^2).
+HAND_FACTORS = {
+    (3, 1): [1, 0, -3, 2],
+    (4, 1): [1, 0, -15, 40, -45, 24, -5],
+    (4, 2): [1, 0, -5, -4, 25, -16, -15, 20, -6],
+}
+
+
 class TestCorankProbabilities:
+    def test_deviation_matches_hand_factors(self):
+        for (n, k), coeffs in HAND_FACTORS.items():
+            assert an._deviation(n, k) == coeffs
+
+    def test_deviation_matches_list_convolution(self):
+        # the integer-list products tauberian_constant used before `_deviation`
+        from subring_census.counting import (
+            corank2_formula_coefficients, corank3_formula_coefficients)
+
+        def times_one_minus_u(coeffs, power):
+            for _ in range(power):
+                coeffs = [a - b for a, b in zip(coeffs + [0], [0] + coeffs)]
+            return coeffs
+
+        for n in range(2, 9):
+            m = math.comb(n, 2)
+            old = {1: times_one_minus_u([1, m - 1], m - 1)}
+            if n >= 3:
+                a, b = corank2_formula_coefficients(n)
+                old[2] = times_one_minus_u([1, m - 2, 2 * a + b - m, 2 - m, m - 2 * a - b - 1],
+                                           m - 2)
+            if n >= 4:
+                c, d = corank3_formula_coefficients(n)
+                old[3] = times_one_minus_u([1, m - 4, 6 + 2 * a + b + c - 3 * m,
+                                            -4 - 4 * a - 2 * b + 6 * c + 3 * d + 3 * m,
+                                            1 + 2 * a + b - 7 * c + 2 * d - m], m - 4)
+            for k, coeffs in old.items():
+                while coeffs[-1] == 0 and len(coeffs) > 1:
+                    coeffs.pop()
+                assert an._deviation(n, k) == coeffs, (n, k)
+
+    def test_matches_products_of_hand_factors(self):
+        def product(name, key, target):
+            spec = an.EulerProductSpec.from_inverse_p_polynomial(name, HAND_FACTORS[key])
+            return an.euler_product(spec, target)
+
+        z2 = an.zeta_int(2)
+        p31 = z2 * product("corank1-z3", (3, 1), 2e-6)
+        p41 = z2**3 * product("corank1-z4", (4, 1), 2e-5)
+        upto2 = z2**4 * product("corank12-z4", (4, 2), 1e-5)
+        expected = {(3, 1): p31, (3, 2): 1 - p31, (4, 1): p41, (4, 2): upto2 - p41,
+                    (4, 3): 1 - upto2}
+        for (n, k), v in expected.items():
+            got = an.corank_probability(n, k)
+            assert (got.value.hex(), got.bound.hex()) == (v.value.hex(), v.bound.hex())
+
     def test_rank2_trivial(self):
         assert an.corank_probability(2, 1).value == 1.0
         with pytest.raises(ValueError):

@@ -188,6 +188,39 @@ def test_flags_a_command_ignores_are_usage_errors(argv):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["series", "--id", "cotype_z4", "--bounds", "a,b,c"],
+        ["series", "--id", "cotype_z4", "--bounds", "1,2"],
+    ],
+)
+def test_malformed_arguments_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith("subring-census")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["series", "--id", "cotype_z4", "--total", "-1"],
+        ["census", "-n", "0", "-p", "2", "-e", "1"],
+        ["census", "-n", "3", "-p", "2", "-e", "-1"],
+        ["census", "-n", "3", "-p", "4", "-e", "0"],
+        ["verify", "--suite", "rpstar", "--suite", "nosuch"],
+    ],
+)
+def test_invalid_values_exit_2_with_one_line(capsys, tmp_path, argv):
+    if argv[0] == "census":
+        argv = argv + ["--cache-dir", str(tmp_path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_series_needs_n(capsys):
     code, _, err = run_cli(capsys, "series", "--id", "cocyclic_local")
     assert code == 2

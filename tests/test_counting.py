@@ -267,6 +267,14 @@ def append_cells(directory, cells):
 
 
 class TestLedgerPersistence:
+    @pytest.mark.parametrize("cell", [(3, 4, 0), (3, 1, 0), (3, 6, 0), (3, 2, -2), (0, 2, 1)])
+    def test_invalid_cell_rejected_before_lookup(self, tmp_path, cell):
+        led = CountLedger(tmp_path)
+        with pytest.raises(ValueError):
+            led.census(*cell)
+        assert list(tmp_path.iterdir()) == []
+        assert led.stats["misses"] == 0
+
     def test_cache_and_reload(self, tmp_path):
         led = CountLedger(tmp_path)
         r1 = led.census(3, 2, 3)

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from subring_census import hnf as hnf_module
 from subring_census.hnf import (
     Cotype,
     HnfMatrix,
@@ -183,6 +184,15 @@ class TestSmithForm:
         for n, p in ((2, 3), (3, 2), (4, 5)):
             m = canonical_rpstar(n, p)
             assert smith_normal_form(m.hnf) == (1,) + (p,) * (n - 1)
+
+    def test_oracle_stops_at_the_divisibility_floor(self, monkeypatch):
+        # the size-k scan ends once the gcd reaches s1...s(k-1) s(k-1); the
+        # previous level's gcd alone is never reached for cotype (1, 2, ..., 2)
+        calls = []
+        monkeypatch.setattr(hnf_module, "_det_bareiss",
+                            lambda m: calls.append(1) or _det_bareiss(m))
+        assert snf_oracle_minor_gcds(canonical_rpstar(6, 2).hnf) == (1, 2, 2, 2, 2, 2)
+        assert len(calls) == 121
 
     def test_oracle_size_guard(self):
         eye7 = hnf([[1 if i == j else 0 for j in range(7)] for i in range(7)])

@@ -192,3 +192,33 @@ class TestExpand:
     def test_coefficient_at(self):
         t = expand(RatFunc(ONE, ONE - P * X), (4, 0, 0))
         assert t.x_coefficient_at(3, 5) == 125
+
+    def test_negative_total_rejected(self):
+        with pytest.raises(ValueError):
+            expand(RatFunc(ONE, ONE - X), (3, 0, 0), total=-1)
+
+    @given(
+        small_polys(),
+        small_polys(),
+        st.sampled_from([1, -1]),
+        st.tuples(st.integers(0, 4), st.integers(0, 3), st.integers(0, 2)),
+        st.none() | st.integers(0, 9),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_series_times_denominator_is_numerator(self, num, g, c0, bounds, total):
+        # keep g free of constant term in x, y, z, so den has constant term c0
+        den = c0 + MPoly({e: c for e, c in g.terms.items() if any(e[1:])})
+        t = expand(RatFunc(num, den), bounds, total)
+        cap = sum(bounds) if total is None else total
+
+        def truncated(poly):
+            return MPoly({
+                e: c for e, c in poly.terms.items()
+                if all(k <= b for k, b in zip(e[1:], bounds)) and sum(e[1:]) <= cap
+            })
+
+        series = sum(
+            (poly * MPoly.monomial(1, 0, *key) for key, poly in t.coefficients.items()), MPoly()
+        )
+        assert truncated(series) == series
+        assert truncated(series * den) == truncated(num)

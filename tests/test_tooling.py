@@ -32,3 +32,13 @@ def test_tracer_call_sites_resolve():
         if not callable(getattr(tracing._site(lib, path), attr, None))
     ]
     assert missing == []
+
+
+def test_sieve_names_outside_call_sites_resolve():
+    # Tracer.installed also wraps analytics.iter_primes and analytics._sieve,
+    # and the constants workload empties analytics._sieve_cache before a pass
+    text = TRACING.read_text()
+    assert '("analytics", "iter_primes"' in text and '("analytics", "_sieve"' in text
+    analytics = importlib.import_module("subring_census.analytics")
+    assert callable(analytics.iter_primes) and callable(analytics._sieve)
+    assert isinstance(analytics._sieve_cache, bytearray)

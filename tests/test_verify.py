@@ -61,6 +61,11 @@ def test_full_corank_formula_suite_reports_refutations():
     assert by_id["corank3-weight-flag"].passed
 
 
+def test_unknown_suite_rejected():
+    with pytest.raises(ValueError, match="nosuch"):
+        run_verify(VerifyScope(suites=("rpstar", "nosuch")))
+
+
 def test_unknown_constant():
     with pytest.raises(KeyError):
         compute_constant("nope")
