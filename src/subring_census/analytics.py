@@ -258,10 +258,6 @@ class TailModelError(RuntimeError):
     """A sampled local factor deviated more than the declared tail model."""
 
 
-class EulerProductError(RuntimeError):
-    """The requested tolerance is unreachable."""
-
-
 @dataclass(frozen=True)
 class EulerProductSpec:
     """Product over primes of an exactly-evaluable local factor.
@@ -325,40 +321,27 @@ def _tail_log_bound(spec: EulerProductSpec, cutoff: int) -> float:
     return 2.0 * spec.tail_constant * cutoff ** (1 - t) / (t - 1)
 
 
-def euler_product(
-    spec: EulerProductSpec, target: float | None = None, stats: dict | None = None
-) -> BoundedValue:
+def euler_product(spec: EulerProductSpec, stats: dict | None = None) -> BoundedValue:
     """Evaluate the product over primes with a rigorous enclosure.
 
     A spec with coefficients takes the exact product over p <= Q and closes
-    it with the log series (see the module docstring); EulerProductError is
-    raised when that enclosure is wider than target.  Any other spec takes
-    the comparison-tail loop.  A passed stats dict receives head_cutoff,
-    head_primes, series_terms (the loop cutoff on the loop path) and the
-    parts tail_bound, zeta_bound and rounding_bound of the bound.
+    it with the log series (see the module docstring).  Any other spec takes
+    the comparison-tail loop over p <= spec.cutoff.  A passed stats dict
+    receives head_cutoff, head_primes, series_terms (the loop cutoff on the
+    loop path) and the parts tail_bound, zeta_bound and rounding_bound of
+    the bound.  Whether an enclosure is tight enough is for the caller to
+    judge.
     """
     if spec.tail_exponent < 2:
         raise ValueError("tail exponent must be at least 2")
     if spec.coefficients is None:
-        return _loop_product(spec, target, stats)
-    return _series_product(spec, target, stats)
+        return _loop_product(spec, stats)
+    return _series_product(spec, stats)
 
 
-def _loop_product(spec: EulerProductSpec, target: float | None, stats: dict | None) -> BoundedValue:
-    """The product over p <= cutoff, with the log of the rest bounded by comparison.
-
-    The cutoff doubles (from spec.cutoff's scale) until the tail enclosure
-    alone meets the target, capped at 2^27.
-    """
+def _loop_product(spec: EulerProductSpec, stats: dict | None) -> BoundedValue:
+    """The product over p <= cutoff, with the log of the rest bounded by comparison."""
     cutoff = spec.cutoff
-    if target is not None:
-        cutoff = min(cutoff, 1 << 14)
-        while _tail_log_bound(spec, cutoff) > target / 2 and cutoff < (1 << 27):
-            cutoff *= 2
-        if _tail_log_bound(spec, cutoff) > target / 2:
-            raise EulerProductError(
-                f"{spec.name}: cannot reach tail target {target} below the cutoff cap"
-            )
     value = 1.0
     count = 0
     c = spec.tail_constant * (1 + 1e-12)
@@ -383,7 +366,7 @@ def _log_coefficients(coeffs: tuple[int, ...], terms: int) -> list[Fraction]:
     return b
 
 
-def _series_product(spec: EulerProductSpec, target: float | None, stats: dict | None) -> BoundedValue:
+def _series_product(spec: EulerProductSpec, stats: dict | None) -> BoundedValue:
     coeffs = spec.coefficients
     d = len(coeffs) - 1
     # r0 = 2^-j, the largest with delta = sum |a_i| r0^i <= 1/2 (an integer test).
@@ -442,31 +425,24 @@ def _series_product(spec: EulerProductSpec, target: float | None, stats: dict | 
     bound = parts["tail_bound"] + parts["zeta_bound"] + parts["rounding_bound"]
     if stats is not None:
         stats.update(head_cutoff=cutoff, head_primes=len(primes), series_terms=terms_k, **parts)
-    if target is not None and bound > target:
-        raise EulerProductError(
-            f"{spec.name}: the reachable enclosure {bound:.3g} is wider than the target {target:g}"
-        )
     return BoundedValue(value, bound)
 
 
-def _poly_product(name: str, coeffs: list[int], target: float | None) -> BoundedValue:
+def _poly_product(name: str, coeffs: list[int]) -> BoundedValue:
     if coeffs[0] == 1 and not any(coeffs[1:]):
         # every local factor is exactly 1 (the cocyclic deviation at n = 2)
         return BoundedValue.exact(1)
-    return euler_product(EulerProductSpec.from_inverse_p_polynomial(name, coeffs), target)
+    return euler_product(EulerProductSpec.from_inverse_p_polynomial(name, coeffs))
 
 
-def corank_probability(n: int, k: int, target: float | None = None) -> BoundedValue:
-    """Limiting proportion of subrings of Z^n with corank exactly k (n <= 4).
-
-    target is the widest enclosure accepted from each Euler product.
-    """
+def corank_probability(n: int, k: int) -> BoundedValue:
+    """Limiting proportion of subrings of Z^n with corank exactly k (n <= 4)."""
     if n == 2:
         if k != 1:
             raise ValueError("every proper subring of Z^2 has corank 1")
         return BoundedValue(1.0, 0.0)
     if n == 3:
-        p31 = zeta_int(2) * _poly_product("corank1-z3", _deviation(3, 1), target or 2e-6)
+        p31 = zeta_int(2) * _poly_product("corank1-z3", _deviation(3, 1))
         if k == 1:
             return p31
         if k == 2:
@@ -474,10 +450,10 @@ def corank_probability(n: int, k: int, target: float | None = None) -> BoundedVa
         raise ValueError("proper subrings of Z^3 have corank 1 or 2")
     if n == 4:
         z2 = zeta_int(2)
-        p41 = z2**3 * _poly_product("corank1-z4", _deviation(4, 1), target or 2e-5)
+        p41 = z2**3 * _poly_product("corank1-z4", _deviation(4, 1))
         if k == 1:
             return p41
-        upto2 = z2**4 * _poly_product("corank12-z4", _deviation(4, 2), target or 1e-5)
+        upto2 = z2**4 * _poly_product("corank12-z4", _deviation(4, 2))
         if k == 2:
             return upto2 - p41
         if k == 3:
@@ -517,23 +493,29 @@ def _deviation(n: int, k: int) -> list[int]:
     return [poly.terms.get((0, j, 0, 0), 0) for j in range(poly.degrees()[1] + 1)]
 
 
-def tauberian_constant(n: int, k: int, target: float = 1e-4) -> BoundedValue:
+def tauberian_constant(n: int, k: int) -> BoundedValue:
     """Leading constant of the corank <= k accumulation growing like
-    C X (log X)^(C(n,2) - 1), for k in {1, 2, 3}."""
+    C X (log X)^(C(n,2) - 1), for k in {1, 2, 3}.
+
+    The enclosure is absolute and its relative width grows with C(n, 2):
+    the largest bound/value over k <= 3 is 1.6e-5 at n = 7, 4.2e-4 at
+    n = 8, 3.0e-2 at n = 9 and 0.61 at n = 10 (k = 3).  A comparison with
+    census counts must read bound/value, not the bound alone.
+    """
     if k not in (1, 2, 3):
         raise ValueError("constants are computed only for corank 1, 2, 3")
     if n <= k:
         raise ValueError("need n > k")
     lead = BoundedValue.exact(Fraction(1, math.factorial(binomial(n, 2) - 1)))
     name = {1: "cocyclic", 2: "corank2", 3: "corank3"}[k]
-    prod = _poly_product(f"{name}-constant-n{n}", _deviation(n, k), target)
+    prod = _poly_product(f"{name}-constant-n{n}", _deviation(n, k))
     if k == 2:
         return zeta_int(2) * lead * prod
     return lead * prod
 
 
-def tauberian_ratio(n: int, k_num: int, k_den: int, target: float = 1e-4) -> BoundedValue:
-    return tauberian_constant(n, k_num, target) / tauberian_constant(n, k_den, target)
+def tauberian_ratio(n: int, k_num: int, k_den: int) -> BoundedValue:
+    return tauberian_constant(n, k_num) / tauberian_constant(n, k_den)
 
 
 def _lattice_factor(n: int, k: int, p: int) -> tuple[int, int]:
@@ -571,7 +553,7 @@ def _lattice_factor(n: int, k: int, p: int) -> tuple[int, int]:
     return (num * p**low, den) if low >= 0 else (num, den * p**-low)
 
 
-def lattice_baseline(n: int, k: int, target: float = 1e-5) -> BoundedValue:
+def lattice_baseline(n: int, k: int) -> BoundedValue:
     """Proportion of sublattices of Z^n whose cokernel has rank at most k."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
@@ -586,7 +568,7 @@ def lattice_baseline(n: int, k: int, target: float = 1e-5) -> BoundedValue:
         tail_constant=c,
         cutoff=10**4,
     )
-    out = euler_product(spec, target=target)
+    out = euler_product(spec)
     return BoundedValue(out.value, out.bound + 1e-15)
 
 

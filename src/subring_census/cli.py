@@ -63,6 +63,8 @@ class RunConfig:
     suites: tuple[str, ...] = ()
     small: bool = False
     stretch: bool = False
+    prime: int | None = None
+    max_index: int | None = None
     recheck: bool = False
     node_budget: int = 10**9
     threads: int = 1
@@ -266,8 +268,8 @@ def cmd_verify(cfg: RunConfig) -> int:
         stretch=cfg.stretch,
         threads=cfg.threads,
         node_budget=cfg.node_budget,
-        prime=cfg.n,
-        max_index=cfg.e_range[1] if cfg.e_range else None,
+        prime=cfg.prime,
+        max_index=cfg.max_index,
         ledger=_ledger(cfg),
     )
     results = run_verify(scope)
@@ -287,11 +289,14 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def _parse_e_range(text: str) -> tuple[int, int]:
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return int(lo), int(hi)
-    e = int(text)
-    return e, e
+    parts = text.split(":", 1)
+    try:
+        lo, hi = int(parts[0]), int(parts[-1])
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected E or LO:HI integers, not {text!r}") from None
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"empty exponent range {text!r}: LO > HI")
+    return lo, hi
 
 
 def _parse_bounds(text: str) -> tuple[int, int, int]:
@@ -366,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--small", action="store_true", help="reduced desk-scale grids")
     sp.add_argument("--stretch", action="store_true", help="extended budget-gated grids")
     sp.add_argument("-p", "--prime", type=int, help="narrow the cotype-z4 suite to one prime")
-    sp.add_argument("--max-index", type=int, help="index bound for the cotype-z4 suite")
+    sp.add_argument("--max-index", type=int, help="index bound for the cotype-z4 suite (needs -p)")
     common(sp, search=True, cache=True)
 
     return parser
@@ -404,8 +409,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         cfg.suites = tuple(args.suite) or ("all",)
         cfg.small = args.small
         cfg.stretch = args.stretch
-        cfg.n = args.prime
-        cfg.e_range = (0, args.max_index) if args.max_index is not None else None
+        cfg.prime = args.prime
+        cfg.max_index = args.max_index
     return cfg
 
 

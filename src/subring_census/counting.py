@@ -88,7 +88,9 @@ class CensusRecord:
     engine_version: str
 
     def h_tilde(self, k: int) -> int:
-        """Count of subrings with corank at most k."""
+        """Count of subrings with corank at most k, for 0 <= k < n."""
+        if not 0 <= k < self.n:
+            raise ValueError(f"corank {k} is outside 0..{self.n - 1}")
         return sum(self.h_counts[: k + 1])
 
     def payload(self) -> dict:
@@ -403,6 +405,11 @@ class CountLedger:
             self._read_upto[n] = (size + len(line), lines + 1)
 
     def cached(self, n: int, p: int, e: int) -> CensusRecord | None:
+        """The kept record of (n, p, e), or None; an invalid cell raises ValueError."""
+        check_cell(n, p, e)
+        return self._lookup(n, p, e)
+
+    def _lookup(self, n: int, p: int, e: int) -> CensusRecord | None:
         key = (n, p, e)
         if key not in self._records:
             self._read_new(n)
@@ -429,7 +436,7 @@ class CountLedger:
         lookup, so nothing is appended.
         """
         check_cell(n, p, e)
-        cached = self.cached(n, p, e)
+        cached = self._lookup(n, p, e)
         if recheck:
             self.stats["rechecks"] += 1
         elif cached is not None:
@@ -750,8 +757,15 @@ def multiplicative_extend(
     ascending order of p^e, and every table is built from the records kept,
     over one `IndexSplit` of the indices.
     With compute=False, absent census records are reported (all of them, in a
-    MissingCensusError) instead of being enumerated on demand.
+    MissingCensusError) instead of being enumerated on demand.  n must be at
+    least 1, limit nonnegative and every corank in 0..n-1 (ValueError).
     """
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if limit < 0:
+        raise ValueError("need limit >= 0")
+    if any(not 0 <= k < n for k in coranks):
+        raise ValueError(f"coranks must lie in 0..{n - 1}")
     records: dict[tuple[int, int], CensusRecord] = {}
     missing: list[tuple[int, int, int]] = []
 

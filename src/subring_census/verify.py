@@ -68,8 +68,9 @@ class VerifyScope:
     """Which suites to run and at what scale.
 
     prime/max_index narrow the cotype-z4 grid to a single prime and index
-    bound; the other suites keep their stock grids.  threads reaches only the
-    full enumerations: the oracle's pruned runs and the invariants rechecks.
+    bound (max_index needs prime); the other suites keep their stock grids.
+    threads reaches only the full enumerations: the oracle's pruned runs and
+    the invariants rechecks.
     """
 
     suites: tuple[str, ...] = ("all",)
@@ -81,8 +82,16 @@ class VerifyScope:
     max_index: int | None = None
     ledger: CountLedger = field(default_factory=CountLedger)
 
+    def __post_init__(self) -> None:
+        if self.max_index is not None and self.prime is None:
+            raise ValueError("an index bound for the cotype-z4 suite needs its prime")
+
     def wants(self, name: str) -> bool:
         return "all" in self.suites or name in self.suites
+
+    def census(self, n: int, p: int, e: int, **kwargs):
+        """The ledger's census of (n, p, e) within this scope's node budget."""
+        return self.ledger.census(n, p, e, node_budget=self.node_budget, **kwargs)
 
 
 def _result(check_id, description, lhs, rhs, passed=None, note="") -> CheckResult:
@@ -106,10 +115,7 @@ def suite_cocyclic(scope: VerifyScope) -> list[CheckResult]:
     e_max = 3 if scope.small else 6
     for n in n_range:
         for p in p_range:
-            counts = [
-                scope.ledger.census(n, p, e, node_budget=scope.node_budget).h_counts[1]
-                for e in range(1, e_max + 1)
-            ]
+            counts = [scope.census(n, p, e).h_counts[1] for e in range(1, e_max + 1)]
             expected = [binomial(n, 2)] * e_max
             out.append(
                 _result(
@@ -130,46 +136,30 @@ def suite_cocyclic(scope: VerifyScope) -> list[CheckResult]:
 
 def suite_corank_formulas(scope: VerifyScope) -> list[CheckResult]:
     out = []
-    e2 = range(2, 4 if scope.small else 7)
-    e3 = range(3, 5 if scope.small else 7)
-    n2_range = (3, 4) if scope.small else (3, 4, 5, 6)
-    n3_range = (4,) if scope.small else (4, 5, 6)
-    for n in n2_range:
-        for p in (2, 3):
-            counts = [
-                scope.ledger.census(n, p, e, node_budget=scope.node_budget).h_counts[2]
-                for e in e2
-            ]
-            expected = [displayed_formula_h(n, 2, p, e) for e in e2]
-            out.append(
-                _result(
-                    f"corank2-closed-form/n={n}/p={p}",
-                    f"h(n={n}, k=2; {p}^e) equals a(n) g_3({p}^e) + b(n)(e-1)",
-                    counts,
-                    expected,
+    # k -> (exponents, dimensions, displayed form at p)
+    forms = {
+        2: (range(2, 4 if scope.small else 7), (3, 4) if scope.small else (3, 4, 5, 6),
+            "a(n) g_3({p}^e) + b(n)(e-1)"),
+        3: (range(3, 5 if scope.small else 7), (4,) if scope.small else (4, 5, 6),
+            "c(n) g_4({p}^e) + d(n) sum_j (j-1) g_3({p}^j)"),
+    }
+    for k, (e_range, n_range, form) in forms.items():
+        for n in n_range:
+            for p in (2, 3):
+                out.append(
+                    _result(
+                        f"corank{k}-closed-form/n={n}/p={p}",
+                        f"h(n={n}, k={k}; {p}^e) equals {form.format(p=p)}",
+                        [scope.census(n, p, e).h_counts[k] for e in e_range],
+                        [displayed_formula_h(n, k, p, e) for e in e_range],
+                    )
                 )
-            )
-    for n in n3_range:
-        for p in (2, 3):
-            counts = [
-                scope.ledger.census(n, p, e, node_budget=scope.node_budget).h_counts[3]
-                for e in e3
-            ]
-            expected = [displayed_formula_h(n, 3, p, e) for e in e3]
-            out.append(
-                _result(
-                    f"corank3-closed-form/n={n}/p={p}",
-                    f"h(n={n}, k=3; {p}^e) equals c(n) g_4({p}^e) + d(n) sum_j (j-1) g_3({p}^j)",
-                    counts,
-                    expected,
-                )
-            )
     # informational: the variant reading with the fixed argument g_3(p^3) in
     # place of g_3(p^e) disagrees with the census once e != 3.
-    n0, p0, e0 = n2_range[0], 2, 2
+    n0, p0, e0 = 3, 2, 2
     a, b = corank2_formula_coefficients(n0)
     variant = a * irreducible_count(3, p0, 3) + b * (e0 - 1)
-    true_count = scope.ledger.census(n0, p0, e0, node_budget=scope.node_budget).h_counts[2]
+    true_count = scope.census(n0, p0, e0).h_counts[2]
     out.append(
         _result(
             "corank2-variant-flag",
@@ -188,7 +178,7 @@ def suite_corank_formulas(scope: VerifyScope) -> list[CheckResult]:
             irreducible_count(3, 2, j) for j in range(2, 4)
         )
         weighted = displayed_formula_h(5, 3, 2, 4)
-        census_count = scope.ledger.census(5, 2, 4, node_budget=scope.node_budget).h_counts[3]
+        census_count = scope.census(5, 2, 4).h_counts[3]
         out.append(
             _result(
                 "corank3-weight-flag",
@@ -216,10 +206,7 @@ def suite_local_factors(scope: VerifyScope) -> list[CheckResult]:
             e_max = min(e_max, 4)
         table = expand(catalog(entry), (e_max, 0, 0))
         for p in p_range:
-            counts = [
-                scope.ledger.census(n, p, e, node_budget=scope.node_budget).f_count
-                for e in range(e_max + 1)
-            ]
+            counts = [scope.census(n, p, e).f_count for e in range(e_max + 1)]
             predicted = [table.x_coefficient_at(e, p) for e in range(e_max + 1)]
             out.append(
                 _result(
@@ -238,7 +225,7 @@ def suite_local_factors(scope: VerifyScope) -> list[CheckResult]:
 
 
 def _census_cotype_exponents(scope: VerifyScope, p: int, e: int) -> dict[tuple[int, int, int], int]:
-    record = scope.ledger.census(4, p, e, node_budget=scope.node_budget)
+    record = scope.census(4, p, e)
     return {Cotype(alphas).exponents(p): count for alphas, count in record.cotype_counts.items()}
 
 
@@ -492,9 +479,7 @@ def suite_invariants(scope: VerifyScope) -> list[CheckResult]:
     try:
         for n, p, emax in grids:
             for e in range(emax + 1):
-                record = scope.ledger.census(
-                    n, p, e, recheck=True, node_budget=scope.node_budget, threads=scope.threads
-                )
+                record = scope.census(n, p, e, recheck=True, threads=scope.threads)
                 checked += record.f_count
     except CensusValidationError as exc:
         violation = str(exc)
@@ -516,7 +501,7 @@ def suite_invariants(scope: VerifyScope) -> list[CheckResult]:
             for p in (2, 3):
                 emax = 3 if scope.small else 5
                 for e in range(k, emax + 1):
-                    h = scope.ledger.census(n, p, e, node_budget=scope.node_budget).h_counts[k]
+                    h = scope.census(n, p, e).h_counts[k]
                     lo, hi = sandwich_bounds(n, k, p, e)
                     if not lo <= h <= hi:
                         sandwich_ok = False
@@ -655,34 +640,30 @@ QUOTED_CONSTANTS: dict[str, tuple[float, float, str]] = {
 }
 
 
+# id -> the route that computes it; module attributes are looked up per call
+_CONSTANT_ROUTES: dict[str, Callable[[], analytics.BoundedValue]] = {
+    "p_R_3_1": lambda: analytics.corank_probability(3, 1),
+    "p_R_3_2": lambda: analytics.corank_probability(3, 2),
+    "p_R_4_1": lambda: analytics.corank_probability(4, 1),
+    "p_R_4_2": lambda: analytics.corank_probability(4, 2),
+    "p_R_4_3": lambda: analytics.corank_probability(4, 3),
+    "ratio_C_5_2_over_C_5_1": lambda: analytics.tauberian_ratio(5, 2, 1),
+    "ratio_C_5_3_over_C_5_1": lambda: analytics.tauberian_ratio(5, 3, 1),
+    "lattice_cocyclic_limit": lambda: analytics.lattice_baseline(50, 1),
+    "lattice_corank2_limit": lambda: analytics.lattice_baseline(50, 2),
+    "lattice_corank3_limit": lambda: analytics.lattice_baseline(50, 3),
+    "zeta_2": lambda: analytics.zeta_int(2),
+}
+
+
 def compute_constant(name: str) -> analytics.BoundedValue:
-    if name == "p_R_3_1":
-        return analytics.corank_probability(3, 1)
-    if name == "p_R_3_2":
-        return analytics.corank_probability(3, 2)
-    if name == "p_R_4_1":
-        return analytics.corank_probability(4, 1)
-    if name == "p_R_4_2":
-        return analytics.corank_probability(4, 2)
-    if name == "p_R_4_3":
-        return analytics.corank_probability(4, 3)
-    if name == "ratio_C_5_2_over_C_5_1":
-        return analytics.tauberian_ratio(5, 2, 1)
-    if name == "ratio_C_5_3_over_C_5_1":
-        return analytics.tauberian_ratio(5, 3, 1)
-    if name == "lattice_cocyclic_limit":
-        return analytics.lattice_baseline(50, 1)
-    if name == "lattice_corank2_limit":
-        return analytics.lattice_baseline(50, 2)
-    if name == "lattice_corank3_limit":
-        return analytics.lattice_baseline(50, 3)
-    if name == "zeta_2":
-        return analytics.zeta_int(2)
-    raise KeyError(f"unknown constant id {name!r}")
+    if name not in _CONSTANT_ROUTES:
+        raise KeyError(f"unknown constant id {name!r}")
+    return _CONSTANT_ROUTES[name]()
 
 
 def matches_quote(name: str, value: analytics.BoundedValue) -> bool:
-    """The pass rule for a quoted constant.
+    """The pass rule for a computed value against its quote.
 
     The quoted decimals themselves carry error at the tolerance scale, so the
     value must come within the tolerance of the quote and the enclosure must
@@ -691,6 +672,11 @@ def matches_quote(name: str, value: analytics.BoundedValue) -> bool:
     quoted, tol, kind = QUOTED_CONSTANTS[name]
     limit = tol * abs(quoted) if kind == "rel" else tol
     return abs(value.value - quoted) <= limit and value.bound <= limit
+
+
+def _agree(a: analytics.BoundedValue, b: analytics.BoundedValue, rel: float = 0.0) -> bool:
+    """The pass rule for two computed values: |a - b| <= rel |b| + both bounds."""
+    return abs(a.value - b.value) <= rel * abs(b.value) + a.bound + b.bound
 
 
 def suite_constants(scope: VerifyScope) -> list[CheckResult]:
@@ -708,54 +694,35 @@ def suite_constants(scope: VerifyScope) -> list[CheckResult]:
             )
         )
     z2 = analytics.zeta_int(2)
-    c32 = analytics.tauberian_constant(3, 2, target=2e-7)
-    ref32 = 1 / (2 * z2)
-    out.append(
-        _result(
-            "constants/C_3_2-closed-form",
-            "corank <= 2 accumulation constant of Z^3 equals 1/(2 zeta(2)) (relative 1e-6)",
-            round(c32.value, 10),
-            round(ref32.value, 10),
-            passed=abs(c32.value - ref32.value) <= 1e-6 * ref32.value + c32.bound + ref32.bound,
-            note=f"bounds {c32.bound:.3g} / {ref32.bound:.3g}",
+    closed_forms = (
+        (3, 2, 1 / (2 * z2), "1/(2 zeta(2))"),
+        (4, 3, 1 / (120 * z2**3), "1/(5! zeta(2)^3)"),
+    )
+    for n, k, ref, form in closed_forms:
+        c = analytics.tauberian_constant(n, k)
+        out.append(
+            _result(
+                f"constants/C_{n}_{k}-closed-form",
+                f"corank <= {k} accumulation constant of Z^{n} equals {form} (relative 1e-6)",
+                round(c.value, 10),
+                round(ref.value, 10),
+                passed=_agree(c, ref, 1e-6),
+                note=f"bounds {c.bound:.3g} / {ref.bound:.3g}",
+            )
         )
-    )
-    c43 = analytics.tauberian_constant(4, 3, target=2e-7)
-    ref43 = 1 / (120 * z2**3)
-    out.append(
-        _result(
-            "constants/C_4_3-closed-form",
-            "corank <= 3 accumulation constant of Z^4 equals 1/(5! zeta(2)^3) (relative 1e-6)",
-            round(c43.value, 10),
-            round(ref43.value, 10),
-            passed=abs(c43.value - ref43.value) <= 1e-6 * ref43.value + c43.bound + ref43.bound,
-            note=f"bounds {c43.bound:.3g} / {ref43.bound:.3g}",
+    for n in (3, 4):
+        total = analytics.corank_probability(n, 1)
+        for k in range(2, n):
+            total = total + analytics.corank_probability(n, k)
+        out.append(
+            _result(
+                f"constants/z{n}-probabilities-sum",
+                f"corank probabilities of Z^{n} sum to 1 within bounds",
+                round(total.value, 9),
+                1.0,
+                passed=_agree(total, analytics.BoundedValue(1.0, 0.0)),
+            )
         )
-    )
-    total = analytics.corank_probability(3, 1) + analytics.corank_probability(3, 2)
-    out.append(
-        _result(
-            "constants/z3-probabilities-sum",
-            "corank probabilities of Z^3 sum to 1 within bounds",
-            round(total.value, 9),
-            1.0,
-            passed=total.contains(1.0),
-        )
-    )
-    total4 = (
-        analytics.corank_probability(4, 1)
-        + analytics.corank_probability(4, 2)
-        + analytics.corank_probability(4, 3)
-    )
-    out.append(
-        _result(
-            "constants/z4-probabilities-sum",
-            "corank probabilities of Z^4 sum to 1 within bounds",
-            round(total4.value, 9),
-            1.0,
-            passed=total4.contains(1.0),
-        )
-    )
     out.append(
         _result(
             "constants/coprime-density-z3-p2",
@@ -784,7 +751,7 @@ def suite_rpstar(scope: VerifyScope) -> list[CheckResult]:
     n_range = (3, 4) if scope.small else (3, 4, 5)
     for n in n_range:
         for p in (2, 3):
-            record = scope.ledger.census(n, p, n - 1, node_budget=scope.node_budget)
+            record = scope.census(n, p, n - 1)
             key = tuple([p] * (n - 1))
             out.append(
                 _result(
@@ -804,7 +771,7 @@ def suite_rpstar(scope: VerifyScope) -> list[CheckResult]:
 def suite_stretch(scope: VerifyScope) -> list[CheckResult]:
     out = []
     try:
-        record = scope.ledger.census(6, 2, 7, node_budget=scope.node_budget)
+        record = scope.census(6, 2, 7)
         out.append(
             _result(
                 "stretch/z6-index-128",
@@ -825,7 +792,7 @@ def suite_stretch(scope: VerifyScope) -> list[CheckResult]:
     limit = 200 if not scope.small else 60
     try:
         table = multiplicative_extend(3, limit, scope.ledger, node_budget=scope.node_budget)
-        record22 = scope.ledger.census(3, 2, 2, node_budget=scope.node_budget)
+        record22 = scope.census(3, 2, 2)
         weight = record22.cotype_counts.get((2, 2), 0)
         # the 2-part of a qualifying subring is the unique cotype-(2,2)
         # subring of index 4, so indices are 4 * odd

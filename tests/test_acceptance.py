@@ -240,11 +240,11 @@ def test_criterion_8_numeric_constants():
         if abs(value.value - quoted) > limit or value.bound > limit:
             failures.append((name, value.value, quoted, value.bound))
     z2 = analytics.zeta_int(2)
-    c32 = analytics.tauberian_constant(3, 2, target=2e-7)
+    c32 = analytics.tauberian_constant(3, 2)
     ref32 = 1 / (2 * z2)
     if abs(c32.value - ref32.value) > 1e-6 * ref32.value + c32.bound + ref32.bound:
         failures.append(("C_3_2", c32.value, ref32.value, c32.bound))
-    c43 = analytics.tauberian_constant(4, 3, target=2e-7)
+    c43 = analytics.tauberian_constant(4, 3)
     ref43 = 1 / (120 * z2**3)
     if abs(c43.value - ref43.value) > 1e-6 * ref43.value + c43.bound + ref43.bound:
         failures.append(("C_4_3", c43.value, ref43.value, c43.bound))

@@ -193,6 +193,10 @@ def test_flags_a_command_ignores_are_usage_errors(argv):
     [
         ["series", "--id", "cotype_z4", "--bounds", "a,b,c"],
         ["series", "--id", "cotype_z4", "--bounds", "1,2"],
+        ["enumerate", "-n", "3", "-p", "2", "-e", "3:1"],
+        ["census", "-n", "3", "-p", "2", "-e", "3:1"],
+        ["census", "-n", "3", "-p", "2", "-e", "1:x"],
+        ["enumerate", "-n", "3", "-p", "2", "-e", "x"],
     ],
 )
 def test_malformed_arguments_are_usage_errors(capsys, argv):
@@ -210,6 +214,7 @@ def test_malformed_arguments_are_usage_errors(capsys, argv):
         ["census", "-n", "3", "-p", "2", "-e", "-1"],
         ["census", "-n", "3", "-p", "4", "-e", "0"],
         ["verify", "--suite", "rpstar", "--suite", "nosuch"],
+        ["verify", "--suite", "cotype-z4", "--max-index", "64"],
     ],
 )
 def test_invalid_values_exit_2_with_one_line(capsys, tmp_path, argv):
@@ -282,6 +287,19 @@ def test_config_round_trip():
     assert norm["disabled_rules"] == ["last-column"]
     # normalization is stable under re-normalization
     assert norm == json.loads(json.dumps(norm))
+
+
+def test_verify_prime_and_index_have_their_own_keys(capsys, tmp_path):
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "cotype-z4", "-p", "2", "--max-index", "16",
+        "--cache-dir", str(tmp_path),
+    )
+    doc = json.loads(out)
+    assert code == 0
+    assert (doc["config"]["prime"], doc["config"]["max_index"]) == (2, 16)
+    assert doc["config"]["n"] is None and doc["config"]["e_range"] is None
+    assert [c["id"] for c in doc["checks"]] == ["cotype-z4/chain-support", "cotype-z4/p=2"]
+    assert "2^4" in doc["checks"][1]["description"]
 
 
 def test_verify_all_small_touches_every_suite(capsys, tmp_path):

@@ -275,6 +275,11 @@ class TestLedgerPersistence:
         assert list(tmp_path.iterdir()) == []
         assert led.stats["misses"] == 0
 
+    @pytest.mark.parametrize("cell", [(3, 4, 0), (3, 2, -2), (0, 2, 1)])
+    def test_invalid_cell_rejected_by_cached(self, tmp_path, cell):
+        with pytest.raises(ValueError):
+            CountLedger(tmp_path).cached(*cell)
+
     def test_cache_and_reload(self, tmp_path):
         led = CountLedger(tmp_path)
         r1 = led.census(3, 2, 3)
@@ -524,6 +529,23 @@ class TestMultiplicative:
         with pytest.raises(MissingCensusError) as err:
             multiplicative_extend(3, 6, CountLedger(tmp_path), compute=False)
         assert err.value.missing == [(3, 2, 1), (3, 2, 2), (3, 3, 1), (3, 5, 1)]
+
+    def test_invalid_arguments_rejected(self, tmp_path):
+        ledger = CountLedger(tmp_path)
+        for kwargs in ({"compute": False}, {}):
+            with pytest.raises(ValueError, match="n >= 1"):
+                multiplicative_extend(0, 4, ledger, **kwargs)
+        with pytest.raises(ValueError, match="limit"):
+            multiplicative_extend(3, -3, ledger)
+        for coranks in ((3,), (5,), (-1,), (1, 3)):
+            with pytest.raises(ValueError, match="coranks"):
+                multiplicative_extend(3, 8, ledger, coranks=coranks)
+        assert list(tmp_path.iterdir()) == []
+        record = ledger.census(3, 2, 2)
+        assert record.h_tilde(2) == record.f_count
+        for k in (-1, 3):
+            with pytest.raises(ValueError, match="corank"):
+                record.h_tilde(k)
 
     def test_missing_after_partial_extend(self, tmp_path):
         multiplicative_extend(3, 4, CountLedger(tmp_path))

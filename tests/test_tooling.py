@@ -1,16 +1,21 @@
 """Guards on the benchmark's view of the package.
 
 The benchmark tracer in perfbench/tracing.py wraps library functions by
-module path and attribute name, and its own self-tests run outside this
-suite.  Here the tracer module is loaded read-only, without touching its
-state, so a renamed or deleted call site fails a test in this suite too.
+module path and attribute name, and the workloads in perfbench/workloads.py
+read `verify`'s constants table; the benchmark's own self-tests run outside
+this suite.  Here the tracer module is loaded read-only, without touching its
+state, and the workloads module is only parsed, so a renamed or deleted name
+fails a test in this suite too.
 """
 
+import ast
 import importlib
 from pathlib import Path
 from types import ModuleType, SimpleNamespace
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
+WORKLOADS = PERFBENCH / "workloads.py"
 
 
 def _load_tracing():
@@ -42,3 +47,27 @@ def test_sieve_names_outside_call_sites_resolve():
     analytics = importlib.import_module("subring_census.analytics")
     assert callable(analytics.iter_primes) and callable(analytics._sieve)
     assert isinstance(analytics._sieve_cache, bytearray)
+
+
+def _class_constant(path: Path, cls: str, name: str):
+    """The literal assigned to name in the body of class cls, read from source."""
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            for stmt in node.body:
+                targets = getattr(stmt, "targets", ())
+                if any(isinstance(t, ast.Name) and t.id == name for t in targets):
+                    return ast.literal_eval(stmt.value)
+    raise AssertionError(f"no literal {cls}.{name} in {path.name}")
+
+
+def test_constants_workload_ids_resolve():
+    # the constants-small workload unpacks QUOTED_CONSTANTS[id] as a
+    # (value, tolerance, kind) triple and calls compute_constant(id)
+    verify = importlib.import_module("subring_census.verify")
+    analytics = importlib.import_module("subring_census.analytics")
+    ids = _class_constant(WORKLOADS, "ConstantsSmall", "IDS")
+    assert ids
+    for name in ids:
+        quoted, tol, kind = verify.QUOTED_CONSTANTS[name]
+        assert isinstance(quoted, float) and isinstance(tol, float) and kind in ("abs", "rel")
+        assert isinstance(verify.compute_constant(name), analytics.BoundedValue), name
