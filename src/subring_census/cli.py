@@ -423,9 +423,22 @@ COMMANDS = {
 }
 
 
+def _attach_negative_bounds(argv: list[str]) -> list[str]:
+    """argv with "--bounds V" written "--bounds=V" when V starts with a minus
+    and a digit: argparse reads such a V (say -1,0,0) as an option, not as the
+    value, so the bounds check of `expand` would never see it."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--bounds" and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = f"--bounds={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_bounds(sys.argv[1:] if argv is None else argv))
     cfg = config_from_args(args)
     try:
         return COMMANDS[args.command](cfg)

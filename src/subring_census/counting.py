@@ -21,10 +21,12 @@ G_1 is the trivial block at j = 0, G_m is empty for j < m-1, and G_m(j) is
 counted at the leaves of the pruned search on full-support diagonals
 (corank m-1), through `enumeration.visit_subrings`, with no matrix list:
 each survivor's last column is checked to be all ones, its cotype is taken
-from the Smith form of its live (m-1) x (m-1) block (`_block_cotype`), and
-its live rows get the structural check.  `census(recheck=True)` still
-enumerates every diagonal of Z^n, certifies every leaf in full, takes full
-Smith forms and compares, so it stays the independent check.
+from the invariant factors of its live (m-1) x (m-1) block (`_block_cotype`:
+closed-form determinantal divisors up to 4 x 4, the elimination Smith form
+beyond), and its live rows get the structural check.
+`census(recheck=True)` still enumerates every diagonal of Z^n, certifies
+every leaf in full, takes full Smith forms by elimination and compares, so
+it stays the independent check, by a different algorithm for m <= 5.
 Per-corank counts h_{n,k}(p^e) are read off the record, as `h_counts[k]`.
 
 Composite-index counts are never enumerated: they are reconstructed
@@ -195,19 +197,63 @@ def _structural_check(entries: Sequence[Sequence[int]], corank: int, index: int)
                 raise CensusValidationError(f"last-column pair rule violated in {entries}")
 
 
+def _block_invariant_factors(block: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Invariant factors, ascending, of an s x s upper-triangular block with
+    positive diagonal.
+
+    The k-th factor is D_k / D_(k-1), D_k the gcd of the k x k minors.  The
+    block is triangular, so D_s is the product of its diagonal, and for
+    s <= 4 the orders 1, 2, s-1 and s cover every k: the minors are written
+    out (for s = 4, the 20 2 x 2 minors with rows r1 < r2 and columns
+    c1 < c2, r_i <= c_i, and the 10 cofactors of the upper-triangular
+    adjugate).  Larger blocks take `hnf.smith_normal_form`.
+    """
+    s = len(block)
+    gcd = math.gcd
+    if s == 1:
+        return (block[0][0],)
+    if s == 2:
+        (a, b), (_, d) = block
+        d1 = gcd(a, b, d)
+        return d1, a * d // d1
+    if s == 3:
+        (a, b, c), (_, d, e), (_, _, f) = block
+        d1 = gcd(a, b, c, d, e, f)
+        d2 = gcd(a * d, a * e, b * e - c * d, a * f, b * f, d * f)
+        return d1, d2 // d1, a * d * f // d2
+    if s == 4:
+        (a, b, c, d), (_, e, f, g), (_, _, h, i), (_, _, _, j) = block
+        d1 = gcd(a, b, c, d, e, f, g, h, i, j)
+        fi_gh = f * i - g * h
+        d2 = gcd(
+            a * e, a * f, a * g, b * f - c * e, b * g - d * e, c * g - d * f,
+            a * h, a * i, b * h, b * i, c * i - d * h, a * j, b * j, c * j,
+            e * h, e * i, fi_gh, e * j, f * j, h * j,
+        )
+        d3 = gcd(
+            e * h * j, a * h * j, a * e * j, a * e * h, b * h * j,
+            j * (b * f - c * e), b * fi_gh - c * e * i + d * e * h,
+            a * f * j, a * fi_gh, a * e * i,
+        )
+        return d1, d2 // d1, d3 // d2, a * e * h * j // d3
+    # looked up on the module, whose attribute perfbench/tracing.py wraps
+    return hnf.smith_normal_form(block)
+
+
 def _block_cotype(rows: Sequence[Sequence[int]], block: Sequence[Sequence[int]]) -> Cotype:
     """Cotype of an irreducible subring matrix [[B, 1], [0, 1]] from its
     (m-1) x (m-1) block B.
 
     Subtracting the last row from the others turns the matrix into
-    diag(B, 1), so the cotype is the reversed Smith diagonal of B.
-    `SubringMatrix.cotype` takes the full Smith form, the independent path
-    that `build_record` keeps.
+    diag(B, 1), so the cotype is the reversed list of B's invariant factors,
+    from its determinantal divisors when m <= 5
+    (`_block_invariant_factors`).  `SubringMatrix.cotype` takes the full
+    Smith form by elimination, the independent path that `build_record`
+    keeps.
     """
     if any(row[-1] != 1 for row in rows):
         raise CensusValidationError(f"last column entry is not 1 in {rows}")
-    # looked up on the module, whose attribute perfbench/tracing.py wraps
-    return Cotype(tuple(reversed(hnf.smith_normal_form(block))))
+    return Cotype(tuple(reversed(_block_invariant_factors(block))))
 
 
 def _count_cotype(
@@ -312,6 +358,7 @@ class CountLedger:
         self._records: dict[tuple[int, int, int], CensusRecord] = {}
         # per n: bytes of the log already parsed, and the lines in them
         self._read_upto: dict[int, tuple[int, int]] = {}
+        self._paths: dict[int, str] = {}
         self._irreducible: dict[tuple[int, int, int], dict[tuple[int, ...], int]] = {}
         self.stats = dict.fromkeys(
             ("hits", "misses", "rechecks", "irreducible_built", "irreducible_reused"), 0
@@ -320,11 +367,15 @@ class CountLedger:
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
 
-    def _file(self, n: int) -> Path:
-        assert self.directory is not None
-        return self.directory / f"census-n{n}.jsonl"
+    def _file(self, n: int) -> str:
+        """Path of the n-log, joined once per n."""
+        path = self._paths.get(n)
+        if path is None:
+            assert self.directory is not None
+            path = self._paths[n] = str(self.directory / f"census-n{n}.jsonl")
+        return path
 
-    def _parse_line(self, path: Path, lineno: int, line: bytes) -> CensusRecord:
+    def _parse_line(self, path: str, lineno: int, line: bytes) -> CensusRecord:
         """The verified record of one complete log line."""
         where = f"{path}:{lineno}"
         try:

@@ -37,6 +37,7 @@ build no matrix list (see `counting.CountLedger`).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import multiprocessing
 import sys
@@ -77,7 +78,9 @@ class BudgetExceededError(RuntimeError):
         return type(self), (self.nodes, self.budget)
 
 
+@functools.cache
 def is_prime(m: int) -> bool:
+    """Trial division; memoized, since every census cell proves its prime."""
     if m < 2:
         return False
     if m % 2 == 0:
@@ -432,9 +435,12 @@ def _diagonal_task(args: tuple[EnumSpec, tuple[int, ...]]) -> tuple[list[Rows], 
 def _diagonals_for_spec(spec: EnumSpec) -> list[tuple[int, ...]]:
     if spec.diagonal is not None:
         return [tuple(spec.diagonal)]
+    k = spec.corank
+    if spec.mode == "pruned" and k == spec.n - 1:
+        # full support: every part positive
+        return compositions(spec.e, k, strict=True)
     exps_list = compositions(spec.e, spec.n - 1, strict=False)
-    if spec.mode == "pruned" and spec.corank is not None:
-        k = spec.corank
+    if spec.mode == "pruned" and k is not None:
         exps_list = [t for t in exps_list if sum(1 for v in t if v > 0) == k]
     return exps_list
 

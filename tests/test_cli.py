@@ -210,6 +210,8 @@ def test_malformed_arguments_are_usage_errors(capsys, argv):
     "argv",
     [
         ["series", "--id", "cotype_z4", "--total", "-1"],
+        ["series", "--id", "cotype_z4", "--bounds", "-1,0,0"],
+        ["series", "--id", "cotype_z4", "--bounds=-1,0,0"],
         ["census", "-n", "0", "-p", "2", "-e", "1"],
         ["census", "-n", "3", "-p", "2", "-e", "-1"],
         ["census", "-n", "3", "-p", "4", "-e", "0"],

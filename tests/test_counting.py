@@ -1,8 +1,10 @@
 import json
 import multiprocessing
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subring_census import counting, hnf
 from subring_census.counting import (
@@ -199,10 +201,27 @@ class TestDecomposition:
         assert record.counts_equal(full) and record.checksum() == full.checksum()
 
 
+@st.composite
+def triangular_blocks(draw):
+    """Upper-triangular s x s blocks, s <= 4, with positive diagonal and
+    signed entries above it; prime-power diagonals give deep divisor chains."""
+    s = draw(st.integers(1, 4))
+    diag = st.one_of(
+        st.integers(1, 400),
+        st.builds(pow, st.sampled_from([2, 3]), st.integers(0, 8)),
+    )
+    above = st.one_of(st.integers(-200, 200), st.integers(-50, 50).map(lambda v: 4 * v))
+    return [
+        [draw(diag) if j == i else draw(above) if j > i else 0 for j in range(s)]
+        for i in range(s)
+    ]
+
+
 class TestBlockCotype:
-    # G_m(j) is counted at the search leaf, each cotype taken from the Smith
-    # form of the (m-1) x (m-1) block; its histogram must be that of the full
-    # Smith forms, and each of those must agree with the minor-gcd oracle.
+    # G_m(j) is counted at the search leaf, each cotype taken from the
+    # invariant factors of the (m-1) x (m-1) block; its histogram must be that
+    # of the full Smith forms, and each of those must agree with the minor-gcd
+    # oracle.
 
     def test_matches_full_smith_form_and_minor_gcds(self):
         seen = 0
@@ -220,6 +239,34 @@ class TestBlockCotype:
                         )
                     seen += len(matrices)
         assert seen > 5000
+
+    @given(triangular_blocks())
+    @settings(max_examples=400, deadline=None)
+    def test_divisor_forms_match_smith_form_and_minor_gcds(self, block):
+        # blocks up to 4 x 4 take the written-out determinantal divisors;
+        # the oracle reads only n and entries, and signed entries are no HnfMatrix
+        s = len(block)
+        rows = [row + [1] for row in block] + [[0] * s + [1]]
+        got = counting._block_cotype(rows, block).alphas
+        assert got == tuple(reversed(hnf.smith_normal_form(block)))
+        oracle = snf_oracle_minor_gcds(SimpleNamespace(n=s, entries=block))
+        assert got == tuple(reversed(oracle))
+
+    def test_miss_takes_no_smith_form_and_recheck_one_per_matrix(self, monkeypatch):
+        # the miss and its recheck must run different algorithms
+        calls = [0]
+        smith = hnf.smith_normal_form
+
+        def counted(a):
+            calls[0] += 1
+            return smith(a)
+
+        monkeypatch.setattr(hnf, "smith_normal_form", counted)
+        led = CountLedger()
+        record = led.census(5, 2, 7)
+        assert calls[0] == 0 and record.g_count > 0
+        led.census(5, 2, 7, recheck=True)
+        assert calls[0] >= record.f_count
 
     def test_rejects_last_column_entry_other_than_one(self):
         # a subring matrix, but not an irreducible one

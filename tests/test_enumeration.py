@@ -495,6 +495,16 @@ class TestBudget:
         assert self._threaded_budget_error(budget) == first_over
 
 
+def test_full_support_diagonals_are_strict_compositions():
+    # listed directly, they must equal the filtered weak compositions, in order
+    from subring_census.combinatorics import compositions
+
+    for n in range(2, 9):
+        for e in range(13):
+            listed = _diagonals_for_spec(EnumSpec(n, 2, e, corank=n - 1))
+            assert listed == [t for t in compositions(e, n - 1) if all(t)], (n, e)
+
+
 @given(st.integers(0, 4), st.sampled_from([2, 3]))
 @settings(max_examples=20, deadline=None)
 def test_every_emitted_matrix_certifies(e, p):
