@@ -15,15 +15,18 @@ span):
   as each support-block entry is placed, on the principal sub-block it
   completes, so a subtree is cut at the first entry that breaks closure.
   Only the top row of that check involves the entry: the rest is solved once
-  per prefix, and each candidate value is tested by at most s-r congruences.
-  On a diagonal whose support is not full, or with any rule off, every
-  survivor still receives the full certificate, so there the rules only have
-  to be sound.  On a full-support diagonal with every rule on, the rules
-  carry closure: exactly_one_one makes the last column all ones, so it is
-  set in the template rather than searched, and the block-entry checks at
-  r = 0 prove col(B) closed under products, so the leaf checks the identity
-  alone and the rules must also be complete.  The naive engine (through
-  n = 4), census rechecks and `permutation_gaps` check that completeness.
+  per prefix, which leaves one congruence mod B[r][r] per later column.  The
+  s-r-1 that are linear in the entry are solved to one residue class, and
+  only its members are tested by the last, quadratic one, so the search is
+  handed the accepted values of the entry and tries no other.  On a diagonal
+  whose support is not full, or with any rule off, every survivor still
+  receives the full certificate, so there the rules only have to be sound.
+  On a full-support diagonal with every rule on, the rules carry closure:
+  exactly_one_one makes the last column all ones, so it is set in the
+  template rather than searched, and the block-entry checks at r = 0 prove
+  col(B) closed under products, so the leaf checks the identity alone and
+  the rules must also be complete.  The naive engine (through n = 4), census
+  rechecks and `permutation_gaps` check that completeness.
 
 `visit_subrings` is the one serial driver of both engines: it walks the
 diagonals under one node budget, prints the `--progress` lines and hands
@@ -33,12 +36,19 @@ with threads > 1) and returns them in canonical order: diagonal composition
 in lexicographic order, then column-major entry order, independent of rule
 toggles and worker count.  Census misses count cotypes with a visitor and
 build no matrix list (see `counting.CountLedger`).
+
+A search node is one value placed at one entry, or one leaf reached.  Every
+value of an entry's domain is a node, also one a later rule then rejects,
+except at support-block entries with the irreducible-block rule on: there
+only the accepted values are placed, so only they are nodes.  The node
+budget and the `--progress` lines count these.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import multiprocessing
 import sys
 from dataclasses import dataclass, field, fields
@@ -122,8 +132,12 @@ class PruneRuleSet:
         with block columns r..s, cut to block rows r..s, lie in the span of
         the principal sub-block B[r..s, r..s].  The product with column r
         always does; for each later column, block rows r+1..s are solved
-        once per prefix, and a candidate value of the entry is tested by
-        one congruence mod B[r, r] per column, at most s-r in all.
+        once per prefix, which leaves one congruence mod B[r, r] on the
+        entry.  Those of the columns before s are linear and are solved,
+        narrowing the class 0 mod p; that of column s is quadratic and is
+        tested on each member of the class left.  Only the values that
+        pass are placed, so with this rule on a block entry's nodes are its
+        accepted values.
 
     On a diagonal whose support is not full, and whenever any rule is off,
     every survivor still receives the full definitional certificate, so the
@@ -262,10 +276,28 @@ def _naive_for_diagonal(
     return out
 
 
-def _entry_test(block: list[list[int]], r: int, s: int) -> Callable[[int], bool]:
-    """Test of the value v of block entry (r, s), given every entry placed
-    before it: the products of block column s with block columns r..s, cut
-    to rows r..s, lie in the span of the principal sub-block block[r..s][r..s].
+def _narrow(base: int, step: int, a: int, k: int, mod: int) -> tuple[int, int] | None:
+    """The members v of the class base mod step with a*v = k (mod mod), as a
+    class (base', step') with 0 <= base' < step', or None when there are none.
+
+    Writing v = base + step*x turns the congruence into (a*step)*x = k -
+    a*base (mod mod), which with g = gcd(a*step, mod) is solvable iff g
+    divides the right-hand side, and then fixes x mod mod/g.
+    """
+    g = math.gcd(a * step, mod)
+    rhs = k - a * base
+    if rhs % g:
+        return None
+    m = mod // g
+    x = rhs // g * pow(a * step // g, -1, m) % m
+    return (base + step * x) % (step * m), step * m
+
+
+def _entry_values(block: list[list[int]], r: int, s: int, p: int) -> list[int]:
+    """The multiples v of p in [0, block[r][r]) that block entry (r, s) may
+    take, ascending, given every entry placed before it: those for which the
+    products of block column s with block columns r..s, cut to rows r..s,
+    lie in the span of the principal sub-block block[r..s][r..s].
 
     A block whose columns span a ring has every principal sub-block closed:
     columns 0..s span col(B) meet (Z^(s+1) x 0), an ideal, and projecting to
@@ -273,40 +305,31 @@ def _entry_test(block: list[list[int]], r: int, s: int) -> Callable[[int], bool]
 
     The product with column r is v times column r, so it always lies in the
     span.  For r < t <= s, rows r+1..s of the triangular system for the
-    product with column t do not contain v; their solution c[r+1..s] is
-    found once, the first time a candidate reaches t, and when it fails no
-    candidate passes.  A candidate then passes at t iff the top row's
+    product with column t do not contain v; when their solution c[r+1..s]
+    fails, no value passes.  Otherwise v passes at t iff the top row's
     residue v*block[r][t] - sum_{r<j<s} block[r][j]*c[j] - v*c[s] is 0 mod
-    block[r][r], with block[r][t] read as v when t = s.  So each candidate
-    costs at most s-r congruences.
+    P = block[r][r].  For t < s that congruence is linear in v, and each one
+    narrows the class v = 0 mod p (`_narrow`); for t = s block[r][t] is v
+    itself, and the quadratic condition is tested on each member of the
+    class that is left.
     """
     top = block[r]
     pivot = top[r]
     sub = [row[r + 1 : s + 1] for row in block[r + 1 : s + 1]]
     last = [row[-1] for row in sub]
-    width = s - r
-    # t = r+1+u -> (sum_{r<j<s} block[r][j]*c[j], c[s]), or None when rows
-    # r+1..s have no solution
-    solved: dict[int, tuple[int, int] | None] = {}
-
-    def accepts(v: int) -> bool:
-        for u in range(width):
-            if u not in solved:
-                c = _solve_rows(sub, [x * row[u] for x, row in zip(last, sub)])
-                if c is None:
-                    solved[u] = None
-                else:
-                    solved[u] = (sum(a * b for a, b in zip(top[r + 1 : s], c)), c[-1])
-            cond = solved[u]
-            if cond is None:
-                return False
-            known, c_s = cond
-            top_t = v if u == width - 1 else top[r + 1 + u]
-            if (v * (top_t - c_s) - known) % pivot:
-                return False
-        return True
-
-    return accepts
+    base, step = 0, p
+    for u in range(s - r):
+        c = _solve_rows(sub, [x * row[u] for x, row in zip(last, sub)])
+        if c is None:
+            return []
+        known = sum(a * b for a, b in zip(top[r + 1 : s], c))
+        c_s = c[-1]
+        if u < s - r - 1:
+            narrowed = _narrow(base, step, top[r + 1 + u] - c_s, known, pivot)
+            if narrowed is None:
+                return []
+            base, step = narrowed
+    return [v for v in range(base, pivot, step) if (v * (v - c_s) - known) % pivot == 0]
 
 
 def _pruned_for_diagonal(
@@ -373,18 +396,14 @@ def _pruned_for_diagonal(
         i, j = positions[idx]
         row_i = rows[i]
         at = block_at[idx]
-        check_block = rule_block and at is not None
-        if check_block:
-            accepts = _entry_test(block, *at)
-        for v in domains[idx]:
+        values = _entry_values(block, *at, p) if rule_block and at is not None else domains[idx]
+        for v in values:
             counter[0] += 1
             if counter[0] > budget:
                 raise BudgetExceededError(counter[0], budget)
             row_i[j] = v
             if at is not None:
                 block[at[0]][at[1]] = v
-                if check_block and (v % p or not accepts(v)):
-                    continue
             if j == last_col:
                 if rule_one and sum(1 for jj in unit_cols[i] if row_i[jj] == 1) != 1:
                     continue

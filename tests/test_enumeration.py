@@ -8,7 +8,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import subring_census
 from subring_census import enumeration
@@ -20,7 +20,8 @@ from subring_census.enumeration import (
     PruneRuleSet,
     _diagonal_task,
     _diagonals_for_spec,
-    _entry_test,
+    _entry_values,
+    _narrow,
     enumerate_irreducible,
     enumerate_subrings,
     permutation_gaps,
@@ -246,9 +247,9 @@ class TestSubBlockCheck:
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_entry_test_matches_oracle(self, p):
-        # One test per (r, s), built before block[r][s] holds a candidate and
-        # reused across candidates as in the search; it must accept exactly
-        # the values the full sub-block solve accepts.
+        # The values returned for (r, s), computed before block[r][s] holds
+        # one as in the search, must be exactly the multiples of p that the
+        # full sub-block solve accepts, in ascending order.
         rng = random.Random(100 + p)
         seen = {"rows below fail": 0, "accepted": 0, "rejected": 0}
         for k in range(2, 6):
@@ -260,19 +261,50 @@ class TestSubBlockCheck:
                         block[r][s] = rng.randrange(0, block[r][r], p)
                 for s in range(1, k):
                     for r in range(s):
-                        accepts = _entry_test(block, r, s)
+                        kept = block[r][s]
+                        block[r][s] = 0
+                        got = _entry_values(block, r, s, p)
                         rows_below_fail = not _sub_block_closed(block, r + 1, s)
                         seen["rows below fail"] += rows_below_fail
-                        kept = block[r][s]
+                        closed = []
                         for v in range(0, block[r][r], p):
                             block[r][s] = v
-                            closed = _sub_block_closed(block, r, s)
-                            assert accepts(v) == closed, (block, r, s, v)
-                            assert not (closed and rows_below_fail)
-                            if not rows_below_fail:
-                                seen["accepted" if closed else "rejected"] += 1
+                            if _sub_block_closed(block, r, s):
+                                closed.append(v)
+                        assert got == closed, (block, r, s)
+                        assert not (closed and rows_below_fail)
+                        if not rows_below_fail:
+                            seen["accepted"] += len(closed)
+                            seen["rejected"] += block[r][r] // p - len(closed)
                         block[r][s] = kept
         assert min(seen.values()) >= 20, seen
+
+
+@given(
+    st.integers(-20, 20),
+    st.integers(1, 12),
+    st.integers(-30, 30),
+    st.integers(-30, 30),
+    st.integers(1, 40),
+)
+# gcd(a, mod) > 1 with a solvable and an unsolvable right-hand side, a
+# modulus of 1, and a congruence every member of the class already meets
+@example(0, 2, 4, 8, 16)
+@example(0, 2, 4, 2, 16)
+@example(3, 5, 7, 2, 1)
+@example(0, 8, 3, 0, 8)
+@settings(max_examples=300, deadline=None)
+def test_narrow_matches_brute_force(base, step, a, k, mod):
+    # the members of base mod step with a*v = k (mod mod), over one period
+    period = step * mod
+    brute = [v for v in range(period) if (v - base) % step == 0 and (a * v - k) % mod == 0]
+    got = _narrow(base, step, a, k, mod)
+    if got is None:
+        assert brute == []
+    else:
+        b, m = got
+        assert 0 <= b < m and period % m == 0
+        assert brute == list(range(b, period, m))
 
 
 def uncertified(matrices):
@@ -300,12 +332,14 @@ class TestIdentityLeaf:
 
     @pytest.mark.parametrize("s0", [1, 2])
     def test_dropped_top_entry_test_is_caught(self, monkeypatch, s0):
-        # accepting every value at (0, s0) lets non-subrings through the
-        # leaf; both the certificate and the permutation closure see them
-        def accept_all_at_s0(block, r, s):
-            return (lambda v: True) if (r, s) == (0, s0) else _entry_test(block, r, s)
+        # yielding every multiple of p at (0, s0) lets non-subrings through
+        # the leaf; both the certificate and the permutation closure see them
+        def every_multiple_at_s0(block, r, s, p):
+            if (r, s) == (0, s0):
+                return list(range(0, block[r][r], p))
+            return _entry_values(block, r, s, p)
 
-        monkeypatch.setattr(enumeration, "_entry_test", accept_all_at_s0)
+        monkeypatch.setattr(enumeration, "_entry_values", every_multiple_at_s0)
         survivors = enumerate_subrings(EnumSpec(4, 2, 6, corank=3))
         assert uncertified(survivors)
         assert permutation_gaps(survivors)
@@ -408,22 +442,22 @@ class TestDeterminism:
 
 class TestBudget:
     def test_node_count_pin(self):
-        # the irreducible-block rule's entry test decides which subtrees are
-        # cut, so a change to it that keeps the output can still move this.
-        # 31064 nodes while the last column of full-support diagonals was
-        # searched: 0 and 1 at each of its 3 entries per survivor.
+        # the irreducible-block rule's entry values decide which subtrees are
+        # cut, so a change to them that keeps the output can still move this
         counter = [0]
         enumerate_subrings(EnumSpec(4, 2, 11), counter)
-        assert counter[0] == 31064 - 6 * len(enumerate_irreducible(4, 2, 11))
+        assert counter[0] == 5598
 
     def test_last_column_searched_unless_every_rule_on(self):
         # The full-support cell's node counts with the last column searched;
         # only with every rule on is it set, 2 * 3 nodes fewer per survivor.
+        # With irreducible_block on, a block entry's node count is its
+        # accepted values, so turning block_divisibility off costs nothing.
         searched = {
-            "zero_one_outside_support": 637,
-            "exactly_one_one": 1268,
-            "block_divisibility": 805,
-            "last_column": 637,
+            "zero_one_outside_support": 591,
+            "exactly_one_one": 1222,
+            "block_divisibility": 591,
+            "last_column": 591,
             "irreducible_block": 1315,
         }
         expected = entries(enumerate_subrings(EnumSpec(4, 2, 6, corank=3)))
@@ -435,7 +469,7 @@ class TestBudget:
             assert counter[0] == nodes, name
         counter = [0]
         enumerate_subrings(EnumSpec(4, 2, 6, corank=3), counter)
-        assert counter[0] == 637 - 6 * 67
+        assert counter[0] == 591 - 6 * 67
 
     def test_budget_exhaustion(self):
         with pytest.raises(BudgetExceededError):
@@ -488,7 +522,7 @@ class TestBudget:
         # diagonal that takes the sum past the budget, not after the last.
         spec = EnumSpec(n=4, p=2, e=11)
         used = [_diagonal_task((spec, t))[1] for t in _diagonals_for_spec(spec)]
-        budget = 20000
+        budget = sum(used) // 2
         assert max(used) < budget < sum(used)
         first_over = next(total for total in itertools.accumulate(used) if total > budget)
         assert first_over < sum(used)

@@ -5,15 +5,24 @@ module path and attribute name, and the workloads in perfbench/workloads.py
 read `verify`'s constants table; the benchmark's own self-tests run outside
 this suite.  Here the tracer module is loaded read-only, without touching its
 state, and the workloads module is only parsed, so a renamed or deleted name
-fails a test in this suite too.
+fails a test in this suite too.  The per-cell search table of
+scripts/search_nodes.py gets a smoke run.
 """
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType, SimpleNamespace
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+import subring_census
+from subring_census.enumeration import enumerate_irreducible
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
 WORKLOADS = PERFBENCH / "workloads.py"
 
@@ -71,3 +80,17 @@ def test_constants_workload_ids_resolve():
         quoted, tol, kind = verify.QUOTED_CONSTANTS[name]
         assert isinstance(quoted, float) and isinstance(tol, float) and kind in ("abs", "rel")
         assert isinstance(verify.compute_constant(name), analytics.BoundedValue), name
+
+
+def test_search_nodes_script_counts_the_cell():
+    src = str(Path(subring_census.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "search_nodes.py"), "4,2,6", "--diagonals"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    (cell,) = json.loads(done.stdout.splitlines()[-1])
+    assert (cell["m"], cell["p"], cell["j"]) == (4, 2, 6)
+    assert cell["matrices"] == len(enumerate_irreducible(4, 2, 6))
+    assert cell["nodes"] == sum(d["nodes"] for d in cell["diagonals"]) > cell["matrices"]
