@@ -10,9 +10,10 @@ u = 1/p (a_1 = 0) are split at a head cutoff Q (H. Cohen, "High precision
 computation of Hardy-Littlewood constants", 1991).  The head, the product
 over p <= Q, is exact: an integer fraction rounded once.  The tail is
 exp(sum_{k=2..K} b_k P_Q(k)), with b_k the exact log-series coefficients of
-f and P_Q(k) = sum_{p>Q} p^-k = sum_m mu(m)/m log zeta_Q(mk), where
-zeta_Q(s) = zeta(s) prod_{p<=Q} (1 - p^-s) and zeta comes from
-Euler-Maclaurin summation.  Q and K depend on the coefficients alone: for
+f and P_Q(k) = sum_{p>Q} p^-k = sum_m mu(m)/m log zeta_Q(mk), with mu
+factored by `combinatorics.smallest_prime_factor`, where zeta_Q(s) =
+zeta(s) prod_{p<=Q} (1 - p^-s) and zeta comes from Euler-Maclaurin
+summation.  Q and K depend on the coefficients alone: for
 the radius r0 = 2^-j with delta = sum |a_j| r0^j <= 1/2 the Cauchy bound
 |b_k| <= -log(1 - delta) r0^-k <= log(2) r0^-k holds, Q = 64/r0, and K is
 the first order whose dropped terms k > K sum below 2^-61 on the log scale.
@@ -23,6 +24,9 @@ Any other factor is opaque and keeps the comparison-tail loop, the slow
 oracle of the series path: each local factor is 1 + c(p)/p^t with
 |c(p)| <= tail_constant for all p, and the log of the tail past the cutoff P
 is enclosed by comparison with sum_{m > P} m^{-t} <= P^(1-t)/(t-1).
+
+The Cohen-Lenstra side of the comparison is `lattice_baseline`, the share
+of sublattices of Z^n whose cokernel has rank at most k.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .catalog import catalog
-from .combinatorics import binomial
+from .combinatorics import binomial, smallest_prime_factor
 from .counting import corank2_formula_coefficients, corank3_formula_coefficients
 from .polynomials import X
 
@@ -142,10 +146,6 @@ def iter_primes(limit: int):
             yield m
 
 
-def primes_up_to(limit: int) -> list[int]:
-    return list(iter_primes(limit))
-
-
 # B_2j for j = 1..10 as (numerator, denominator).
 _BERNOULLI = (
     (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66),
@@ -196,15 +196,14 @@ _HEAD_MARGIN = 6
 
 
 def _mobius(m: int) -> int:
-    out, q = 1, 2
-    while q * q <= m:
+    out = 1
+    while m > 1:
+        q = smallest_prime_factor(m)
+        m //= q
         if m % q == 0:
-            m //= q
-            if m % q == 0:
-                return 0
-            out = -out
-        q += 1
-    return -out if m > 1 else out
+            return 0
+        out = -out
+    return out
 
 
 def _log_zeta_rough(sigma: int, primes: tuple[int, ...]) -> tuple[float, float, float]:
@@ -570,48 +569,6 @@ def lattice_baseline(n: int, k: int) -> BoundedValue:
     )
     out = euler_product(spec)
     return BoundedValue(out.value, out.bound + 1e-15)
-
-
-def abelian_p_group_aut_order(p: int, partition: tuple[int, ...]) -> int:
-    """Order of the automorphism group of the abelian p-group of the given type.
-
-    Classical formula in terms of the ascending exponent list e_1 <= ... <= e_r
-    with runs [c_k, d_k] of equal exponents:
-        prod_k (p^{d_k} - p^{k - 1})
-      * prod_j p^{e_j (r - d_j)}
-      * prod_i p^{(e_i - 1)(r - c_i + 1)}
-    """
-    if any(a < 1 for a in partition):
-        raise ValueError("partition parts must be >= 1")
-    e = sorted(partition)
-    r = len(e)
-    if r == 0:
-        return 1
-    d = [max(l for l in range(r) if e[l] == e[kk]) + 1 for kk in range(r)]
-    c = [min(l for l in range(r) if e[l] == e[kk]) + 1 for kk in range(r)]
-    out = 1
-    for kk in range(r):
-        out *= p ** d[kk] - p**kk
-    for j in range(r):
-        out *= p ** (e[j] * (r - d[j]))
-    for i in range(r):
-        out *= p ** ((e[i] - 1) * (r - c[i] + 1))
-    return out
-
-
-def cohen_lenstra_mass(n: int, p: int, partition: tuple[int, ...]) -> BoundedValue:
-    """Probability of the abelian p-group of the given type under the rank <= n
-    cokernel distribution: (1/#Aut) prod_{i<=n}(1-p^-i) prod_{n-r<i<=n}(1-p^-i)."""
-    r = len(partition)
-    if r > n:
-        raise ValueError("partition rank exceeds n")
-    aut = abelian_p_group_aut_order(p, partition) if partition else 1
-    value = Fraction(1, aut)
-    for i in range(1, n + 1):
-        value *= 1 - Fraction(1, p**i)
-    for i in range(n - r + 1, n + 1):
-        value *= 1 - Fraction(1, p**i)
-    return BoundedValue.exact(value)
 
 
 def coprime_index_ratio_exact(n: int, p: int) -> Fraction:

@@ -1,11 +1,15 @@
-"""Exact combinatorial primitives: binomial coefficients and compositions.
+"""Exact combinatorial primitives: binomial coefficients, compositions and
+trial division.
 
 Everything here is plain Python integer arithmetic, so counts are exact at
-any size and values are safe to share across threads.
+any size and values are safe to share across threads.  `smallest_prime_factor`
+is the package's one trial-division loop: every primality and factor test
+goes through it or through `is_prime`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 
@@ -47,3 +51,19 @@ def compositions(total: int, parts: int, strict: bool = False) -> list[tuple[int
 
     rec([], total, parts)
     return out
+
+
+def smallest_prime_factor(m: int) -> int:
+    """The least prime dividing m >= 2, by trial division up to isqrt(m)."""
+    if m < 2:
+        raise ValueError("smallest_prime_factor requires m >= 2")
+    for f in range(2, math.isqrt(m) + 1):
+        if m % f == 0:
+            return f
+    return m
+
+
+@functools.cache
+def is_prime(m: int) -> bool:
+    """Whether m is prime; memoized, since every census cell proves its prime."""
+    return m >= 2 and smallest_prime_factor(m) == m

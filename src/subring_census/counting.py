@@ -47,7 +47,7 @@ from typing import Sequence
 
 from . import hnf
 from .catalog import irreducible_count
-from .combinatorics import binomial
+from .combinatorics import binomial, is_prime
 from .enumeration import (
     ENGINE_VERSION,
     EnumSpec,
@@ -695,7 +695,7 @@ def smallest_prime_factors(limit: int) -> list[int]:
     """
     spf = list(range(limit + 1))
     root = math.isqrt(limit)
-    small = [i for i in range(2, root + 1) if all(i % d for d in range(2, math.isqrt(i) + 1))]
+    small = [i for i in range(2, root + 1) if is_prime(i)]
     for p in reversed(small):
         spf[p * p :: p] = [p] * len(range(p * p, limit + 1, p))
     return spf

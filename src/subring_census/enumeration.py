@@ -23,10 +23,11 @@ span):
   receives the full certificate, so there the rules only have to be sound.
   On a full-support diagonal with every rule on, the rules carry closure:
   exactly_one_one makes the last column all ones, so it is set in the
-  template rather than searched, and the block-entry checks at r = 0 prove
-  col(B) closed under products, so the leaf checks the identity alone and
-  the rules must also be complete.  The naive engine (through n = 4), census
-  rechecks and `permutation_gaps` check that completeness.
+  template rather than searched, where it is the identity, and the
+  block-entry checks at r = 0 prove col(B) closed under products, so the
+  leaf checks nothing and the rules must also be complete.  The naive
+  engine (through n = 4), census rechecks and `permutation_gaps` check that
+  completeness.
 
 `visit_subrings` is the one serial driver of both engines: it walks the
 diagonals under one node budget, prints the `--progress` lines and hands
@@ -46,7 +47,6 @@ budget and the `--progress` lines count these.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import multiprocessing
@@ -54,7 +54,7 @@ import sys
 from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
-from .combinatorics import compositions
+from .combinatorics import compositions, is_prime
 # is_irreducible_rows and is_subring_rows are not called here;
 # perfbench/tracing.py wraps both as call sites of this module
 from .hnf import (
@@ -86,21 +86,6 @@ class BudgetExceededError(RuntimeError):
         # a pool worker sends the error to the parent pickled; the default
         # rebuilds from self.args, which hold only the message
         return type(self), (self.nodes, self.budget)
-
-
-@functools.cache
-def is_prime(m: int) -> bool:
-    """Trial division; memoized, since every census cell proves its prime."""
-    if m < 2:
-        return False
-    if m % 2 == 0:
-        return m == 2
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def check_cell(n: int, p: int, e: int) -> None:
@@ -142,12 +127,13 @@ class PruneRuleSet:
     On a diagonal whose support is not full, and whenever any rule is off,
     every survivor still receives the full definitional certificate, so the
     rules only have to be sound.  With every rule on, a full-support
-    diagonal skips the leaf's product checks: exactly_one_one makes the last
-    column all ones and the irreducible_block checks at r = 0 certify the
-    block, so there the rules must be complete too.  There the last column
-    is also set to ones instead of searched, which saves 2(n-1) nodes per
-    survivor (a 0 and a 1 tried at each of its n-1 entries); under any
-    other rule subset it is searched, and node counts are as before.
+    diagonal skips the whole leaf certificate: exactly_one_one makes the
+    last column all ones, which is the identity, and the irreducible_block
+    checks at r = 0 certify the block, so there the rules must be complete
+    too.  There the last column is also set to ones instead of searched,
+    which saves 2(n-1) nodes per survivor (a 0 and a 1 tried at each of its
+    n-1 entries); under any other rule subset it is searched, and node
+    counts are as before.
     """
 
     zero_one_outside_support: bool = True
@@ -175,6 +161,8 @@ class EnumSpec:
     matrices are filtered post hoc by their Smith-form corank, so comparing
     the two modes exercises the support-equals-corank fact rather than
     assuming it.  Corank n-1 selects exactly the irreducible subrings.
+    diagonal, n-1 nonnegative exponents summing to e, restricts the search to
+    that one diagonal; a corank given with it still applies.
     """
 
     n: int
@@ -197,6 +185,8 @@ class EnumSpec:
         if self.diagonal is not None:
             if len(self.diagonal) != self.n - 1:
                 raise ValueError("diagonal filter must have n-1 parts")
+            if any(v < 0 for v in self.diagonal):
+                raise ValueError("diagonal filter parts must be nonnegative")
             if sum(self.diagonal) != self.e:
                 raise ValueError("diagonal filter must sum to e")
         if self.node_budget < 1:
@@ -349,10 +339,10 @@ def _pruned_for_diagonal(
     last_col = n - 1
 
     # On a full-support diagonal with every rule on, exactly_one_one makes the
-    # last column all ones, so it is set in the template and not searched; and
-    # the entry tests at (0, s), each run once column s holds its final
-    # values, prove col(B) closed under products: together they certify the
-    # products, so the leaf checks the identity alone.
+    # last column all ones, so it is set in the template and not searched, and
+    # the identity is that column; the entry tests at (0, s), each run once
+    # column s holds its final values, prove col(B) closed under products, so
+    # the leaf checks nothing.
     closure_proved = len(support) == n - 1 and rules == PruneRuleSet()
     if closure_proved:
         for i in support:
@@ -388,8 +378,8 @@ def _pruned_for_diagonal(
             counter[0] += 1
             if counter[0] > budget:
                 raise BudgetExceededError(counter[0], budget)
-            if _identity_check_support(rows, support, powers, n) and (
-                closure_proved or products_in_span(rows)
+            if closure_proved or (
+                _identity_check_support(rows, support, powers, n) and products_in_span(rows)
             ):
                 visit(rows, block)
             return
@@ -452,13 +442,14 @@ def _diagonal_task(args: tuple[EnumSpec, tuple[int, ...]]) -> tuple[list[Rows], 
 
 
 def _diagonals_for_spec(spec: EnumSpec) -> list[tuple[int, ...]]:
-    if spec.diagonal is not None:
-        return [tuple(spec.diagonal)]
     k = spec.corank
-    if spec.mode == "pruned" and k == spec.n - 1:
+    if spec.diagonal is not None:
+        exps_list = [tuple(spec.diagonal)]
+    elif spec.mode == "pruned" and k == spec.n - 1:
         # full support: every part positive
         return compositions(spec.e, k, strict=True)
-    exps_list = compositions(spec.e, spec.n - 1, strict=False)
+    else:
+        exps_list = compositions(spec.e, spec.n - 1, strict=False)
     if spec.mode == "pruned" and k is not None:
         exps_list = [t for t in exps_list if sum(1 for v in t if v > 0) == k]
     return exps_list

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence, TextIO
 
+from .combinatorics import smallest_prime_factor
+
 
 @dataclass(frozen=True)
 class HnfMatrix:
@@ -50,9 +52,6 @@ class HnfMatrix:
 
     def det(self) -> int:
         return math.prod(self.diagonal)
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self.entries[i][j] for i in range(self.n))
 
 
 def _solve_rows(rows: Sequence[Sequence[int]], w: Sequence[int]) -> tuple[int, ...] | None:
@@ -191,7 +190,9 @@ class Cotype:
         return sum(1 for a in self.alphas if a > 1)
 
     def exponents(self, p: int) -> tuple[int, ...]:
-        """p-adic valuations of the invariant factors (requires p-power entries)."""
+        """p-adic valuations of the invariant factors (p >= 2, p-power entries)."""
+        if p < 2:
+            raise ValueError("p-adic valuations need p >= 2")
         out = []
         for a in self.alphas:
             e = 0
@@ -404,12 +405,7 @@ def _prime_power_base(m: int) -> int | None:
         r = _iroot(m, k)
         if r > 1 and r**k == m:
             break
-    f = 2
-    while f * f <= r:
-        if r % f == 0:
-            return None
-        f += 1
-    return r
+    return r if smallest_prime_factor(r) == r else None
 
 
 def diagonal_support_corank(a: SubringMatrix) -> int:

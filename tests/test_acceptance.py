@@ -21,7 +21,7 @@ from subring_census.enumeration import (
     EnumSpec,
     enumerate_subrings,
 )
-from subring_census.hnf import HnfMatrix, smith_normal_form, snf_oracle_minor_gcds
+from subring_census.hnf import Cotype, HnfMatrix, smith_normal_form, snf_oracle_minor_gcds
 from subring_census.polynomials import MPoly, expand
 from subring_census.verify import (
     QUOTED_CONSTANTS,
@@ -113,14 +113,7 @@ def _cotype_census_exponents(p: int, emax: int) -> dict[tuple[int, int, int], in
     for e in range(emax + 1):
         record = LEDGER.census(4, p, e)
         for alphas, count in record.cotype_counts.items():
-            exps = []
-            for a in alphas:
-                v = 0
-                while a % p == 0:
-                    a //= p
-                    v += 1
-                exps.append(v)
-            out[tuple(exps)] = count
+            out[Cotype(alphas).exponents(p)] = count
     return out
 
 

@@ -46,8 +46,8 @@ class TestBoundedValue:
 
 class TestPrimesAndZeta:
     def test_primes(self):
-        assert an.primes_up_to(20) == [2, 3, 5, 7, 11, 13, 17, 19]
-        assert an.primes_up_to(1) == []
+        assert list(an.iter_primes(20)) == [2, 3, 5, 7, 11, 13, 17, 19]
+        assert list(an.iter_primes(1)) == []
 
     def test_zeta2(self):
         z = an.zeta_int(2)
@@ -296,32 +296,9 @@ class TestLatticeBaseline:
 
         for n in (3, 50):
             for k in range(4):
-                for p in an.primes_up_to(200):
+                for p in an.iter_primes(200):
                     num, den = an._lattice_factor(n, k, p)
                     assert Fraction(num, den) == reference(n, k, p), (n, k, p)
-
-
-class TestGroupMass:
-    def test_aut_orders(self):
-        assert an.abelian_p_group_aut_order(3, (1, 1)) == 48
-        assert an.abelian_p_group_aut_order(5, (1,)) == 4
-        assert an.abelian_p_group_aut_order(5, (2,)) == 20
-        assert an.abelian_p_group_aut_order(2, (2, 1)) == 8
-        assert an.abelian_p_group_aut_order(2, (1, 1, 1)) == 168
-
-    def test_trivial_group_limit(self):
-        v = an.cohen_lenstra_mass(60, 2, ())
-        assert abs(v.value - 0.2887880951) < 1e-9
-
-    def test_total_mass_rank1(self):
-        total = an.cohen_lenstra_mass(1, 2, ()).value + sum(
-            an.cohen_lenstra_mass(1, 2, (j,)).value for j in range(1, 64)
-        )
-        assert abs(total - 1.0) < 1e-12
-
-    def test_rank_guard(self):
-        with pytest.raises(ValueError):
-            an.cohen_lenstra_mass(1, 2, (1, 1))
 
 
 class TestCoprimeAndExponent:

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from subring_census.combinatorics import binomial, compositions
+from subring_census.combinatorics import binomial, compositions, is_prime, smallest_prime_factor
 
 
 def test_binomial_values():
@@ -56,3 +56,27 @@ def test_composition_counts(e, m):
     else:
         assert compositions(e, m, strict=True) == []
 
+
+def _least_divisors(limit: int) -> list[int]:
+    """least[j] is the first d >= 2 dividing j, marked by every d in turn."""
+    least = [0] * (limit + 1)
+    for d in range(2, limit + 1):
+        for j in range(d, limit + 1, d):
+            if not least[j]:
+                least[j] = d
+    return least
+
+
+def test_smallest_prime_factor_matches_brute_force():
+    least = _least_divisors(10**5)
+    assert all(smallest_prime_factor(m) == least[m] for m in range(2, 10**5 + 1))
+    assert [m for m in range(-3, 2000) if is_prime(m)] == [
+        m for m in range(2, 2000) if least[m] == m
+    ]
+
+
+def test_prime_tests_below_two():
+    for m in range(-3, 2):
+        assert not is_prime(m)
+        with pytest.raises(ValueError):
+            smallest_prime_factor(m)

