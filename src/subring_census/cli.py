@@ -6,7 +6,8 @@ produce byte-identical reports apart from the timestamp field.
 
 Exit codes: 0 all requested checks pass; 1 at least one verification failure
 (a failed check, or a census recheck that finds a stale cache); 2 usage
-error; 3 node budget exhausted.
+error, or a path that cannot be written or used as the cache directory;
+3 node budget exhausted.
 """
 
 from __future__ import annotations
@@ -102,8 +103,12 @@ def _jsonable(value):
 
 def _atomic_write(path: Path, text: str) -> None:
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except OSError:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _emit(report: dict, cfg: RunConfig) -> None:
@@ -448,7 +453,7 @@ def main(argv: list[str] | None = None) -> int:
     except CensusValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

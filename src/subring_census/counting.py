@@ -23,7 +23,9 @@ counted at the leaves of the pruned search on full-support diagonals
 each survivor's last column is checked to be all ones, its cotype is taken
 from the invariant factors of its live (m-1) x (m-1) block (`_block_cotype`:
 closed-form determinantal divisors up to 4 x 4, the elimination Smith form
-beyond), and its live rows get the structural check.
+beyond), and its live rows get the structural check.  The cotype comes from
+a table kept for the one G_m(j) search, so each distinct cotype is built and
+validated once, at its first leaf; every matrix is still checked.
 `census(recheck=True)` still enumerates every diagonal of Z^n, certifies
 every leaf in full, takes full Smith forms by elimination and compares, so
 it stays the independent check, by a different algorithm for m <= 5.
@@ -171,20 +173,29 @@ def _structural_check(entries: Sequence[Sequence[int]], corank: int, index: int)
     prime-power index the corank is the number of non-unit diagonal entries.
     """
     n = len(entries)
-    support = tuple(i for i in range(n) if entries[i][i] > 1)
-    if math.prod(entries[i][i] for i in range(n)) != index:
+    last = n - 1
+    support = []
+    det = 1
+    for i, row in enumerate(entries):
+        d = row[i]
+        det *= d
+        if d > 1:
+            support.append(i)
+    if det != index:
         raise CensusValidationError(f"determinant is not {index} for {entries}")
     if corank != len(support):
         raise CensusValidationError(f"corank != diagonal support for {entries}")
-    for i in range(n):
-        if entries[i][n - 1] not in (0, 1):
+    for row in entries:
+        if row[last] not in (0, 1):
             raise CensusValidationError(f"last column entry outside {{0,1}} in {entries}")
+    supp = set(support)
     for i in support:
+        row = entries[i]
         ones = 0
         for j in range(i + 1, n):
-            if j in support:
+            if j in supp:
                 continue
-            v = entries[i][j]
+            v = row[j]
             if v == 1:
                 ones += 1
             elif v != 0:
@@ -192,8 +203,10 @@ def _structural_check(entries: Sequence[Sequence[int]], corank: int, index: int)
         if ones != 1:
             raise CensusValidationError(f"support row without exactly one 1 in {entries}")
     for ai, i in enumerate(support):
+        row = entries[i]
+        one = row[last] == 1
         for j in support[ai + 1 :]:
-            if (entries[i][n - 1] == 1) != (entries[j][n - 1] == 1) and entries[i][j] != 0:
+            if (entries[j][last] == 1) != one and row[j] != 0:
                 raise CensusValidationError(f"last-column pair rule violated in {entries}")
 
 
@@ -240,9 +253,13 @@ def _block_invariant_factors(block: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return hnf.smith_normal_form(block)
 
 
-def _block_cotype(rows: Sequence[Sequence[int]], block: Sequence[Sequence[int]]) -> Cotype:
-    """Cotype of an irreducible subring matrix [[B, 1], [0, 1]] from its
-    (m-1) x (m-1) block B.
+def _block_cotype(
+    rows: Sequence[Sequence[int]],
+    block: Sequence[Sequence[int]],
+    table: dict[tuple[int, ...], tuple[Cotype, int]],
+) -> tuple[Cotype, int]:
+    """Cotype and corank of an irreducible subring matrix [[B, 1], [0, 1]]
+    from its (m-1) x (m-1) block B.
 
     Subtracting the last row from the others turns the matrix into
     diag(B, 1), so the cotype is the reversed list of B's invariant factors,
@@ -250,18 +267,33 @@ def _block_cotype(rows: Sequence[Sequence[int]], block: Sequence[Sequence[int]])
     (`_block_invariant_factors`).  `SubringMatrix.cotype` takes the full
     Smith form by elimination, the independent path that `build_record`
     keeps.
+
+    The last column is checked on every call.  table maps invariant factors
+    to their cotype and its corank: a `Cotype` is built, and so validated,
+    only the first time its factors appear in the table.
     """
-    if any(row[-1] != 1 for row in rows):
-        raise CensusValidationError(f"last column entry is not 1 in {rows}")
-    return Cotype(tuple(reversed(_block_invariant_factors(block))))
+    for row in rows:
+        if row[-1] != 1:
+            raise CensusValidationError(f"last column entry is not 1 in {rows}")
+    factors = _block_invariant_factors(block)
+    entry = table.get(factors)
+    if entry is None:
+        ct = Cotype(factors[::-1])
+        entry = table[factors] = (ct, ct.corank)
+    return entry
 
 
 def _count_cotype(
-    cotypes: dict[tuple[int, ...], int], entries: Sequence[Sequence[int]], ct: Cotype, index: int
+    cotypes: dict[tuple[int, ...], int],
+    entries: Sequence[Sequence[int]],
+    alphas: tuple[int, ...],
+    corank: int,
+    index: int,
 ) -> None:
-    """Count one matrix of index p^e under its cotype, after its structural check."""
-    _structural_check(entries, ct.corank, index)
-    cotypes[ct.alphas] = cotypes.get(ct.alphas, 0) + 1
+    """Count one matrix of index p^e under its cotype alphas, after its
+    structural check."""
+    _structural_check(entries, corank, index)
+    cotypes[alphas] = cotypes.get(alphas, 0) + 1
 
 
 def _record_from_cotypes(
@@ -299,7 +331,8 @@ def build_record(
     index = p**e
     cotypes: dict[tuple[int, ...], int] = {}
     for m in matrices:
-        _count_cotype(cotypes, m.entries, m.cotype(), index)
+        ct = m.cotype()
+        _count_cotype(cotypes, m.entries, ct.alphas, ct.corank, index)
     return _record_from_cotypes(n, p, e, cotypes, mode, rules)
 
 
@@ -563,9 +596,12 @@ class CountLedger:
         # partial entry
         index = p**j
         cotypes: dict[tuple[int, ...], int] = {}
+        # each distinct cotype of the search, built and validated once
+        table: dict[tuple[int, ...], tuple[Cotype, int]] = {}
 
         def count(rows, block):
-            _count_cotype(cotypes, rows, _block_cotype(rows, block), index)
+            ct, corank = _block_cotype(rows, block, table)
+            _count_cotype(cotypes, rows, ct.alphas, corank, index)
 
         visit_subrings(EnumSpec(m, p, j, corank=m - 1, **opts), count, counter)
         self._irreducible[key] = cotypes

@@ -29,6 +29,12 @@ span):
   engine (through n = 4), census rechecks and `permutation_gaps` check that
   completeness.
 
+What a diagonal's search needs that depends only on its shape -- n, the
+support and the rules, not p or the exponents -- is planned once per shape
+and kept (`_diagonal_plan`): the fill positions, whether the rules prove
+closure there, the support layout and each position's domain kind.  Each
+diagonal builds only its template rows, powers, block and domain ranges.
+
 `visit_subrings` is the one serial driver of both engines: it walks the
 diagonals under one node budget, prints the `--progress` lines and hands
 each survivor's live rows and support block to a visitor.
@@ -47,12 +53,13 @@ budget and the `--progress` lines count these.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import multiprocessing
 import sys
 from dataclasses import dataclass, field, fields
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .combinatorics import compositions, is_prime
 # is_irreducible_rows and is_subring_rows are not called here;
@@ -89,7 +96,11 @@ class BudgetExceededError(RuntimeError):
 
 
 def check_cell(n: int, p: int, e: int) -> None:
-    """Raise ValueError unless (n, p, e) names a census cell: n >= 1, p prime, e >= 0."""
+    """Raise ValueError unless (n, p, e) names a census cell: integers (not
+    bools) with n >= 1, p prime and e >= 0."""
+    for name, value in (("n", n), ("p", p), ("e", e)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} = {value!r} is not an integer")
     if n < 1:
         raise ValueError("need n >= 1")
     if not is_prime(p):
@@ -322,6 +333,65 @@ def _entry_values(block: list[list[int]], r: int, s: int, p: int) -> list[int]:
     return [v for v in range(base, pivot, step) if (v * (v - c_s) - known) % pivot == 0]
 
 
+# domain kinds of a searched position: multiples of p below its row's power,
+# {0, 1}, or every residue below that power
+_BLOCK, _ZERO_ONE, _FULL = "block", "01", "full"
+
+
+class _DiagonalPlan(NamedTuple):
+    """What the search of a diagonal needs that depends only on its shape:
+    n, the support and the rules, not p or the exponents.  Entries are
+    tuples, so one plan is shared by every diagonal of that shape."""
+
+    positions: tuple[tuple[int, int], ...]
+    closure_proved: bool
+    # per row i: unit_cols[i] the columns j > i outside the support,
+    # supp_after[i] the support indices j > i (empty off the support)
+    unit_cols: tuple[tuple[int, ...], ...]
+    supp_after: tuple[tuple[int, ...], ...]
+    # per position: its (row, column) in the support block, or None
+    block_at: tuple[tuple[int, int] | None, ...]
+    kinds: tuple[str, ...]
+
+
+@functools.cache
+def _diagonal_plan(n: int, support: tuple[int, ...], rules: PruneRuleSet) -> _DiagonalPlan:
+    """The search plan of every diagonal of Z^n with this support under rules."""
+    supp_set = set(support)
+    last_col = n - 1
+    positions = _fill_positions(n, support)
+
+    # On a full-support diagonal with every rule on, exactly_one_one makes the
+    # last column all ones, so it is set in the template and not searched, and
+    # the identity is that column; the entry tests at (0, s), each run once
+    # column s holds its final values, prove col(B) closed under products, so
+    # the leaf checks nothing.
+    closure_proved = len(support) == n - 1 and rules == PruneRuleSet()
+    if closure_proved:
+        positions = [(i, j) for i, j in positions if j != last_col]
+
+    unit_cols = tuple(
+        tuple(j for j in range(i + 1, n) if j not in supp_set) if i in supp_set else ()
+        for i in range(n)
+    )
+    supp_after = tuple(tuple(j for j in support if j > i) for i in range(n))
+    block_idx = {i: r for r, i in enumerate(support)}
+    block_at = tuple(
+        (block_idx[i], block_idx[j]) if j in supp_set else None for i, j in positions
+    )
+    kinds = []
+    for i, j in positions:
+        if j in supp_set:
+            kinds.append(_BLOCK if rules.block_divisibility else _FULL)
+        elif rules.zero_one_outside_support or (rules.last_column and j == last_col):
+            kinds.append(_ZERO_ONE)
+        else:
+            kinds.append(_FULL)
+    return _DiagonalPlan(
+        tuple(positions), closure_proved, unit_cols, supp_after, block_at, tuple(kinds)
+    )
+
+
 def _pruned_for_diagonal(
     n: int,
     p: int,
@@ -332,41 +402,26 @@ def _pruned_for_diagonal(
     visit: Visit,
 ) -> None:
     support = tuple(i for i, v in enumerate(exps) if v > 0)
-    supp_set = set(support)
+    positions, closure_proved, unit_cols, supp_after, block_at, kinds = _diagonal_plan(
+        n, support, rules
+    )
     rows = _template_rows(n, p, exps)
-    positions = _fill_positions(n, support)
     powers = {i: p ** exps[i] for i in support}
     last_col = n - 1
-
-    # On a full-support diagonal with every rule on, exactly_one_one makes the
-    # last column all ones, so it is set in the template and not searched, and
-    # the identity is that column; the entry tests at (0, s), each run once
-    # column s holds its final values, prove col(B) closed under products, so
-    # the leaf checks nothing.
-    closure_proved = len(support) == n - 1 and rules == PruneRuleSet()
-    if closure_proved:
+    if closure_proved:  # the last column is set, not searched
         for i in support:
             rows[i][last_col] = 1
-        positions = [(i, j) for i, j in positions if j != last_col]
 
-    unit_cols = {i: [j for j in range(i + 1, n) if j not in supp_set] for i in support}
-    supp_after = {i: [j for j in support if j > i] for i in support}
-
-    # the support block, kept in step with rows; block_at[idx] holds the
-    # block indices of a position inside it
+    # the support block, kept in step with rows
     block = [[powers[i] if i == j else 0 for j in support] for i in support]
-    block_idx = {i: r for r, i in enumerate(support)}
-    block_at = [(block_idx[i], block_idx[j]) if j in supp_set else None for i, j in positions]
-
     domains: list[range | tuple[int, ...]] = []
-    for i, j in positions:
-        bound = powers[i]
-        if j in supp_set:
-            domains.append(range(0, bound, p) if rules.block_divisibility else range(bound))
-        elif rules.zero_one_outside_support or (rules.last_column and j == last_col):
+    for (i, _), kind in zip(positions, kinds):
+        if kind == _BLOCK:
+            domains.append(range(0, powers[i], p))
+        elif kind == _ZERO_ONE:
             domains.append((0, 1))
         else:
-            domains.append(range(bound))
+            domains.append(range(powers[i]))
 
     npos = len(positions)
     rule_one = rules.exactly_one_one

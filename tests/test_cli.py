@@ -5,7 +5,14 @@ from dataclasses import fields
 import pytest
 
 from subring_census.catalog import irreducible_count
-from subring_census.cli import RULE_NAMES, _rules, build_parser, config_from_args, main
+from subring_census.cli import (
+    CACHE_ENV_VAR,
+    RULE_NAMES,
+    _rules,
+    build_parser,
+    config_from_args,
+    main,
+)
 from subring_census.counting import CensusRecord
 from subring_census.enumeration import PruneRuleSet
 from subring_census.hnf import load_matrices
@@ -226,6 +233,39 @@ def test_invalid_values_exit_2_with_one_line(capsys, tmp_path, argv):
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "out-in-missing-dir",
+        "out-is-dir",
+        "dump-in-missing-dir",
+        "cache-is-file",
+        "env-cache-is-file",
+    ],
+)
+def test_unusable_paths_exit_2_with_one_line(capsys, tmp_path, monkeypatch, case):
+    missing = tmp_path / "missing"
+    cache = tmp_path / "cache"
+    argv = ["census", "-n", "3", "-p", "2", "-e", "1", "--cache-dir", str(cache)]
+    if case == "out-in-missing-dir":
+        argv += ["--out", str(missing / "report.json")]
+    elif case == "out-is-dir":
+        (tmp_path / "report").mkdir()
+        argv += ["--out", str(tmp_path / "report")]
+    elif case == "dump-in-missing-dir":
+        argv = ["enumerate", "-n", "3", "-p", "2", "-e", "1", "--dump", str(missing / "m.txt")]
+    else:
+        cache.write_text("")
+        if case == "env-cache-is-file":
+            argv = argv[:-2]
+            monkeypatch.setenv(CACHE_ENV_VAR, str(cache))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+    assert list(tmp_path.rglob("*.tmp")) == []
 
 
 def test_series_needs_n(capsys):

@@ -247,7 +247,7 @@ class TestBlockCotype:
         # the oracle reads only n and entries, and signed entries are no HnfMatrix
         s = len(block)
         rows = [row + [1] for row in block] + [[0] * s + [1]]
-        got = counting._block_cotype(rows, block).alphas
+        got = counting._block_cotype(rows, block, {})[0].alphas
         assert got == tuple(reversed(hnf.smith_normal_form(block)))
         oracle = snf_oracle_minor_gcds(SimpleNamespace(n=s, entries=block))
         assert got == tuple(reversed(oracle))
@@ -272,7 +272,31 @@ class TestBlockCotype:
         # a subring matrix, but not an irreducible one
         rows = [[2, 1, 1], [0, 2, 0], [0, 0, 1]]
         with pytest.raises(CensusValidationError, match="last column"):
-            counting._block_cotype(rows, [row[:2] for row in rows[:2]])
+            counting._block_cotype(rows, [row[:2] for row in rows[:2]], {})
+
+    def test_table_builds_each_cotype_once_and_checks_every_matrix(self, monkeypatch):
+        built, checked = Counter(), [0]
+        cotype, check = counting.Cotype, counting._structural_check
+
+        def counted_cotype(alphas):
+            built[alphas] += 1
+            return cotype(alphas)
+
+        def counted_check(entries, corank, index):
+            checked[0] += 1
+            return check(entries, corank, index)
+
+        monkeypatch.setattr(counting, "Cotype", counted_cotype)
+        monkeypatch.setattr(counting, "_structural_check", counted_check)
+        got = CountLedger()._irreducible_cotypes(5, 2, 7, {}, [0])
+        assert set(built) == set(got) and set(built.values()) == {1}
+        assert checked[0] == sum(got.values()) == len(enumerate_irreducible(5, 2, 7))
+
+    def test_table_still_validates_each_cotype(self, monkeypatch):
+        # (3, 2) is no divisor chain: its cotype (2, 3) must be refused
+        monkeypatch.setattr(counting, "_block_invariant_factors", lambda block: (3, 2))
+        with pytest.raises(ValueError, match="divisible"):
+            CountLedger().census(3, 2, 2)
 
     @pytest.mark.parametrize("cell", [(6, 2, 8), (5, 3, 6)])
     def test_recheck_agrees(self, cell):
@@ -287,6 +311,39 @@ class TestStructuralCheck:
         matrices = enumerate_subrings(EnumSpec(3, 2, 3))
         with pytest.raises(CensusValidationError, match="determinant"):
             build_record(3, 2, 4, matrices, "pruned", PruneRuleSet().fingerprint())
+
+    def test_accepts_subring_matrix(self):
+        counting._structural_check([[2, 0, 1], [0, 1, 0], [0, 0, 1]], 1, 2)
+
+    # one crafted matrix per condition, each passing the conditions before it;
+    # the last breaks two, and the row checked first decides the message
+    @pytest.mark.parametrize(
+        "entries, corank, index, message",
+        [
+            ([[2, 0, 1], [0, 1, 0], [0, 0, 1]], 1, 4, "determinant is not 4"),
+            ([[2, 0, 1], [0, 1, 0], [0, 0, 1]], 2, 2, "corank != diagonal support"),
+            ([[2, 0, 1], [0, 1, 2], [0, 0, 1]], 1, 2, "last column entry outside"),
+            (
+                [[2, 3, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+                1, 2, "support row has entry outside",
+            ),
+            (
+                [[2, 1, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+                1, 2, "support row without exactly one 1",
+            ),
+            (
+                [[2, 2, 0, 1], [0, 2, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+                2, 4, "last-column pair rule violated",
+            ),
+            (
+                [[2, 0, 0, 0], [0, 2, 3, 1], [0, 0, 1, 0], [0, 0, 0, 1]],
+                2, 4, "support row without exactly one 1",
+            ),
+        ],
+    )
+    def test_each_condition_rejects(self, entries, corank, index, message):
+        with pytest.raises(CensusValidationError, match=message):
+            counting._structural_check(entries, corank, index)
 
     def test_no_prime_power_search_per_matrix(self, monkeypatch):
         # the index p^e is known, so no determinant is factored
@@ -314,7 +371,11 @@ def append_cells(directory, cells):
 
 
 class TestLedgerPersistence:
-    @pytest.mark.parametrize("cell", [(3, 4, 0), (3, 1, 0), (3, 6, 0), (3, 2, -2), (0, 2, 1)])
+    @pytest.mark.parametrize(
+        "cell",
+        [(3, 4, 0), (3, 1, 0), (3, 6, 0), (3, 2, -2), (0, 2, 1)]
+        + [(3, 2.0, 2), (3.0, 2, 2), (3, 2, 2.0), (True, 2, 1), (3, 2, False)],
+    )
     def test_invalid_cell_rejected_before_lookup(self, tmp_path, cell):
         led = CountLedger(tmp_path)
         with pytest.raises(ValueError):
@@ -322,7 +383,9 @@ class TestLedgerPersistence:
         assert list(tmp_path.iterdir()) == []
         assert led.stats["misses"] == 0
 
-    @pytest.mark.parametrize("cell", [(3, 4, 0), (3, 2, -2), (0, 2, 1)])
+    @pytest.mark.parametrize(
+        "cell", [(3, 4, 0), (3, 2, -2), (0, 2, 1), (3, 2.0, 2), (True, 2, 1)]
+    )
     def test_invalid_cell_rejected_by_cached(self, tmp_path, cell):
         with pytest.raises(ValueError):
             CountLedger(tmp_path).cached(*cell)

@@ -72,6 +72,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             EnumSpec(n=3, p=2, e=1, mode="fast")
 
+    @pytest.mark.parametrize("cell", [(True, 2, 1), (3, 2.0, 1), (3.0, 2, 1), (3, 2, 1.0)])
+    def test_rejects_non_integer_cell(self, cell):
+        with pytest.raises(ValueError, match="not an integer"):
+            EnumSpec(*cell)
+
 
 class TestKnownCounts:
     def test_rank_two_always_one(self):
@@ -488,6 +493,41 @@ class TestBudget:
         counter = [0]
         enumerate_subrings(EnumSpec(4, 2, 6, corank=3), counter)
         assert counter[0] == 591 - 6 * 67
+
+    @pytest.mark.parametrize("p, e", [(2, 6), (3, 4)])
+    def test_plan_cache_carries_nothing_between_rule_sets(self, p, e):
+        # the rule subsets above: each rule off alone, then every rule on
+        subsets = [PruneRuleSet(**{f.name: False}) for f in fields(PruneRuleSet)]
+        subsets.append(PruneRuleSet())
+
+        def run(rules):
+            counter, seen = [0], []
+
+            def visit(rows, block):
+                seen.append(tuple(map(tuple, rows)))
+
+            visit_subrings(EnumSpec(4, p, e, rules=rules), visit, counter)
+            return seen, counter[0]
+
+        fresh = {}
+        for rules in subsets:
+            enumeration._diagonal_plan.cache_clear()
+            fresh[rules] = run(rules)
+        enumeration._diagonal_plan.cache_clear()
+        for rules in subsets + subsets[::-1]:
+            assert run(rules) == fresh[rules], rules
+
+    def test_plan_entries_are_tuples(self):
+        # one plan serves every diagonal of its shape, so nothing in it may
+        # be mutable
+        for rules in (PruneRuleSet(), PruneRuleSet.none()):
+            plan = enumeration._diagonal_plan(4, (0, 1, 2), rules)
+            assert plan is enumeration._diagonal_plan(4, (0, 1, 2), rules)
+            assert plan.closure_proved == (rules == PruneRuleSet())
+            for name in ("positions", "unit_cols", "supp_after", "block_at", "kinds"):
+                value = getattr(plan, name)
+                assert isinstance(value, tuple), name
+                assert all(v is None or isinstance(v, (tuple, str)) for v in value), name
 
     def test_budget_exhaustion(self):
         with pytest.raises(BudgetExceededError):
