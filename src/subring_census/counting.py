@@ -5,7 +5,10 @@ irreducible matrices, per-corank counts, and the full cotype census.  Records
 are persisted in one append-only log per n, census-n{n}.jsonl, one line
 {"checksum": sha256, "record": payload} per record in compact sorted-key
 JSON, so long enumerations survive restarts, several processes can share a
-directory, and the cache is auditable.
+directory, and the cache is auditable.  `CensusRecord.serialized` writes the
+record's canonical bytes straight from its fields; the checksum is their
+sha256.  A line is loaded only if its fields have the right types, its
+checksum matches, its counts and shape validate and its n is the log's.
 
 A record is built from irreducible blocks, not by searching every diagonal.
 A subring of p-power index splits uniquely into irreducible subrings over a
@@ -76,6 +79,20 @@ class MissingCensusError(KeyError):
         super().__init__(f"missing census records: {pretty}")
 
 
+def _int(value, name: str) -> int:
+    """value if it is an int and not a bool, else TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"{name} = {value!r} is not an integer")
+    return value
+
+
+def _str(value, name: str) -> str:
+    """value if it is a str, else TypeError."""
+    if type(value) is not str:
+        raise TypeError(f"{name} = {value!r} is not a string")
+    return value
+
+
 @dataclass(frozen=True)
 class CensusRecord:
     """Exact counts of the subring matrices of Z^n with determinant p^e."""
@@ -115,43 +132,73 @@ class CensusRecord:
         }
 
     def serialized(self) -> bytes:
-        """The payload as compact sorted-key JSON, as the log stores it."""
-        return json.dumps(self.payload(), sort_keys=True, separators=(",", ":")).encode()
+        """The payload as compact sorted-key JSON, as the log stores it:
+        json.dumps(payload(), sort_keys=True, separators=(",", ":")), written
+        straight from the fields, which are ints and strings (`from_payload`
+        admits no other types).
+
+        Cotype entries are sorted as whole '"key":count' strings.  The
+        closing quote sorts before every digit, comma and minus sign, so
+        this orders the keys as strings, as json does ("16,1" < "4,4" <
+        "8,2").  The provenance strings go through json.dumps for json's
+        escaping.
+        """
+        dumps = json.dumps
+        cotypes = sorted(
+            [f'"{",".join(map(str, key))}":{count}' for key, count in self.cotype_counts.items()]
+        )
+        return (
+            f'{{"cotypes":{{{",".join(cotypes)}}},"e":{self.e},'
+            f'"engine":{dumps(self.engine_version)},"f":{self.f_count},"g":{self.g_count},'
+            f'"h":[{",".join(map(str, self.h_counts))}],"mode":{dumps(self.mode)},'
+            f'"n":{self.n},"p":{self.p},"rules":{dumps(self.rules)}}}'
+        ).encode()
 
     def checksum(self) -> str:
         return hashlib.sha256(self.serialized()).hexdigest()
 
     @classmethod
     def from_payload(cls, payload: dict) -> "CensusRecord":
+        """The record of a payload dict.  n, p, e, f, g, every h entry and
+        every cotype count must be ints (not bools) and mode, rules and
+        engine strings, or TypeError; a cotype key that is not comma-joined
+        integers raises ValueError."""
         cotypes = {
-            tuple(int(v) for v in key.split(",")): count
+            tuple(map(int, key.split(","))): _int(count, "cotype count")
             for key, count in payload["cotypes"].items()
         }
         return cls(
-            n=payload["n"],
-            p=payload["p"],
-            e=payload["e"],
-            f_count=payload["f"],
-            g_count=payload["g"],
-            h_counts=tuple(payload["h"]),
+            n=_int(payload["n"], "n"),
+            p=_int(payload["p"], "p"),
+            e=_int(payload["e"], "e"),
+            f_count=_int(payload["f"], "f"),
+            g_count=_int(payload["g"], "g"),
+            h_counts=tuple(_int(v, "h entry") for v in payload["h"]),
             cotype_counts=cotypes,
-            mode=payload["mode"],
-            rules=payload["rules"],
-            engine_version=payload["engine"],
+            mode=_str(payload["mode"], "mode"),
+            rules=_str(payload["rules"], "rules"),
+            engine_version=_str(payload["engine"], "engine"),
         )
 
     def validate(self) -> None:
+        n = self.n
+        if n < 1 or len(self.h_counts) != n:
+            raise CensusValidationError(f"{len(self.h_counts)} per-corank counts for n={n}")
+        if self.g_count != self.h_counts[n - 1]:
+            raise CensusValidationError("irreducible count is not the corank n-1 count")
         if sum(self.h_counts) != self.f_count:
             raise CensusValidationError("per-corank counts do not sum to the total")
         if sum(self.cotype_counts.values()) != self.f_count:
             raise CensusValidationError("cotype census does not sum to the total")
         for key, count in self.cotype_counts.items():
+            if len(key) != n - 1:
+                raise CensusValidationError(f"cotype {key} does not have n-1 = {n - 1} factors")
             if count < 0:
                 raise CensusValidationError("negative cotype count")
             if math.prod(key) != self.p**self.e:
                 raise CensusValidationError("cotype index does not match p^e")
             k = sum(1 for a in key if a > 1)
-            if k >= len(self.h_counts) or count > self.h_counts[k]:
+            if count > self.h_counts[k]:
                 raise CensusValidationError("cotype census inconsistent with corank counts")
 
     def counts_equal(self, other: "CensusRecord") -> bool:
@@ -454,6 +501,8 @@ class CountLedger:
         for line in complete.splitlines():
             lines += 1
             record = self._parse_line(path, lines, line)
+            if record.n != n:
+                raise ValueError(f"{path}:{lines}: record of n={record.n} in the log of n={n}")
             if record.engine_version == ENGINE_VERSION and record.rules == self._rules:
                 self._records[(n, record.p, record.e)] = record
         self._read_upto[n] = (offset + len(complete), lines)
@@ -553,30 +602,32 @@ class CountLedger:
         """F_n(e) by the block recursion, keyed by the invariant factors > 1.
 
         G_m(j) is looked up only when F_{n-m}(e-j) is non-empty, so a block
-        of size n is enumerated at j = e alone.
+        of size n is enumerated at j = e alone.  F_0 and F_1 are empty at
+        d > 0, and the recursion does not descend to them there.  The
+        trivial block (m = 1, G_1 the block Z at j = 0) adds F_{k-1}(d)
+        unchanged, as a copy.
         """
-        memo: dict[tuple[int, int], dict[tuple[int, ...], int]] = {}
+        memo: dict[tuple[int, int], dict[tuple[int, ...], int]] = {(0, 0): {(): 1}}
 
         def merged(k: int, d: int) -> dict[tuple[int, ...], int]:
-            if k == 0:
-                return {(): 1} if d == 0 else {}
-            if (k, d) in memo:
-                return memo[(k, d)]
-            out: dict[tuple[int, ...], int] = {}
-            for m in range(1, k + 1):
+            out = memo.get((k, d))
+            if out is not None:
+                return out
+            out = dict(merged(k - 1, d)) if k > 2 or d == 0 else {}
+            for m in range(2, k + 1):
                 ways = binomial(k - 1, m - 1)
-                for j in range(m - 1, d + 1) if m > 1 else (0,):
+                if k - m > 1:
+                    js = range(m - 1, d + 1)
+                else:  # F_{k-m} is non-empty only at j = d
+                    js = (d,) if d >= m - 1 else ()
+                for j in js:
                     rest = merged(k - m, d - j)
                     if not rest:
                         continue
-                    # G_1 is the trivial block Z at j = 0
-                    if m == 1:
-                        block = {(): 1}
-                    else:
-                        block = self._irreducible_cotypes(m, p, j, opts, counter)
+                    block = self._irreducible_cotypes(m, p, j, opts, counter)
                     for a, ca in block.items():
                         for b, cb in rest.items():
-                            key = tuple(sorted(a + b, reverse=True))
+                            key = tuple(sorted(a + b, reverse=True)) if b else a
                             out[key] = out.get(key, 0) + ways * ca * cb
             memo[(k, d)] = out
             return out

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from dataclasses import fields
@@ -14,7 +15,7 @@ from subring_census.cli import (
     main,
 )
 from subring_census.counting import CensusRecord
-from subring_census.enumeration import PruneRuleSet
+from subring_census.enumeration import ENGINE_VERSION, PruneRuleSet
 from subring_census.hnf import load_matrices
 
 
@@ -75,7 +76,33 @@ def test_census_progress_names_each_enumeration(capsys, tmp_path):
     assert code == 0 and err == ""
 
 
-@pytest.mark.parametrize("bad", ["[1, 2]", "{truncated json", '{"checksum": "00"}'])
+def checksummed_line(**changes):
+    """A log line of the (3, 2, 1) record with changed fields, checksummed
+    over json's compact sorted-key bytes whatever their types."""
+    payload = {
+        "n": 3, "p": 2, "e": 1, "f": 3, "g": 0, "h": [0, 3, 0], "cotypes": {"2,1": 3},
+        "mode": "pruned", "rules": PruneRuleSet().fingerprint(), "engine": ENGINE_VERSION,
+        **changes,
+    }
+    body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    return json.dumps({"checksum": hashlib.sha256(body).hexdigest(), "record": payload})
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["[1, 2]", "{truncated json", '{"checksum": "00"}']
+    + [
+        pytest.param(checksummed_line(**changes), id=name)
+        for name, changes in [
+            ("h-strings", {"h": ["a", "b", "c"]}),
+            ("f-float", {"f": 3.0}),
+            ("g-999", {"g": 999}),
+            ("h-too-long", {"h": [0, 3, 0, 0]}),
+            ("key-too-long", {"cotypes": {"2,1,1": 3}}),
+            ("another-n", {"n": 4, "h": [0, 3, 0, 0], "cotypes": {"2,1,1": 3}}),
+        ]
+    ],
+)
 def test_census_over_corrupted_ledger_fails_cleanly(capsys, tmp_path, bad):
     code, _, _ = run_cli(
         capsys, "census", "-n", "3", "-p", "2", "-e", "1", "--cache-dir", str(tmp_path)

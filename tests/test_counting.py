@@ -1,13 +1,15 @@
+import hashlib
 import json
 import multiprocessing
 from collections import Counter
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from subring_census import counting, hnf
 from subring_census.counting import (
+    CensusRecord,
     CensusValidationError,
     CountLedger,
     IndexSplit,
@@ -23,6 +25,7 @@ from subring_census.counting import (
     smallest_prime_factors,
 )
 from subring_census.enumeration import (
+    ENGINE_VERSION,
     BudgetExceededError,
     EnumSpec,
     PruneRuleSet,
@@ -78,6 +81,33 @@ class TestCensus:
         again = type(r).from_payload(json.loads(json.dumps(r.payload())))
         assert again.checksum() == r.checksum()
         assert again.counts_equal(r)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ints=st.lists(st.integers(), min_size=5, max_size=5),
+        h=st.lists(st.integers(), max_size=6),
+        cotypes=st.dictionaries(
+            st.lists(st.integers(min_value=-20, max_value=10**6), max_size=5).map(tuple),
+            st.integers(),
+            max_size=8,
+        ),
+        strings=st.lists(st.text(), min_size=3, max_size=3),
+    )
+    # keys whose string order ("16,2" < "32,1" < "4,8" < "8,4") is not their
+    # tuple order, a key that is a string prefix of another ("2,1" and
+    # "2,16"), and provenance strings that json escapes
+    @example(
+        ints=[3, 2, 5, 21, 0],
+        h=[0, 7, 14],
+        cotypes={(16, 2): 3, (4, 8): 1, (8, 4): 5, (32, 1): 7, (2, 1): 1, (2, 16): 4},
+        strings=['qu"ote', "back\\slash", "\u00e9t\u00e9 \u2028 \U0001d4b5 \x00\n"],
+    )
+    def test_serialized_is_compact_sorted_json(self, ints, h, cotypes, strings):
+        n, p, e, f, g = ints
+        record = CensusRecord(n, p, e, f, g, tuple(h), cotypes, *strings)
+        reference = json.dumps(record.payload(), sort_keys=True, separators=(",", ":"))
+        assert record.serialized() == reference.encode()
+        assert record.checksum() == hashlib.sha256(reference.encode()).hexdigest()
 
 
 # (n, p, e_max): every cell e <= e_max is compared with full enumeration
@@ -193,6 +223,19 @@ class TestDecomposition:
             "irreducible_built": 12,
             "irreducible_reused": 34,
         }
+
+    @pytest.mark.parametrize(
+        "n, top, stats",
+        [
+            (3, 6, {"irreducible_built": 11, "irreducible_reused": 6}),
+            (4, 8, {"irreducible_built": 21, "irreducible_reused": 79}),
+        ],
+    )
+    def test_stats_of_a_ladder(self, n, top, stats):
+        led = CountLedger()
+        for e in range(top + 1):
+            led.census(n, 2, e)
+        assert led.stats == {"hits": 0, "misses": top + 1, "rechecks": 0, **stats}
 
     @pytest.mark.stretch
     def test_cold_z7_matches_full_enumeration(self):
@@ -360,6 +403,18 @@ def ledger_line(record):
     return json.dumps(item, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def changed_line(**changes):
+    """A log line of the (3, 2, 1) record with changed fields, checksummed
+    over json's compact sorted-key bytes whatever their types."""
+    payload = {
+        "n": 3, "p": 2, "e": 1, "f": 3, "g": 0, "h": [0, 3, 0], "cotypes": {"2,1": 3},
+        "mode": "pruned", "rules": PruneRuleSet().fingerprint(), "engine": ENGINE_VERSION,
+        **changes,
+    }
+    body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    return json.dumps({"checksum": hashlib.sha256(body).hexdigest(), "record": payload})
+
+
 def log_lines(path):
     return [json.loads(line) for line in path.read_text().splitlines()]
 
@@ -399,6 +454,14 @@ class TestLedgerPersistence:
         files = list(tmp_path.glob("census-n3.jsonl"))
         assert len(files) == 1
         assert files[0].read_text() == ledger_line(r1)
+        # cotype keys whose string order is not their tuple order, such as
+        # "16,4" < "64,1" < "8,8" at 2^6 and "243,3" < "27,27" < "81,9" at 3^6
+        cells = [(3, 2, e) for e in range(7)] + [(3, 3, e) for e in range(7)]
+        records = [led.census(*cell) for cell in cells]
+        appended = [r for r in records if r is not r1]  # (3, 2, 3) is a hit
+        assert files[0].read_text() == "".join(ledger_line(r) for r in [r1] + appended)
+        fresh = CountLedger(tmp_path)
+        assert [fresh.cached(*cell) for cell in cells] == records
 
     def test_recheck_passes_on_fresh_cache(self, tmp_path):
         led = CountLedger(tmp_path)
@@ -543,6 +606,28 @@ class TestLedgerPersistence:
             ('{"record": {}}', "not an object with record and checksum"),
             ('{"checksum": "00"}', "not an object with record and checksum"),
             ('{"checksum": "00", "record": {"n": 3}}', "malformed record"),
+            # checksummed over json's bytes of the mistyped fields
+            pytest.param(changed_line(h=["a", "b", "c"]), "malformed record", id="h-strings"),
+            pytest.param(changed_line(h=3), "malformed record", id="h-int"),
+            pytest.param(changed_line(f=3.0), "malformed record", id="f-float"),
+            pytest.param(changed_line(e=True), "malformed record", id="e-bool"),
+            pytest.param(changed_line(cotypes={"2,1": "3"}), "malformed record", id="count-str"),
+            pytest.param(changed_line(cotypes={"2,x": 3}), "malformed record", id="key-not-int"),
+            pytest.param(changed_line(mode=1), "malformed record", id="mode-int"),
+            pytest.param(changed_line(engine=None), "malformed record", id="engine-null"),
+            pytest.param(
+                changed_line(g=999), "irreducible count is not the corank n-1", id="g-999"
+            ),
+            pytest.param(
+                changed_line(h=[0, 3, 0, 0]), "4 per-corank counts for n=3", id="h-too-long"
+            ),
+            pytest.param(changed_line(h=[3, 0]), "2 per-corank counts for n=3", id="h-too-short"),
+            pytest.param(
+                changed_line(cotypes={"2,1,1": 3}), "cotype .* does not have n-1", id="key-too-long"
+            ),
+            pytest.param(
+                changed_line(cotypes={"2": 3}), "cotype .* does not have n-1", id="key-too-short"
+            ),
         ],
     )
     def test_malformed_line_names_file_and_line(self, tmp_path, line, problem):
@@ -551,6 +636,16 @@ class TestLedgerPersistence:
         path.write_text(ledger_line(record) + line + "\n")
         with pytest.raises(ValueError, match=f"census-n3.jsonl:2: {problem}"):
             CountLedger(tmp_path).cached(3, 2, 2)
+
+    def test_record_of_another_n_is_rejected(self, tmp_path):
+        CountLedger(tmp_path).census(3, 2, 1)
+        CountLedger(tmp_path).census(4, 2, 2)
+        n3, n4 = tmp_path / "census-n3.jsonl", tmp_path / "census-n4.jsonl"
+        with n3.open("a") as fh:
+            fh.write(n4.read_text())
+        with pytest.raises(ValueError, match="census-n3.jsonl:2: record of n=4 in the log of n=3"):
+            CountLedger(tmp_path).cached(3, 2, 2)
+        assert CountLedger(tmp_path).cached(4, 2, 2).f_count == 13
 
 
 class TestClosedForms:
