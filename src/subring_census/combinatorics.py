@@ -10,6 +10,7 @@ goes through it or through `is_prime`.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 
@@ -29,28 +30,24 @@ def compositions(total: int, parts: int, strict: bool = False) -> list[tuple[int
     parts; strict ones require every part >= 1.  The lexicographic order is a
     documented contract: parallel work can be partitioned by composition and
     merged back deterministically.
+
+    A strict composition is a choice of parts-1 cut points in 1..total-1,
+    and a weak one of total into parts is a strict one of total + parts with
+    1 taken from each part.  Partial sums are cut points, so the
+    lexicographic order of `itertools.combinations` is that of the parts.
     """
     if total < 0 or parts < 0:
         raise ValueError("compositions requires nonnegative arguments")
-    lo = 1 if strict else 0
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int], remaining: int, slots: int) -> None:
-        if slots == 0:
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        if slots == 1:
-            if remaining >= lo:
-                out.append((*prefix, remaining))
-            return
-        for v in range(lo, remaining - lo * (slots - 1) + 1):
-            prefix.append(v)
-            rec(prefix, remaining - v, slots - 1)
-            prefix.pop()
-
-    rec([], total, parts)
-    return out
+    if parts == 0:
+        return [()] if total == 0 else []
+    shift = 0 if strict else 1
+    top = total + shift * parts
+    if top < parts:
+        return []
+    return [
+        tuple(b - a - shift for a, b in zip((0, *cuts), (*cuts, top)))
+        for cuts in itertools.combinations(range(1, top), parts - 1)
+    ]
 
 
 def smallest_prime_factor(m: int) -> int:

@@ -190,15 +190,29 @@ class CensusRecord:
             raise CensusValidationError("per-corank counts do not sum to the total")
         if sum(self.cotype_counts.values()) != self.f_count:
             raise CensusValidationError("cotype census does not sum to the total")
+        index = self.p**self.e
         for key, count in self.cotype_counts.items():
             if len(key) != n - 1:
                 raise CensusValidationError(f"cotype {key} does not have n-1 = {n - 1} factors")
             if count < 0:
                 raise CensusValidationError("negative cotype count")
-            if math.prod(key) != self.p**self.e:
+            # one pass from the last factor: each is at least 1 and divides
+            # the one before it, which with their product p^e makes every
+            # factor a power of p; corank and product are taken on the way
+            prev, corank, product = 1, 0, 1
+            for a in reversed(key):
+                if a < prev or a % prev:
+                    raise CensusValidationError(
+                        f"cotype {key} is not a chain of positive factors, "
+                        "each divisible by the next"
+                    )
+                if a > 1:
+                    corank += 1
+                product *= a
+                prev = a
+            if product != index:
                 raise CensusValidationError("cotype index does not match p^e")
-            k = sum(1 for a in key if a > 1)
-            if count > self.h_counts[k]:
+            if count > self.h_counts[corank]:
                 raise CensusValidationError("cotype census inconsistent with corank counts")
 
     def counts_equal(self, other: "CensusRecord") -> bool:
@@ -632,7 +646,12 @@ class CountLedger:
             memo[(k, d)] = out
             return out
 
-        return merged(n, e)
+        try:
+            return merged(n, e)
+        finally:
+            # merged holds itself through its closure; dropping the name breaks
+            # that cycle, so the memo is freed on return or on a raise
+            del merged
 
     def _irreducible_cotypes(
         self, m: int, p: int, j: int, opts: dict, counter: list[int]

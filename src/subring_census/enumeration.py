@@ -58,7 +58,7 @@ import itertools
 import math
 import multiprocessing
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple, Sequence
 
 from .combinatorics import compositions, is_prime
@@ -182,7 +182,8 @@ class EnumSpec:
     mode: str = "pruned"
     corank: int | None = None
     diagonal: tuple[int, ...] | None = None
-    rules: PruneRuleSet = field(default_factory=PruneRuleSet)
+    # one frozen rule set, shared by every spec that takes the default
+    rules: PruneRuleSet = PruneRuleSet()
     node_budget: int = 10**9
     threads: int = 1
     progress: bool = False
@@ -466,7 +467,12 @@ def _pruned_for_diagonal(
         if at is not None:
             block[at[0]][at[1]] = 0
 
-    place(0)
+    try:
+        place(0)
+    finally:
+        # place holds itself through its closure; dropping the name breaks
+        # that cycle, so the search state is freed on return or on a raise
+        del place
 
 
 def _support_block(rows: Rows, exps: tuple[int, ...]) -> list[list[int]]:

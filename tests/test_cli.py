@@ -99,6 +99,8 @@ def checksummed_line(**changes):
             ("g-999", {"g": 999}),
             ("h-too-long", {"h": [0, 3, 0, 0]}),
             ("key-too-long", {"cotypes": {"2,1,1": 3}}),
+            ("key-negative", {"cotypes": {"-2,-1": 3}, "h": [3, 0, 0]}),
+            ("key-not-a-chain", {"cotypes": {"1,2": 3}}),
             ("another-n", {"n": 4, "h": [0, 3, 0, 0], "cotypes": {"2,1,1": 3}}),
         ]
     ],

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -55,6 +57,20 @@ def test_composition_counts(e, m):
         assert len(compositions(e, m, strict=True)) == binomial(e - 1, m - 1)
     else:
         assert compositions(e, m, strict=True) == []
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_compositions_match_product_filter(strict):
+    lo = 1 if strict else 0
+    for total in range(10):
+        for parts in range(5):
+            # product runs in lexicographic order, so the filter keeps it
+            oracle = [
+                c
+                for c in itertools.product(range(lo, total + 1), repeat=parts)
+                if sum(c) == total
+            ]
+            assert compositions(total, parts, strict=strict) == oracle, (total, parts)
 
 
 def _least_divisors(limit: int) -> list[int]:

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import multiprocessing
@@ -628,6 +629,24 @@ class TestLedgerPersistence:
             pytest.param(
                 changed_line(cotypes={"2": 3}), "cotype .* does not have n-1", id="key-too-short"
             ),
+            # keys that are not an invariant-factor chain: the first two have
+            # product 2 (the first would serve h~_0 = 3), and the last is
+            # rejected as a chain before its product is checked
+            pytest.param(
+                changed_line(cotypes={"-2,-1": 3}, h=[3, 0, 0]),
+                r"cotype \(-2, -1\) is not a chain of positive factors",
+                id="key-negative",
+            ),
+            pytest.param(
+                changed_line(cotypes={"1,2": 3}),
+                r"cotype \(1, 2\) is not a chain of positive factors, each divisible by the next",
+                id="key-not-a-chain",
+            ),
+            pytest.param(
+                changed_line(cotypes={"3,2": 3}),
+                r"cotype \(3, 2\) is not a chain of positive factors",
+                id="key-not-dividing",
+            ),
         ],
     )
     def test_malformed_line_names_file_and_line(self, tmp_path, line, problem):
@@ -841,3 +860,36 @@ class TestMultiplicative:
         # rank 2, determinant p^e: 1 + p + ... + p^e Hermite forms
         assert lattice_prime_power_count(2, 3, 2) == 13
         assert lattice_prime_power_count(1, 5, 4) == 1
+
+
+class TestNoCyclicGarbage:
+    def test_census_paths_free_their_state_by_reference_count(self, tmp_path):
+        """Each census path leaves nothing for the cyclic collector: its search
+        and block-recursion state is freed when the call returns or raises."""
+
+        def budget_miss():
+            with pytest.raises(BudgetExceededError):
+                CountLedger().census(5, 2, 8, node_budget=50)
+
+        def extend_and_replay():
+            multiplicative_extend(3, 500, CountLedger(tmp_path), coranks=(1, 2))
+            multiplicative_extend(3, 500, CountLedger(tmp_path), coranks=(1, 2), compute=False)
+
+        calls = {
+            "cold census(4, 2, 6)": lambda: CountLedger().census(4, 2, 6),
+            "cold census(6, 2, 7)": lambda: CountLedger().census(6, 2, 7),
+            "census(4, 2, 5, recheck=True)": lambda: CountLedger().census(4, 2, 5, recheck=True),
+            "naive enumerate(3, 2, 4)": lambda: enumerate_subrings(EnumSpec(3, 2, 4, mode="naive")),
+            "extend(3, 500) and replay": extend_and_replay,
+            "census(5, 2, 8) over budget": budget_miss,
+        }
+        gc.collect()
+        gc.disable()
+        try:
+            collected = {}
+            for name, call in calls.items():
+                call()
+                collected[name] = gc.collect()
+        finally:
+            gc.enable()
+        assert collected == dict.fromkeys(calls, 0)

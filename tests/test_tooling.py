@@ -7,7 +7,8 @@ this suite.  Here the tracer module is loaded read-only, without touching its
 state, and the workloads module is only parsed, so a renamed or deleted name
 fails a test in this suite too.  Every name a package module imports is
 used there or is a tracer call site.  The per-cell search table of
-scripts/search_nodes.py gets a smoke run.
+scripts/search_nodes.py and the garbage-collector probe scripts/gc_probe.py
+get a smoke run.
 """
 
 import ast
@@ -120,3 +121,14 @@ def test_search_nodes_script_counts_the_cell():
     assert (cell["m"], cell["p"], cell["j"]) == (4, 2, 6)
     assert cell["matrices"] == len(enumerate_irreducible(4, 2, 6))
     assert cell["nodes"] == sum(d["nodes"] for d in cell["diagonals"]) > cell["matrices"]
+
+
+def test_gc_probe_script_reports_one_pass():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "gc_probe.py"), "--passes", "1"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report["passes"] == 1
+    assert len(report["per_pass"]["collections"]) == 3
