@@ -18,7 +18,6 @@ from .hnf import (
     dump_matrices,
     is_subring_matrix,
     load_matrices,
-    membership,
     smith_normal_form,
     snf_oracle_minor_gcds,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "functional_equation_check",
     "is_subring_matrix",
     "load_matrices",
-    "membership",
     "smith_normal_form",
     "snf_oracle_minor_gcds",
 ]

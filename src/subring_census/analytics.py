@@ -106,6 +106,8 @@ class BoundedValue:
         return _coerce(other) / self
 
     def __pow__(self, k: int) -> "BoundedValue":
+        if k < 0:
+            raise ValueError("negative powers are not supported; divide instead")
         out = BoundedValue(1.0, 0.0)
         for _ in range(k):
             out = out * self

@@ -13,6 +13,7 @@ error, or a path that cannot be written or used as the cache directory;
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -101,12 +102,16 @@ def _jsonable(value):
     return str(value)
 
 
-def _atomic_write(path: Path, text: str) -> None:
+@contextlib.contextmanager
+def _atomic_open(path: Path):
+    """A text file that replaces path when the block completes; on any
+    failure path is left as it was and the partial file is removed."""
     tmp = path.with_suffix(path.suffix + ".tmp")
     try:
-        tmp.write_text(text)
+        with open(tmp, "w") as fh:
+            yield fh
         os.replace(tmp, path)
-    except OSError:
+    except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
@@ -134,7 +139,8 @@ def _emit(report: dict, cfg: RunConfig) -> None:
             lines.append(str(report["summary"]))
         text = "\n".join(str(x) for x in lines) + "\n"
     if cfg.out:
-        _atomic_write(Path(cfg.out), text)
+        with _atomic_open(Path(cfg.out)) as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 
@@ -173,8 +179,8 @@ def cmd_enumerate(cfg: RunConfig) -> int:
             raise ValueError(f"--irreducible selects corank {cfg.n - 1}, not {corank}")
         corank = cfg.n - 1
     entries = []
-    dump_fh = open(cfg.dump, "w") if cfg.dump else None
-    try:
+    dump = _atomic_open(Path(cfg.dump)) if cfg.dump else contextlib.nullcontext()
+    with dump as dump_fh:  # like --out, the file appears only after the last e
         for e in range(cfg.e_range[0], cfg.e_range[1] + 1):
             spec = EnumSpec(
                 n=cfg.n,
@@ -191,9 +197,6 @@ def cmd_enumerate(cfg: RunConfig) -> int:
             if dump_fh:
                 dump_matrices(dump_fh, matrices, cfg.p)
             entries.append({"n": cfg.n, "p": cfg.p, "e": e, "count": len(matrices)})
-    finally:
-        if dump_fh:
-            dump_fh.close()
     report = _report_skeleton(cfg)
     report["entries"] = entries
     _emit(report, cfg)

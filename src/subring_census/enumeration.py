@@ -35,14 +35,14 @@ and kept (`_diagonal_plan`): the fill positions, whether the rules prove
 closure there, the support layout and each position's domain kind.  Each
 diagonal builds only its template rows, powers, block and domain ranges.
 
-`visit_subrings` is the one serial driver of both engines: it walks the
-diagonals under one node budget, prints the `--progress` lines and hands
-each survivor's live rows and support block to a visitor.
-`enumerate_subrings` collects snapshots through it (or through a worker pool
-with threads > 1) and returns them in canonical order: diagonal composition
-in lexicographic order, then column-major entry order, independent of rule
-toggles and worker count.  Census misses count cotypes with a visitor and
-build no matrix list (see `counting.CountLedger`).
+`visit_subrings` is the one driver of both engines: it walks the diagonals
+under one node budget, prints the `--progress` lines, applies every
+`EnumSpec` filter and hands each survivor's live rows and support block to a
+visitor.  `enumerate_subrings` collects snapshots through it (with threads >
+1, in pool workers that each run it on one diagonal) and returns them in
+canonical order: diagonal composition in lexicographic order, then
+column-major entry order, independent of rule toggles and worker count.
+Census misses count cotypes with a visitor and build no matrix list.
 
 A search node is one value placed at one entry, or one leaf reached.  Every
 value of an entry's domain is a node, also one a later rule then rejects,
@@ -58,20 +58,20 @@ import itertools
 import math
 import multiprocessing
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Callable, NamedTuple, Sequence
 
 from .combinatorics import compositions, is_prime
 # is_irreducible_rows and is_subring_rows are not called here;
 # perfbench/tracing.py wraps both as call sites of this module
 from .hnf import (
-    HnfMatrix,
     SubringMatrix,
     _solve_rows,
     hnf_from_columns,
     is_irreducible_rows,
     is_subring_rows,
     products_in_span,
+    smith_normal_form,
 )
 
 ENGINE_VERSION = "0.1.0"
@@ -226,11 +226,6 @@ def _fill_positions(n: int, support: tuple[int, ...]) -> list[tuple[int, int]]:
     return out
 
 
-def _matrix_key(rows: Rows) -> tuple[int, ...]:
-    n = len(rows)
-    return tuple(rows[i][j] for j in range(n) for i in range(j + 1))
-
-
 def _snapshot(rows: Sequence[Sequence[int]]) -> Rows:
     return tuple(tuple(row) for row in rows)
 
@@ -255,15 +250,15 @@ def _identity_check_support(
 
 
 def _naive_for_diagonal(
-    n: int, p: int, exps: tuple[int, ...], counter: list[int], budget: int
-) -> list[Rows]:
+    spec: EnumSpec, exps: tuple[int, ...], counter: list[int], visit: Visit
+) -> None:
     """Full Cartesian product over entry domains, filtered by the certificate."""
+    n, p, budget = spec.n, spec.p, spec.node_budget
     support = tuple(i for i, v in enumerate(exps) if v > 0)
     rows = _template_rows(n, p, exps)
     positions = _fill_positions(n, support)
     powers = {i: p ** exps[i] for i in support}
     domains = [range(powers[i]) for i, _ in positions]
-    out: list[Rows] = []
     nodes = counter[0]
     for combo in itertools.product(*domains):
         nodes += 1
@@ -273,9 +268,8 @@ def _naive_for_diagonal(
         for (i, j), v in zip(positions, combo):
             rows[i][j] = v
         if _identity_check_support(rows, support, powers, n) and products_in_span(rows):
-            out.append(_snapshot(rows))
+            visit(rows, [[rows[i][j] for j in support] for i in support])
     counter[0] = nodes
-    return out
 
 
 def _narrow(base: int, step: int, a: int, k: int, mod: int) -> tuple[int, int] | None:
@@ -394,14 +388,9 @@ def _diagonal_plan(n: int, support: tuple[int, ...], rules: PruneRuleSet) -> _Di
 
 
 def _pruned_for_diagonal(
-    n: int,
-    p: int,
-    exps: tuple[int, ...],
-    rules: PruneRuleSet,
-    counter: list[int],
-    budget: int,
-    visit: Visit,
+    spec: EnumSpec, exps: tuple[int, ...], counter: list[int], visit: Visit
 ) -> None:
+    n, p, rules, budget = spec.n, spec.p, spec.rules, spec.node_budget
     support = tuple(i for i, v in enumerate(exps) if v > 0)
     positions, closure_proved, unit_cols, supp_after, block_at, kinds = _diagonal_plan(
         n, support, rules
@@ -475,30 +464,12 @@ def _pruned_for_diagonal(
         del place
 
 
-def _support_block(rows: Rows, exps: tuple[int, ...]) -> list[list[int]]:
-    support = [i for i, v in enumerate(exps) if v > 0]
-    return [[rows[i][j] for j in support] for i in support]
-
-
-def _search_diagonal(
-    spec: EnumSpec, exps: tuple[int, ...], counter: list[int], visit: Visit
-) -> None:
-    """Visit the survivors of the spec's engine on one diagonal; nodes accrue
-    in counter."""
-    if spec.mode == "naive":
-        for rows in _naive_for_diagonal(spec.n, spec.p, exps, counter, spec.node_budget):
-            visit(rows, _support_block(rows, exps))
-    else:
-        _pruned_for_diagonal(
-            spec.n, spec.p, exps, spec.rules, counter, spec.node_budget, visit
-        )
-
-
 def _diagonal_task(args: tuple[EnumSpec, tuple[int, ...]]) -> tuple[list[Rows], int]:
     spec, exps = args
     counter = [0]
     found: list[Rows] = []
-    _search_diagonal(spec, exps, counter, lambda rows, block: found.append(_snapshot(rows)))
+    spec = replace(spec, diagonal=exps, progress=False)
+    visit_subrings(spec, lambda rows, block: found.append(_snapshot(rows)), counter)
     return found, counter[0]
 
 
@@ -525,15 +496,24 @@ def _report_progress(spec: EnumSpec, done: int, total: int, nodes: int) -> None:
     )
 
 
+def _with_corank(visit: Visit, corank: int) -> Visit:
+    """visit, called only on the survivors of that Smith-form corank."""
+
+    def filtered(rows: Sequence[Sequence[int]], block: list[list[int]]) -> None:
+        if sum(1 for s in smith_normal_form(rows) if s > 1) == corank:
+            visit(rows, block)
+
+    return filtered
+
+
 def visit_subrings(spec: EnumSpec, visit: Visit, counter: list[int] | None = None) -> None:
     """Call visit(rows, block) on every survivor of the spec's search, serially,
-    diagonal by diagonal in composition order.
+    diagonal by diagonal in composition order, after every filter of the spec.
 
     rows is the survivor's n x n matrix and block its support block (rows and
     columns i with a diagonal entry > 1), both live lists of the search: the
     visitor reads them during the call and copies what it keeps.  Within a
-    diagonal the order is the search's, not the canonical one; the naive
-    engine's corank filter is applied by `enumerate_subrings`, not here.
+    diagonal the order is the search's, not the canonical one.
 
     counter, a one-element list, accrues the search nodes; the budget bounds
     its running total, so calls that pass the same counter share one budget.
@@ -541,17 +521,25 @@ def visit_subrings(spec: EnumSpec, visit: Visit, counter: list[int] | None = Non
     """
     if counter is None:
         counter = [0]
+    search = _pruned_for_diagonal
+    if spec.mode == "naive":
+        search = _naive_for_diagonal
+        if spec.corank is not None:  # post hoc, by Smith form (see EnumSpec)
+            visit = _with_corank(visit, spec.corank)
     exps_list = _diagonals_for_spec(spec)
     total = len(exps_list)
     for done, exps in enumerate(exps_list, start=1):
-        _search_diagonal(spec, exps, counter, visit)
+        search(spec, exps, counter, visit)
         if spec.progress:
             _report_progress(spec, done, total, counter[0])
 
 
 def _canonical_key(rows: Rows) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # p^a is increasing in a, so diagonal entries order as exponent tuples
-    return tuple(row[i] for i, row in enumerate(rows)), _matrix_key(rows)
+    # p^a is increasing in a, so diagonal entries order as exponent tuples;
+    # ties go by the entries in column-major order
+    n = len(rows)
+    diagonal = tuple(rows[i][i] for i in range(n))
+    return diagonal, tuple(rows[i][j] for j in range(n) for i in range(j + 1))
 
 
 def enumerate_subrings(spec: EnumSpec, counter: list[int] | None = None) -> list[SubringMatrix]:
@@ -589,10 +577,7 @@ def enumerate_subrings(spec: EnumSpec, counter: list[int] | None = None) -> list
         visit_subrings(spec, lambda rows, block: found.append(_snapshot(rows)), counter)
 
     # every survivor is already certified by the search (see _pruned_for_diagonal)
-    matrices = [SubringMatrix(HnfMatrix(rows)) for rows in sorted(found, key=_canonical_key)]
-    if spec.mode == "naive" and spec.corank is not None:
-        matrices = [m for m in matrices if m.corank() == spec.corank]
-    return matrices
+    return [SubringMatrix(rows) for rows in sorted(found, key=_canonical_key)]
 
 
 def permutation_gaps(matrices: list[SubringMatrix]) -> list[SubringMatrix]:

@@ -109,17 +109,6 @@ def hnf_from_columns(columns: Sequence[Sequence[int]]) -> HnfMatrix:
     return HnfMatrix(tuple(tuple(col[i] for col in cols) for i in range(n)))
 
 
-def membership(a: HnfMatrix, w: Sequence[int]) -> tuple[int, ...] | None:
-    """Integer coefficients c with A c = w, or None when w is not in col(A).
-
-    The solution is unique when it exists because det(A) != 0; it is found by
-    bottom-up back-substitution with a divisibility check at each pivot.
-    """
-    if len(w) != a.n:
-        raise ValueError(f"vector has length {len(w)}, expected {a.n}")
-    return _solve_rows(a.entries, w)
-
-
 def identity_in_span(rows: Sequence[Sequence[int]]) -> bool:
     return _solve_rows(rows, (1,) * len(rows)) is not None
 
@@ -340,35 +329,19 @@ def snf_oracle_minor_gcds(a: HnfMatrix) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class SubringMatrix:
+class SubringMatrix(HnfMatrix):
     """An HnfMatrix whose column span is a subring of Z^n.
 
+    It adds no fields to the matrix, only `certify`, `cotype` and `corank`.
     The plain constructor trusts its caller: the enumeration engines emit
     only matrices that already passed the definitional certificate.  Matrices
     from anywhere else go through `certify`.
     """
 
-    hnf: HnfMatrix
-
     @classmethod
     def certify(cls, hnf: HnfMatrix) -> "SubringMatrix | None":
         """The checked constructor: None unless the span is a subring."""
-        return cls(hnf) if is_subring_matrix(hnf) else None
-
-    @property
-    def n(self) -> int:
-        return self.hnf.n
-
-    @property
-    def entries(self) -> tuple[tuple[int, ...], ...]:
-        return self.hnf.entries
-
-    @property
-    def diagonal(self) -> tuple[int, ...]:
-        return self.hnf.diagonal
-
-    def det(self) -> int:
-        return self.hnf.det()
+        return cls(hnf.entries) if is_subring_matrix(hnf) else None
 
     def cotype(self) -> Cotype:
         """Invariant factors of Z^n / col(A) in decreasing-divisibility order.
@@ -376,7 +349,7 @@ class SubringMatrix:
         The Smith diagonal is ascending (s1 | ... | sn with s1 = 1 forced by
         the unit entry); this reverses it and drops the trivial leading slot.
         """
-        s = smith_normal_form(self.hnf)
+        s = smith_normal_form(self)
         return Cotype(tuple(reversed(s[1:])))
 
     def corank(self) -> int:
@@ -437,10 +410,10 @@ def canonical_rpstar(n: int, p: int) -> SubringMatrix:
         row[n - 1] = 1
         rows.append(row)
     rows.append([0] * (n - 1) + [1])
-    return SubringMatrix(HnfMatrix.from_rows(rows))
+    return SubringMatrix.from_rows(rows)
 
 
-def dump_matrices(fh: TextIO, matrices: Iterable[HnfMatrix | SubringMatrix], p: int) -> int:
+def dump_matrices(fh: TextIO, matrices: Iterable[HnfMatrix], p: int) -> int:
     """Write matrices in the text exchange format: 'n p' header then n rows."""
     count = 0
     for m in matrices:

@@ -127,11 +127,6 @@ class MPoly:
             return (0, 0, 0, 0)
         return tuple(max(e[i] for e in self.terms) for i in range(4))  # type: ignore[return-value]
 
-    def total_degree_xyz(self) -> int:
-        if not self.terms:
-            return 0
-        return max(e[1] + e[2] + e[3] for e in self.terms)
-
     def substitute(self, mapping: dict[str, "MPoly | int"]) -> "MPoly":
         """Substitute polynomials (or integers) for variables."""
         images = []
@@ -333,8 +328,9 @@ class SeriesTable:
     coefficients: dict[tuple[int, int, int], MPoly]
 
     def coefficient(self, a: int, b: int = 0, c: int = 0) -> MPoly:
-        if a > self.bounds[0] or b > self.bounds[1] or c > self.bounds[2] or a + b + c > self.total:
-            raise KeyError(f"coefficient ({a},{b},{c}) is beyond the truncation bounds")
+        bx, by, bz = self.bounds
+        if not (0 <= a <= bx and 0 <= b <= by and 0 <= c <= bz and a + b + c <= self.total):
+            raise KeyError(f"coefficient ({a},{b},{c}) is outside the truncation bounds")
         return self.coefficients.get((a, b, c), MPoly())
 
     def x_coefficient(self, e: int) -> MPoly:
@@ -345,7 +341,7 @@ class SeriesTable:
 
 
 def expand(
-    f: RatFunc, bounds: tuple[int, int, int] | int, total: int | None = None
+    f: RatFunc, bounds: tuple[int, int, int], total: int | None = None
 ) -> SeriesTable:
     """Expand f as a power series in x, y, z up to the given bounds.
 
@@ -356,8 +352,6 @@ def expand(
     it is then added into the keys it reaches within the bounds.
     Coefficients are exact polynomials in p.
     """
-    if isinstance(bounds, int):
-        bounds = (bounds, 0, 0)
     bx, by, bz = bounds
     if min(bx, by, bz) < 0:
         raise ValueError("bounds must be nonnegative")

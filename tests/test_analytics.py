@@ -28,6 +28,12 @@ class TestBoundedValue:
         half = 1 / an.BoundedValue(2.0, 0.0)
         assert half.contains(0.5)
 
+    def test_negative_power_rejected(self):
+        # a power loop that runs zero times for k < 0 would return the exact 1
+        with pytest.raises(ValueError):
+            an.zeta_int(2) ** -1
+        assert (an.BoundedValue(2.0, 0.0) ** 0).contains(1.0)
+
     @given(
         st.floats(-10, 10), st.floats(0, 0.5), st.floats(-10, 10), st.floats(0, 0.5),
         st.floats(-1, 1), st.floats(-1, 1),

@@ -154,6 +154,25 @@ def test_enumerate_dump_round_trip(capsys, tmp_path):
     assert all(p == 2 for _, p in loaded)
 
 
+@pytest.mark.parametrize("case", ["budget", "invalid-prime", "existing"])
+def test_failed_enumerate_leaves_no_partial_dump(capsys, tmp_path, case):
+    # the budget runs out at a late e, after earlier ones were dumped
+    dump = tmp_path / "matrices.txt"
+    argv, want = ["-n", "4", "-p", "2", "-e", "0:11", "--budget", "2000"], 3
+    if case == "invalid-prime":
+        argv, want = ["-n", "3", "-p", "4", "-e", "1"], 2
+    elif case == "existing":
+        dump.write_text("2 3\n3 1\n0 1\n")
+    code, out, err = run_cli(capsys, "enumerate", *argv, "--dump", str(dump))
+    assert code == want and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    if case == "existing":
+        assert dump.read_text() == "2 3\n3 1\n0 1\n"
+        assert list(tmp_path.iterdir()) == [dump]
+    else:
+        assert list(tmp_path.iterdir()) == []
+
+
 def test_enumerate_irreducible_is_top_corank(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "-n", "4", "-p", "2", "-e", "0:6", "--irreducible")
     assert code == 0

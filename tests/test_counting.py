@@ -277,7 +277,7 @@ class TestBlockCotype:
                     full = Counter(matrix.cotype().alphas for matrix in matrices)
                     assert led._irreducible_cotypes(m, p, j, {}, [0]) == full, (m, p, j)
                     for matrix in matrices:
-                        oracle = snf_oracle_minor_gcds(matrix.hnf)
+                        oracle = snf_oracle_minor_gcds(matrix)
                         assert matrix.cotype().alphas == tuple(reversed(oracle[1:])), (
                             matrix.entries
                         )

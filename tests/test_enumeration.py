@@ -4,7 +4,7 @@ import pickle
 import random
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -393,7 +393,9 @@ class TestVisitSubrings:
     @pytest.mark.parametrize(
         "spec",
         [EnumSpec(4, 2, 5), EnumSpec(4, 3, 4, corank=3), EnumSpec(4, 2, 3, mode="naive")]
-        + [EnumSpec(4, 2, 5, rules=PruneRuleSet(**{f.name: False})) for f in fields(PruneRuleSet)],
+        + [EnumSpec(4, 2, 5, rules=PruneRuleSet(**{f.name: False})) for f in fields(PruneRuleSet)]
+        # the naive engine's corank filter is the driver's too
+        + [EnumSpec(4, 2, 4, mode="naive", corank=2), EnumSpec(3, 3, 4, mode="naive", corank=1)],
     )
     def test_visits_survivors_with_their_support_block(self, spec):
         seen = []
@@ -431,9 +433,11 @@ class TestPermutationClosure:
 
 class TestDeterminism:
     def test_thread_count_does_not_change_output(self):
-        serial = enumerate_subrings(EnumSpec(n=4, p=2, e=4))
-        parallel = enumerate_subrings(EnumSpec(n=4, p=2, e=4, threads=2))
-        assert entries(serial) == entries(parallel)
+        # the naive corank spec runs the driver's corank filter in the workers
+        for spec in (EnumSpec(n=4, p=2, e=4), EnumSpec(4, 2, 4, mode="naive", corank=2)):
+            serial = enumerate_subrings(spec)
+            parallel = enumerate_subrings(replace(spec, threads=2))
+            assert entries(serial) == entries(parallel)
 
     def test_diagonal_filter(self):
         ms = enumerate_subrings(EnumSpec(n=3, p=2, e=3, diagonal=(2, 1)))
@@ -602,14 +606,14 @@ def test_full_support_diagonals_are_strict_compositions():
 def test_every_emitted_matrix_certifies(e, p):
     # emission does not re-run the certificate, so the search must hold it
     for m in enumerate_subrings(EnumSpec(n=3, p=p, e=e)):
-        assert is_subring_matrix(m.hnf)
+        assert is_subring_matrix(m)
         assert m.det() == p**e
         assert m.cotype().index == p**e
         assert m.corank() <= 2
     for m in enumerate_subrings(EnumSpec(n=3, p=p, e=e, mode="naive")):
-        assert is_subring_matrix(m.hnf)
+        assert is_subring_matrix(m)
     for m in enumerate_irreducible(4, p, e + 3):
-        assert is_subring_matrix(m.hnf)
+        assert is_subring_matrix(m)
 
 
 def test_no_duplicate_matrices():

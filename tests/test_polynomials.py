@@ -184,6 +184,15 @@ class TestExpand:
         with pytest.raises(KeyError):
             t.coefficient(2, 2, 0)
 
+    def test_negative_index_rejected(self):
+        # a negative key is outside the table, not a zero coefficient
+        t = expand(RatFunc(ONE, ONE - P * X), (4, 0, 0))
+        for key in ((-1, 0, 0), (0, -1, 0), (1, 0, -1)):
+            with pytest.raises(KeyError):
+                t.coefficient(*key)
+        with pytest.raises(KeyError):
+            t.x_coefficient_at(-2, 2)
+
     def test_negative_unit_constant(self):
         t = expand(RatFunc(ONE, X - ONE), (3, 0, 0))
         for e in range(4):

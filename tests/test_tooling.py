@@ -123,6 +123,20 @@ def test_search_nodes_script_counts_the_cell():
     assert cell["nodes"] == sum(d["nodes"] for d in cell["diagonals"]) > cell["matrices"]
 
 
+def test_closed_form_audit_script_prints_its_summary():
+    src = str(Path(subring_census.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "closed_form_audit.py")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-2:] == [
+        "28 cells differ from the displayed closed forms",
+        "0 cells differ from formula_h",
+    ]
+
+
 def test_gc_probe_script_reports_one_pass():
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "gc_probe.py"), "--passes", "1"],
