@@ -1,13 +1,16 @@
 """Batch command-line frontend: enumerate, census, series, constants, verify.
 
-Runs are reproducible: the parsed configuration is normalized and embedded in
-every report, reports are written atomically, and identical configurations
-produce byte-identical reports apart from the timestamp field.
+Runs are reproducible: each option parses straight into its `RunConfig`
+field, the configuration is normalized and embedded in every report, reports
+are written atomically, and identical configurations produce byte-identical
+reports apart from the timestamp field.  Each command returns its report
+body and exit code, and `main` alone writes the report.
 
 Exit codes: 0 all requested checks pass; 1 at least one verification failure
 (a failed check, or a census recheck that finds a stale cache); 2 usage
-error, or a path that cannot be written or used as the cache directory;
-3 node budget exhausted.
+error, an invalid value, or a path that cannot be written or used as the
+cache directory; 3 node budget exhausted in enumerate or census (verify
+marks such a check skipped and goes on).
 """
 
 from __future__ import annotations
@@ -26,7 +29,13 @@ from pathlib import Path
 from . import __version__
 from .catalog import CATALOG_IDS, catalog
 from .counting import CensusValidationError, CountLedger
-from .enumeration import BudgetExceededError, EnumSpec, PruneRuleSet, enumerate_subrings
+from .enumeration import (
+    DEFAULT_NODE_BUDGET,
+    BudgetExceededError,
+    EnumSpec,
+    PruneRuleSet,
+    enumerate_subrings,
+)
 from .hnf import dump_matrices
 from .polynomials import expand
 from .verify import (
@@ -68,7 +77,7 @@ class RunConfig:
     prime: int | None = None
     max_index: int | None = None
     recheck: bool = False
-    node_budget: int = 10**9
+    node_budget: int = DEFAULT_NODE_BUDGET
     threads: int = 1
     series_id: str | None = None
     series_n: int | None = None
@@ -161,8 +170,12 @@ def _report_skeleton(cfg: RunConfig) -> dict:
 
 
 def _ledger(cfg: RunConfig) -> CountLedger:
-    cache = cfg.cache_dir or os.environ.get(CACHE_ENV_VAR)
-    return CountLedger(cache)
+    return CountLedger(cfg.cache_dir or os.environ.get(CACHE_ENV_VAR))
+
+
+def _search(cfg: RunConfig) -> dict:
+    """The search settings of enumerate and census, by their EnumSpec names."""
+    return {"node_budget": cfg.node_budget, "threads": cfg.threads, "progress": cfg.progress}
 
 
 def _rules(cfg: RunConfig) -> PruneRuleSet:
@@ -170,7 +183,7 @@ def _rules(cfg: RunConfig) -> PruneRuleSet:
     return PruneRuleSet(**{f.name: f.name not in disabled for f in fields(PruneRuleSet)})
 
 
-def cmd_enumerate(cfg: RunConfig) -> int:
+def cmd_enumerate(cfg: RunConfig) -> tuple[dict, int]:
     assert cfg.n is not None and cfg.p is not None and cfg.e_range is not None
     corank = cfg.corank
     if cfg.irreducible:
@@ -182,51 +195,27 @@ def cmd_enumerate(cfg: RunConfig) -> int:
     dump = _atomic_open(Path(cfg.dump)) if cfg.dump else contextlib.nullcontext()
     with dump as dump_fh:  # like --out, the file appears only after the last e
         for e in range(cfg.e_range[0], cfg.e_range[1] + 1):
-            spec = EnumSpec(
-                n=cfg.n,
-                p=cfg.p,
-                e=e,
-                mode=cfg.mode,
-                corank=corank,
-                rules=_rules(cfg),
-                node_budget=cfg.node_budget,
-                threads=cfg.threads,
-                progress=cfg.progress,
-            )
+            spec = EnumSpec(cfg.n, cfg.p, e, cfg.mode, corank, rules=_rules(cfg), **_search(cfg))
             matrices = enumerate_subrings(spec)
             if dump_fh:
                 dump_matrices(dump_fh, matrices, cfg.p)
             entries.append({"n": cfg.n, "p": cfg.p, "e": e, "count": len(matrices)})
-    report = _report_skeleton(cfg)
-    report["entries"] = entries
-    _emit(report, cfg)
-    return 0
+    return {"entries": entries}, 0
 
 
-def cmd_census(cfg: RunConfig) -> int:
+def cmd_census(cfg: RunConfig) -> tuple[dict, int]:
     assert cfg.n is not None and cfg.p is not None and cfg.e_range is not None
     ledger = _ledger(cfg)
     entries = []
     for e in range(cfg.e_range[0], cfg.e_range[1] + 1):
-        record = ledger.census(
-            cfg.n,
-            cfg.p,
-            e,
-            recheck=cfg.recheck,
-            node_budget=cfg.node_budget,
-            threads=cfg.threads,
-            progress=cfg.progress,
-        )
+        record = ledger.census(cfg.n, cfg.p, e, recheck=cfg.recheck, **_search(cfg))
         payload = record.payload()
         payload["checksum"] = record.checksum()
         entries.append(payload)
-    report = _report_skeleton(cfg)
-    report["entries"] = entries
-    _emit(report, cfg)
-    return 0
+    return {"entries": entries}, 0
 
 
-def cmd_series(cfg: RunConfig) -> int:
+def cmd_series(cfg: RunConfig) -> tuple[dict, int]:
     assert cfg.series_id is not None
     f = catalog(cfg.series_id, cfg.series_n)
     bounds = cfg.bounds or (8, 0, 0)
@@ -234,22 +223,14 @@ def cmd_series(cfg: RunConfig) -> int:
     entries = []
     for key in sorted(table.coefficients):
         poly = table.coefficients[key]
-        entry = {
-            "x": key[0],
-            "y": key[1],
-            "z": key[2],
-            "coefficient": str(poly),
-        }
+        entry = {"x": key[0], "y": key[1], "z": key[2], "coefficient": str(poly)}
         if cfg.at_p is not None:
             entry["value"] = poly.eval(p=cfg.at_p)
         entries.append(entry)
-    report = _report_skeleton(cfg)
-    report["entries"] = entries
-    _emit(report, cfg)
-    return 0
+    return {"entries": entries}, 0
 
 
-def cmd_constants(cfg: RunConfig) -> int:
+def cmd_constants(cfg: RunConfig) -> tuple[dict, int]:
     names = cfg.constant_ids or tuple(QUOTED_CONSTANTS)
     entries = []
     failures = 0
@@ -262,38 +243,23 @@ def cmd_constants(cfg: RunConfig) -> int:
             entry.update({"quoted": quoted, "tolerance": tol, "kind": kind, "passed": ok})
             failures += 0 if ok else 1
         entries.append(entry)
-    report = _report_skeleton(cfg)
-    report["entries"] = entries
-    report["summary"] = {"total": len(entries), "failed": failures}
-    _emit(report, cfg)
-    return 1 if failures else 0
+    summary = {"total": len(entries), "failed": failures}
+    return {"entries": entries, "summary": summary}, 1 if failures else 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    scope = VerifyScope(
-        suites=cfg.suites or ("all",),
-        small=cfg.small,
-        stretch=cfg.stretch,
-        threads=cfg.threads,
-        node_budget=cfg.node_budget,
-        prime=cfg.prime,
-        max_index=cfg.max_index,
-        ledger=_ledger(cfg),
-    )
-    results = run_verify(scope)
-    checks = [_jsonable(r.to_payload()) for r in results]
+def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
+    # VerifyScope's settings are RunConfig fields of the same name
+    shared = {f.name: getattr(cfg, f.name) for f in fields(VerifyScope) if f.name != "ledger"}
+    results = run_verify(VerifyScope(**shared, ledger=_ledger(cfg)))
     failures = sum(1 for r in results if not r.passed)
-    skipped = sum(1 for r in results if r.skipped)
-    report = _report_skeleton(cfg)
-    report["checks"] = checks
-    report["summary"] = {
+    summary = {
         "total": len(results),
         "passed": len(results) - failures,
         "failed": failures,
-        "skipped": skipped,
+        "skipped": sum(1 for r in results if r.skipped),
     }
-    _emit(report, cfg)
-    return 1 if failures else 0
+    checks = [_jsonable(r.to_payload()) for r in results]
+    return {"checks": checks, "summary": summary}, 1 if failures else 0
 
 
 def _parse_e_range(text: str) -> tuple[int, int]:
@@ -316,6 +282,9 @@ def _parse_bounds(text: str) -> tuple[int, int, int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command; each option's dest is its RunConfig field,
+    and an option left out is absent from the namespace, so it keeps the
+    field's default."""
     parser = argparse.ArgumentParser(
         prog="subring-census",
         description="Exact enumeration and verification of finite-index subrings of Z^n.",
@@ -323,12 +292,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name, help):
+        return sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+
     def common(sp, search=False, progress=False, cache=False):
-        sp.add_argument("--format", choices=("json", "csv", "text"), default="json")
+        sp.add_argument("--format", dest="fmt", choices=("json", "csv", "text"))
         sp.add_argument("--out", help="write the report to this path (atomically)")
         if search:
-            sp.add_argument("--threads", type=int, default=1)
-            sp.add_argument("--budget", type=int, default=10**9, help="search node budget")
+            sp.add_argument("--threads", type=int)
+            sp.add_argument(
+                "--budget", dest="node_budget", type=int, metavar="BUDGET",
+                help="search node budget",
+            )
         if progress:
             sp.add_argument("--progress", action="store_true", help="diagonal progress on stderr")
         if cache:
@@ -337,27 +312,32 @@ def build_parser() -> argparse.ArgumentParser:
                 help=f"census cache directory (default ${CACHE_ENV_VAR} if set)",
             )
 
-    sp = sub.add_parser("enumerate", help="stream subring matrices for one (n, p, e) range")
-    sp.add_argument("-n", type=int, required=True)
-    sp.add_argument("-p", type=int, required=True)
-    sp.add_argument("-e", type=_parse_e_range, required=True, metavar="E or LO:HI")
-    sp.add_argument("--mode", choices=("naive", "pruned"), default="pruned")
+    def cell(sp):
+        sp.add_argument("-n", type=int, required=True)
+        sp.add_argument("-p", type=int, required=True)
+        sp.add_argument(
+            "-e", dest="e_range", type=_parse_e_range, required=True, metavar="E or LO:HI"
+        )
+
+    sp = command("enumerate", "stream subring matrices for one (n, p, e) range")
+    cell(sp)
+    sp.add_argument("--mode", choices=("naive", "pruned"))
     sp.add_argument("--corank", type=int)
     sp.add_argument("--irreducible", action="store_true")
-    sp.add_argument("--disable-rule", action="append", choices=RULE_NAMES, default=[])
+    sp.add_argument("--disable-rule", dest="disabled_rules", action="append", choices=RULE_NAMES)
     sp.add_argument("--dump", help="write matrices in the text exchange format")
     common(sp, search=True, progress=True)
 
-    sp = sub.add_parser("census", help="exact census records for one (n, p, e) range")
-    sp.add_argument("-n", type=int, required=True)
-    sp.add_argument("-p", type=int, required=True)
-    sp.add_argument("-e", type=_parse_e_range, required=True, metavar="E or LO:HI")
+    sp = command("census", "exact census records for one (n, p, e) range")
+    cell(sp)
     sp.add_argument("--recheck", action="store_true", help="recompute and compare to cache")
     common(sp, search=True, progress=True, cache=True)
 
-    sp = sub.add_parser("series", help="series coefficients of a catalogued function")
-    sp.add_argument("--id", required=True, choices=CATALOG_IDS)
-    sp.add_argument("--n", type=int, help="dimension for parameterized entries")
+    sp = command("series", "series coefficients of a catalogued function")
+    sp.add_argument("--id", dest="series_id", required=True, choices=CATALOG_IDS)
+    sp.add_argument(
+        "--n", dest="series_n", type=int, metavar="N", help="dimension for parameterized entries"
+    )
     sp.add_argument(
         "--bounds", type=_parse_bounds, metavar="X,Y,Z", help="truncation bounds, e.g. 8,0,0"
     )
@@ -365,15 +345,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--at-p", type=int, help="also evaluate coefficients at this prime")
     common(sp)
 
-    sp = sub.add_parser("constants", help="numeric constants with error enclosures")
-    sp.add_argument("--id", action="append", default=[], help="constant id (repeatable)")
+    sp = command("constants", "numeric constants with error enclosures")
+    sp.add_argument(
+        "--id", dest="constant_ids", action="append", metavar="ID",
+        help="constant id (repeatable)",
+    )
     common(sp)
 
-    sp = sub.add_parser("verify", help="run verification suites")
+    sp = command("verify", "run verification suites")
     sp.add_argument(
         "--suite",
+        dest="suites",
         action="append",
-        default=[],
+        metavar="SUITE",
         help=f"suite name or 'all' (available: {', '.join(SUITES)})",
     )
     sp.add_argument("--small", action="store_true", help="reduced desk-scale grids")
@@ -386,39 +370,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    cfg.fmt = getattr(args, "format", "json")
-    cfg.out = getattr(args, "out", None)
-    cfg.threads = getattr(args, "threads", 1)
-    cfg.node_budget = getattr(args, "budget", 10**9)
-    cfg.progress = getattr(args, "progress", False)
-    cfg.cache_dir = getattr(args, "cache_dir", None)
-    if args.command in ("enumerate", "census"):
-        cfg.n = args.n
-        cfg.p = args.p
-        cfg.e_range = args.e
-    if args.command == "enumerate":
-        cfg.mode = args.mode
-        cfg.corank = args.corank
-        cfg.irreducible = args.irreducible
-        cfg.disabled_rules = tuple(sorted(set(args.disable_rule)))
-        cfg.dump = args.dump
-    if args.command == "census":
-        cfg.recheck = args.recheck
-    if args.command == "series":
-        cfg.series_id = args.id
-        cfg.series_n = args.n
-        cfg.bounds = args.bounds
-        cfg.total = args.total
-        cfg.at_p = args.at_p
-    if args.command == "constants":
-        cfg.constant_ids = tuple(args.id)
-    if args.command == "verify":
-        cfg.suites = tuple(args.suite) or ("all",)
-        cfg.small = args.small
-        cfg.stretch = args.stretch
-        cfg.prime = args.prime
-        cfg.max_index = args.max_index
+    """The RunConfig of parsed arguments, lists made tuples; rules disabled
+    are sorted and unique, and verify runs every suite unless told which."""
+    cfg = RunConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in vars(args).items()})
+    cfg.disabled_rules = tuple(sorted(set(cfg.disabled_rules)))
+    if cfg.command == "verify" and not cfg.suites:
+        cfg.suites = ("all",)
     return cfg
 
 
@@ -449,7 +406,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_attach_negative_bounds(sys.argv[1:] if argv is None else argv))
     cfg = config_from_args(args)
     try:
-        return COMMANDS[args.command](cfg)
+        body, code = COMMANDS[cfg.command](cfg)
+        _emit({**_report_skeleton(cfg), **body}, cfg)
+        return code
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -54,10 +54,12 @@ from . import hnf
 from .catalog import irreducible_count
 from .combinatorics import binomial, is_prime
 from .enumeration import (
+    DEFAULT_NODE_BUDGET,
     ENGINE_VERSION,
     EnumSpec,
     PruneRuleSet,
     check_cell,
+    check_search,
     enumerate_subrings,
     visit_subrings,
 )
@@ -568,7 +570,7 @@ class CountLedger:
         p: int,
         e: int,
         recheck: bool = False,
-        node_budget: int = 10**9,
+        node_budget: int = DEFAULT_NODE_BUDGET,
         threads: int = 1,
         progress: bool = False,
     ) -> CensusRecord:
@@ -579,10 +581,11 @@ class CountLedger:
         processes, is compared against the cached record and a mismatch
         raises (stale engine guard).  The enumerations of one call share
         node_budget; exhaustion propagates as BudgetExceededError and nothing
-        partial is stored.  An invalid cell raises ValueError before the
-        lookup, so nothing is appended.
+        partial is stored.  An invalid cell, node budget or worker count
+        raises ValueError before the lookup, so nothing is appended.
         """
         check_cell(n, p, e)
+        check_search(node_budget, threads)
         cached = self._lookup(n, p, e)
         if recheck:
             self.stats["rechecks"] += 1
@@ -906,7 +909,7 @@ def multiplicative_extend(
     ledger: CountLedger,
     coranks: tuple[int, ...] = (),
     compute: bool = True,
-    node_budget: int = 10**9,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> ExtendedCounts:
     """Extend prime-power censuses multiplicatively to every index <= limit.
 
@@ -914,11 +917,11 @@ def multiplicative_extend(
     ascending order of p^e, and every table is built from the records kept,
     over one `IndexSplit` of the indices.
     With compute=False, absent census records are reported (all of them, in a
-    MissingCensusError) instead of being enumerated on demand.  n must be at
-    least 1, limit nonnegative and every corank in 0..n-1 (ValueError).
+    MissingCensusError) instead of being enumerated on demand.  n must be an
+    integer of at least 1, limit nonnegative and every corank in 0..n-1
+    (ValueError).
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    check_cell(n, 2, 0)
     if limit < 0:
         raise ValueError("need limit >= 0")
     if any(not 0 <= k < n for k in coranks):

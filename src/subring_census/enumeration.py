@@ -75,6 +75,8 @@ from .hnf import (
 )
 
 ENGINE_VERSION = "0.1.0"
+# the search node budget of every entry point that takes one
+DEFAULT_NODE_BUDGET = 10**9
 
 Rows = tuple[tuple[int, ...], ...]
 # visit(rows, block) at each survivor; see visit_subrings
@@ -107,6 +109,14 @@ def check_cell(n: int, p: int, e: int) -> None:
         raise ValueError(f"p = {p} is not prime")
     if e < 0:
         raise ValueError("need e >= 0")
+
+
+def check_search(node_budget: int, threads: int) -> None:
+    """Raise ValueError unless the node budget and the worker count are positive."""
+    if node_budget < 1:
+        raise ValueError("node budget must be positive")
+    if threads < 1:
+        raise ValueError("threads must be positive")
 
 
 @dataclass(frozen=True)
@@ -184,7 +194,7 @@ class EnumSpec:
     diagonal: tuple[int, ...] | None = None
     # one frozen rule set, shared by every spec that takes the default
     rules: PruneRuleSet = PruneRuleSet()
-    node_budget: int = 10**9
+    node_budget: int = DEFAULT_NODE_BUDGET
     threads: int = 1
     progress: bool = False
 
@@ -201,10 +211,7 @@ class EnumSpec:
                 raise ValueError("diagonal filter parts must be nonnegative")
             if sum(self.diagonal) != self.e:
                 raise ValueError("diagonal filter must sum to e")
-        if self.node_budget < 1:
-            raise ValueError("node budget must be positive")
-        if self.threads < 1:
-            raise ValueError("threads must be positive")
+        check_search(self.node_budget, self.threads)
 
 
 def _template_rows(n: int, p: int, exps: tuple[int, ...]) -> list[list[int]]:
@@ -609,7 +616,7 @@ def permutation_gaps(matrices: list[SubringMatrix]) -> list[SubringMatrix]:
 
 
 def enumerate_irreducible(
-    n: int, p: int, e: int, node_budget: int = 10**9
+    n: int, p: int, e: int, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> list[SubringMatrix]:
     """All irreducible subring matrices of Z^n with determinant p^e.
 

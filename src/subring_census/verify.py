@@ -2,11 +2,15 @@
 
 Each check computes a left- and right-hand side by two independent routes and
 records them with a stable id and a self-contained description.  Failures are
-report entries, never exceptions; budget exhaustion marks a check skipped.
+report entries, never exceptions.  Every check that enumerates or takes a
+census runs under `_check`: when its block exhausts the node budget, the
+check is recorded as skipped, under its own id and description, and the suite
+goes on.
 """
 
 from __future__ import annotations
 
+import contextlib
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -26,9 +30,11 @@ from .counting import (
     sandwich_bounds,
 )
 from .enumeration import (
+    DEFAULT_NODE_BUDGET,
     BudgetExceededError,
     EnumSpec,
     PruneRuleSet,
+    check_search,
     enumerate_subrings,
     permutation_gaps,
 )
@@ -77,12 +83,13 @@ class VerifyScope:
     small: bool = False
     stretch: bool = False
     threads: int = 1
-    node_budget: int = 10**9
+    node_budget: int = DEFAULT_NODE_BUDGET
     prime: int | None = None
     max_index: int | None = None
     ledger: CountLedger = field(default_factory=CountLedger)
 
     def __post_init__(self) -> None:
+        check_search(self.node_budget, self.threads)
         if self.max_index is not None and self.prime is None:
             raise ValueError("an index bound for the cotype-z4 suite needs its prime")
 
@@ -100,8 +107,23 @@ def _result(check_id, description, lhs, rhs, passed=None, note="") -> CheckResul
     return CheckResult(check_id, description, lhs, rhs, bool(passed), note=note)
 
 
-def _skipped(check_id, description, note) -> CheckResult:
-    return CheckResult(check_id, description, None, None, True, skipped=True, note=note)
+@contextlib.contextmanager
+def _check(out: list[CheckResult], check_id: str, description: str | Callable[[], str]):
+    """Run one check's block, which records its sides through the yielded
+    function.  A block that exhausts the node budget records the check as
+    skipped instead, under the same id and description, and the suite goes
+    on.  A description that names what the block counted is given as a
+    function, read when the check is recorded."""
+    describe = description if callable(description) else lambda: description
+
+    def record(lhs, rhs, passed=None, note="") -> None:
+        out.append(_result(check_id, describe(), lhs, rhs, passed, note))
+
+    try:
+        yield record
+    except BudgetExceededError as exc:
+        note = f"budget exhausted: {exc}"
+        out.append(CheckResult(check_id, describe(), None, None, True, skipped=True, note=note))
 
 
 # ---------------------------------------------------------------------------
@@ -115,16 +137,14 @@ def suite_cocyclic(scope: VerifyScope) -> list[CheckResult]:
     e_max = 3 if scope.small else 6
     for n in n_range:
         for p in p_range:
-            counts = [scope.census(n, p, e).h_counts[1] for e in range(1, e_max + 1)]
-            expected = [binomial(n, 2)] * e_max
-            out.append(
-                _result(
-                    f"cocyclic/n={n}/p={p}",
-                    f"count of corank-1 subrings of Z^{n} at index {p}^e equals C({n},2) for e <= {e_max}",
-                    counts,
-                    expected,
-                )
-            )
+            with _check(
+                out,
+                f"cocyclic/n={n}/p={p}",
+                f"count of corank-1 subrings of Z^{n} at index {p}^e equals C({n},2) "
+                f"for e <= {e_max}",
+            ) as record:
+                counts = [scope.census(n, p, e).h_counts[1] for e in range(1, e_max + 1)]
+                record(counts, [binomial(n, 2)] * e_max)
     return out
 
 
@@ -146,30 +166,28 @@ def suite_corank_formulas(scope: VerifyScope) -> list[CheckResult]:
     for k, (e_range, n_range, form) in forms.items():
         for n in n_range:
             for p in (2, 3):
-                out.append(
-                    _result(
-                        f"corank{k}-closed-form/n={n}/p={p}",
-                        f"h(n={n}, k={k}; {p}^e) equals {form.format(p=p)}",
+                with _check(
+                    out,
+                    f"corank{k}-closed-form/n={n}/p={p}",
+                    f"h(n={n}, k={k}; {p}^e) equals {form.format(p=p)}",
+                ) as record:
+                    record(
                         [scope.census(n, p, e).h_counts[k] for e in e_range],
                         [displayed_formula_h(n, k, p, e) for e in e_range],
                     )
-                )
     # informational: the variant reading with the fixed argument g_3(p^3) in
     # place of g_3(p^e) disagrees with the census once e != 3.
     n0, p0, e0 = 3, 2, 2
     a, b = corank2_formula_coefficients(n0)
     variant = a * irreducible_count(3, p0, 3) + b * (e0 - 1)
-    true_count = scope.census(n0, p0, e0).h_counts[2]
-    out.append(
-        _result(
-            "corank2-variant-flag",
-            "fixed-argument variant a(n) g_3(p^3) + b(n)(e-1) does NOT match the census "
-            f"at n={n0}, p={p0}, e={e0} (informational; the e-dependent form does)",
-            variant != true_count,
-            True,
-            note=f"variant={variant}, census={true_count}",
-        )
-    )
+    with _check(
+        out,
+        "corank2-variant-flag",
+        "fixed-argument variant a(n) g_3(p^3) + b(n)(e-1) does NOT match the census "
+        f"at n={n0}, p={p0}, e={e0} (informational; the e-dependent form does)",
+    ) as record:
+        true_count = scope.census(n0, p0, e0).h_counts[2]
+        record(variant != true_count, True, note=f"variant={variant}, census={true_count}")
     if not scope.small:
         # informational: at n = 5 the pair contribution aggregates WITHOUT the
         # (j-1) weight; the census sides with the unweighted sum there.
@@ -178,19 +196,19 @@ def suite_corank_formulas(scope: VerifyScope) -> list[CheckResult]:
             irreducible_count(3, 2, j) for j in range(2, 4)
         )
         weighted = displayed_formula_h(5, 3, 2, 4)
-        census_count = scope.census(5, 2, 4).h_counts[3]
-        out.append(
-            _result(
-                "corank3-weight-flag",
-                "unweighted pair sum c(5) g_4(2^4) + d(5) sum_j g_3(2^j) matches "
-                "the census at n=5 while the (j-1)-weighted form does not "
-                "(informational erratum evidence)",
+        with _check(
+            out,
+            "corank3-weight-flag",
+            "unweighted pair sum c(5) g_4(2^4) + d(5) sum_j g_3(2^j) matches "
+            "the census at n=5 while the (j-1)-weighted form does not "
+            "(informational erratum evidence)",
+        ) as record:
+            census_count = scope.census(5, 2, 4).h_counts[3]
+            record(
                 unweighted == census_count,
                 True,
-                note=f"unweighted={unweighted}, weighted={weighted}, "
-                f"census={census_count}",
+                note=f"unweighted={unweighted}, weighted={weighted}, census={census_count}",
             )
-        )
     return out
 
 
@@ -206,17 +224,16 @@ def suite_local_factors(scope: VerifyScope) -> list[CheckResult]:
             e_max = min(e_max, 4)
         table = expand(catalog(entry), (e_max, 0, 0))
         for p in p_range:
-            counts = [scope.census(n, p, e).f_count for e in range(e_max + 1)]
-            predicted = [table.x_coefficient_at(e, p) for e in range(e_max + 1)]
-            out.append(
-                _result(
-                    f"local-factor/n={n}/p={p}",
-                    f"census totals f_{n}({p}^e) for e <= {e_max} equal the "
-                    "series coefficients of the catalogued local factor",
-                    counts,
-                    predicted,
+            with _check(
+                out,
+                f"local-factor/n={n}/p={p}",
+                f"census totals f_{n}({p}^e) for e <= {e_max} equal the "
+                "series coefficients of the catalogued local factor",
+            ) as record:
+                record(
+                    [scope.census(n, p, e).f_count for e in range(e_max + 1)],
+                    [table.x_coefficient_at(e, p) for e in range(e_max + 1)],
                 )
-            )
     return out
 
 
@@ -260,35 +277,23 @@ def suite_cotype_z4(scope: VerifyScope) -> list[CheckResult]:
     )
     census_by_p: dict[int, dict[tuple[int, int, int], int]] = {}
     for p, emax in grids:
-        try:
+        with _check(
+            out,
+            f"cotype-z4/p={p}",
+            f"cotype census of Z^4 at p={p} for total index <= {p}^{emax} "
+            "matches the series coefficients of the catalogued factor exactly",
+        ) as record:
             census: dict[tuple[int, int, int], int] = {}
             for e in range(emax + 1):
                 census.update(_census_cotype_exponents(scope, p, e))
-        except BudgetExceededError as exc:
-            out.append(
-                _skipped(
-                    f"cotype-z4/p={p}",
-                    f"cotype census of Z^4 at p={p} up to index {p}^{emax}",
-                    f"budget exhausted: {exc}",
-                )
-            )
-            continue
-        census_by_p[p] = census
-        predicted = {
-            key: poly.eval(p=p)
-            for key, poly in predicted_all.items()
-            if sum(key) <= emax
-        }
-        predicted = {k: v for k, v in predicted.items() if v}
-        out.append(
-            _result(
-                f"cotype-z4/p={p}",
-                f"cotype census of Z^4 at p={p} for total index <= {p}^{emax} "
-                "matches the series coefficients of the catalogued factor exactly",
-                census,
-                predicted,
-            )
-        )
+            census_by_p[p] = census
+            predicted = {
+                key: poly.eval(p=p)
+                for key, poly in predicted_all.items()
+                if sum(key) <= emax
+            }
+            record(census, {k: v for k, v in predicted.items() if v})
+    # left out when a prime was skipped
     if len(census_by_p) == 2:
         shared = min(e for _, e in grids)
         matches = True
@@ -475,73 +480,57 @@ def suite_invariants(scope: VerifyScope) -> list[CheckResult]:
     if not scope.small:
         grids += [(3, 5, 5), (4, 5, 4), (5, 2, 4), (6, 2, 3)]
     checked = 0
-    violation = ""
-    try:
-        for n, p, emax in grids:
-            for e in range(emax + 1):
-                record = scope.census(n, p, e, recheck=True, threads=scope.threads)
-                checked += record.f_count
-    except CensusValidationError as exc:
-        violation = str(exc)
-    out.append(
-        _result(
-            "invariants/structural",
-            f"corank equals diagonal support, last-column 0/1 and pair rules, and "
-            f"exactly-one-1 rule hold for all {checked} matrices in the census grids",
-            violation or "no violations",
-            "no violations",
-        )
-    )
-    sandwich_ok = True
-    worst = ""
-    for n in (3, 4, 5, 6):
-        for k in (1, 2, 3):
-            if k >= n:
-                continue
-            for p in (2, 3):
-                emax = 3 if scope.small else 5
-                for e in range(k, emax + 1):
-                    h = scope.census(n, p, e).h_counts[k]
-                    lo, hi = sandwich_bounds(n, k, p, e)
-                    if not lo <= h <= hi:
-                        sandwich_ok = False
-                        worst = f"(n={n}, k={k}, p={p}, e={e}): {lo} <= {h} <= {hi} fails"
-    out.append(
-        _result(
-            "invariants/count-sandwich",
-            "C(n-1,k) g_{k+1}(p^e) <= h_{n,k}(p^e) <= (n-k)^k C(n-1,k) g_{k+1}(p^e) "
-            "across the sampled grid",
-            sandwich_ok,
-            True,
-            note=worst,
-        )
-    )
+    with _check(
+        out,
+        "invariants/structural",
+        lambda: "corank equals diagonal support, last-column 0/1 and pair rules, and "
+        f"exactly-one-1 rule hold for all {checked} matrices in the census grids",
+    ) as record:
+        violation = ""
+        try:
+            for n, p, emax in grids:
+                for e in range(emax + 1):
+                    census = scope.census(n, p, e, recheck=True, threads=scope.threads)
+                    checked += census.f_count
+        except CensusValidationError as exc:
+            violation = str(exc)
+        record(violation or "no violations", "no violations")
+    with _check(
+        out,
+        "invariants/count-sandwich",
+        "C(n-1,k) g_{k+1}(p^e) <= h_{n,k}(p^e) <= (n-k)^k C(n-1,k) g_{k+1}(p^e) "
+        "across the sampled grid",
+    ) as record:
+        sandwich_ok = True
+        worst = ""
+        for n in (3, 4, 5, 6):
+            for k in (1, 2, 3):
+                if k >= n:
+                    continue
+                for p in (2, 3):
+                    emax = 3 if scope.small else 5
+                    for e in range(k, emax + 1):
+                        h = scope.census(n, p, e).h_counts[k]
+                        lo, hi = sandwich_bounds(n, k, p, e)
+                        if not lo <= h <= hi:
+                            sandwich_ok = False
+                            worst = f"(n={n}, k={k}, p={p}, e={e}): {lo} <= {h} <= {hi} fails"
+        record(sandwich_ok, True, note=worst)
     # The full-support search certifies products by its pruning rules alone
     # (see enumeration._pruned_for_diagonal); coordinate symmetry checks its
     # output without them, at cells the naive engine cannot reach.
     for n, p, e in ((4, 2, 5), (5, 2, 6), (5, 3, 5), (6, 2, 7), (7, 2, 8)):
-        check_id = f"invariants/permutation-closure/n={n}/p={p}/e={e}"
-        description = (
+        with _check(
+            out,
+            f"invariants/permutation-closure/n={n}/p={p}/e={e}",
             f"the irreducible subrings of Z^{n} at index {p}^{e} are closed under the "
             f"coordinate permutations (0 1) and (0 1 ... {n - 1}), which generate S_{n}; "
-            f"a search that lost whole S_{n}-orbits would still pass"
-        )
-        try:
+            f"a search that lost whole S_{n}-orbits would still pass",
+        ) as record:
             matrices = enumerate_subrings(
                 EnumSpec(n, p, e, corank=n - 1, node_budget=scope.node_budget)
             )
-        except BudgetExceededError as exc:
-            out.append(_skipped(check_id, description, f"budget exhausted: {exc}"))
-            continue
-        out.append(
-            _result(
-                check_id,
-                description,
-                len(permutation_gaps(matrices)),
-                0,
-                note=f"{len(matrices)} matrices",
-            )
-        )
+            record(len(permutation_gaps(matrices)), 0, note=f"{len(matrices)} matrices")
     return out
 
 
@@ -552,50 +541,37 @@ def suite_invariants(scope: VerifyScope) -> list[CheckResult]:
 def suite_oracle(scope: VerifyScope) -> list[CheckResult]:
     out = []
     e_max = 3 if scope.small else 5
+    budget = scope.node_budget
     for n in (2, 3, 4):
         for p in (2, 3):
-            agree = True
-            detail = ""
-            for e in range(e_max + 1):
-                naive = enumerate_subrings(
-                    EnumSpec(n=n, p=p, e=e, mode="naive", node_budget=scope.node_budget)
-                )
-                pruned = enumerate_subrings(
-                    EnumSpec(
-                        n=n,
-                        p=p,
-                        e=e,
-                        mode="pruned",
-                        node_budget=scope.node_budget,
-                        threads=scope.threads,
+            with _check(
+                out,
+                f"oracle/enumeration/n={n}/p={p}",
+                f"definition-only and rule-driven enumerations agree for Z^{n} "
+                f"at p={p}, e <= {e_max} (same sets, same canonical order)",
+            ) as record:
+                agree = True
+                detail = ""
+                for e in range(e_max + 1):
+                    naive = enumerate_subrings(EnumSpec(n, p, e, "naive", node_budget=budget))
+                    pruned = enumerate_subrings(
+                        EnumSpec(n, p, e, "pruned", node_budget=budget, threads=scope.threads)
                     )
-                )
-                if [m.entries for m in naive] != [m.entries for m in pruned]:
-                    agree = False
-                    detail = f"mismatch at e={e}"
-                    break
-            out.append(
-                _result(
-                    f"oracle/enumeration/n={n}/p={p}",
-                    f"definition-only and rule-driven enumerations agree for Z^{n} "
-                    f"at p={p}, e <= {e_max} (same sets, same canonical order)",
-                    agree,
-                    True,
-                    note=detail,
-                )
-            )
-    rules_off = enumerate_subrings(
-        EnumSpec(n=4, p=2, e=3, mode="pruned", rules=PruneRuleSet.none())
-    )
-    naive = enumerate_subrings(EnumSpec(n=4, p=2, e=3, mode="naive"))
-    out.append(
-        _result(
-            "oracle/rules-off",
-            "pruned engine with every rule disabled reproduces the naive output",
-            [m.entries for m in rules_off],
-            [m.entries for m in naive],
+                    if [m.entries for m in naive] != [m.entries for m in pruned]:
+                        agree = False
+                        detail = f"mismatch at e={e}"
+                        break
+                record(agree, True, note=detail)
+    with _check(
+        out,
+        "oracle/rules-off",
+        "pruned engine with every rule disabled reproduces the naive output",
+    ) as record:
+        rules_off = enumerate_subrings(
+            EnumSpec(4, 2, 3, "pruned", rules=PruneRuleSet.none(), node_budget=budget)
         )
-    )
+        naive = enumerate_subrings(EnumSpec(4, 2, 3, "naive", node_budget=budget))
+        record([m.entries for m in rules_off], [m.entries for m in naive])
     rng = random.Random(0xC0FFEE)
     samples = 10**3 if scope.small else 10**4
     mismatches = 0
@@ -751,16 +727,13 @@ def suite_rpstar(scope: VerifyScope) -> list[CheckResult]:
     n_range = (3, 4) if scope.small else (3, 4, 5)
     for n in n_range:
         for p in (2, 3):
-            record = scope.census(n, p, n - 1)
-            key = tuple([p] * (n - 1))
-            out.append(
-                _result(
-                    f"rpstar/n={n}/p={p}",
-                    f"exactly one subring of Z^{n} has cotype ({','.join(str(p) for _ in range(n-1))})",
-                    record.cotype_counts.get(key, 0),
-                    1,
-                )
-            )
+            key = (p,) * (n - 1)
+            with _check(
+                out,
+                f"rpstar/n={n}/p={p}",
+                f"exactly one subring of Z^{n} has cotype ({','.join(map(str, key))})",
+            ) as record:
+                record(scope.census(n, p, n - 1).cotype_counts.get(key, 0), 1)
     return out
 
 
@@ -770,27 +743,19 @@ def suite_rpstar(scope: VerifyScope) -> list[CheckResult]:
 
 def suite_stretch(scope: VerifyScope) -> list[CheckResult]:
     out = []
-    try:
-        record = scope.census(6, 2, 7)
-        out.append(
-            _result(
-                "stretch/z6-index-128",
-                "Z^6 has at least 2^6 = 64 subrings of index 2^7",
-                record.f_count,
-                64,
-                passed=record.f_count >= 64,
-            )
-        )
-    except BudgetExceededError as exc:
-        out.append(
-            _skipped(
-                "stretch/z6-index-128",
-                "Z^6 has at least 64 subrings of index 2^7",
-                f"budget exhausted: {exc}",
-            )
-        )
+    with _check(
+        out, "stretch/z6-index-128", "Z^6 has at least 2^6 = 64 subrings of index 2^7"
+    ) as record:
+        f_count = scope.census(6, 2, 7).f_count
+        record(f_count, 64, passed=f_count >= 64)
     limit = 200 if not scope.small else 60
-    try:
+    with _check(
+        out,
+        "stretch/sylow-bijection",
+        f"subrings of Z^3 of index <= {limit} whose quotient has 2-part "
+        "(Z/2)^2 are equinumerous with odd-index subrings of index <= "
+        f"{limit // 4}",
+    ) as record:
         table = multiplicative_extend(3, limit, scope.ledger, node_budget=scope.node_budget)
         record22 = scope.census(3, 2, 2)
         weight = record22.cotype_counts.get((2, 2), 0)
@@ -804,24 +769,7 @@ def suite_stretch(scope: VerifyScope) -> list[CheckResult]:
         rhs = sum(
             table.f[j] for j in range(1, limit // 4 + 1) if j % 2 == 1
         )
-        out.append(
-            _result(
-                "stretch/sylow-bijection",
-                f"subrings of Z^3 of index <= {limit} whose quotient has 2-part "
-                "(Z/2)^2 are equinumerous with odd-index subrings of index <= "
-                f"{limit // 4}",
-                lhs,
-                rhs,
-            )
-        )
-    except BudgetExceededError as exc:
-        out.append(
-            _skipped(
-                "stretch/sylow-bijection",
-                "Sylow decomposition bijection for Z^3",
-                f"budget exhausted: {exc}",
-            )
-        )
+        record(lhs, rhs)
     return out
 
 

@@ -9,6 +9,7 @@ from subring_census.catalog import irreducible_count
 from subring_census.cli import (
     CACHE_ENV_VAR,
     RULE_NAMES,
+    RunConfig,
     _rules,
     build_parser,
     config_from_args,
@@ -272,6 +273,11 @@ def test_malformed_arguments_are_usage_errors(capsys, argv):
         ["census", "-n", "3", "-p", "4", "-e", "0"],
         ["verify", "--suite", "rpstar", "--suite", "nosuch"],
         ["verify", "--suite", "cotype-z4", "--max-index", "64"],
+        # search settings are checked where they enter, also by a call
+        # that builds no enumeration spec
+        ["census", "-n", "3", "-p", "2", "-e", "0:1", "--threads", "-3"],
+        ["census", "-n", "3", "-p", "2", "-e", "0", "--budget", "0"],
+        ["verify", "--suite", "rpstar", "--small", "--threads", "0"],
     ],
 )
 def test_invalid_values_exit_2_with_one_line(capsys, tmp_path, argv):
@@ -365,18 +371,80 @@ def test_reports_byte_identical_modulo_timestamp(tmp_path, capsys):
     assert strip(texts[0], stamps[0]) == strip(texts[1], stamps[1])
 
 
-def test_config_round_trip():
-    parser = build_parser()
-    args = parser.parse_args(
-        ["enumerate", "-n", "4", "-p", "3", "-e", "1:3", "--corank", "2",
-         "--disable-rule", "last-column", "--threads", "2"]
-    )
-    cfg = config_from_args(args)
-    norm = cfg.normalized()
-    assert norm["n"] == 4 and norm["p"] == 3 and norm["e_range"] == [1, 3]
-    assert norm["disabled_rules"] == ["last-column"]
+def _subparser(name):
+    (sub,) = build_parser()._subparsers._group_actions
+    return sub.choices[name]
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["enumerate", "-n", "4", "-p", "3", "-e", "1:3", "--mode", "naive",
+             "--corank", "2", "--irreducible", "--disable-rule", "zero-one",
+             "--disable-rule", "last-column", "--disable-rule", "zero-one",
+             "--dump", "m.txt", "--threads", "2", "--budget", "77", "--progress",
+             "--format", "csv", "--out", "r.csv"],
+            {"n": 4, "p": 3, "e_range": [1, 3], "mode": "naive", "corank": 2,
+             "irreducible": True, "disabled_rules": ["last-column", "zero-one"],
+             "dump": "m.txt", "threads": 2, "node_budget": 77, "progress": True,
+             "fmt": "csv", "out": "r.csv"},
+        ),
+        (
+            ["census", "-n", "3", "-p", "5", "-e", "2", "--recheck", "--threads", "3",
+             "--budget", "50", "--progress", "--cache-dir", "c", "--format", "text",
+             "--out", "r.txt"],
+            {"n": 3, "p": 5, "e_range": [2, 2], "recheck": True, "threads": 3,
+             "node_budget": 50, "progress": True, "cache_dir": "c", "fmt": "text",
+             "out": "r.txt"},
+        ),
+        (
+            ["series", "--id", "corank2_local", "--n", "5", "--bounds", "4,2,1",
+             "--total", "6", "--at-p", "3", "--format", "csv", "--out", "s.csv"],
+            {"series_id": "corank2_local", "series_n": 5, "bounds": [4, 2, 1], "total": 6,
+             "at_p": 3, "fmt": "csv", "out": "s.csv"},
+        ),
+        (
+            ["constants", "--id", "zeta_2", "--id", "p_R_3_1", "--format", "text",
+             "--out", "c.txt"],
+            {"constant_ids": ["zeta_2", "p_R_3_1"], "fmt": "text", "out": "c.txt"},
+        ),
+        (
+            ["verify", "--suite", "rpstar", "--suite", "cocyclic", "--small", "--stretch",
+             "-p", "3", "--max-index", "81", "--threads", "2", "--budget", "99",
+             "--cache-dir", "v", "--format", "csv", "--out", "v.csv"],
+            {"suites": ["rpstar", "cocyclic"], "small": True, "stretch": True, "prime": 3,
+             "max_index": 81, "threads": 2, "node_budget": 99, "cache_dir": "v",
+             "fmt": "csv", "out": "v.csv"},
+        ),
+    ],
+    ids=["enumerate", "census", "series", "constants", "verify"],
+)
+def test_config_round_trip(argv, expected):
+    # the argv sets every option of its command away from the default
+    options = {a.dest for a in _subparser(argv[0])._actions if a.option_strings} - {"help"}
+    assert options == set(expected)
+    norm = config_from_args(build_parser().parse_args(argv)).normalized()
+    default = RunConfig(command=argv[0]).normalized()
+    assert all(default[key] != value for key, value in expected.items())
+    assert norm == {**default, **expected}
     # normalization is stable under re-normalization
     assert norm == json.loads(json.dumps(norm))
+
+
+@pytest.mark.parametrize(
+    "argv, given",
+    [
+        (["enumerate", "-n", "3", "-p", "2", "-e", "1"], {"n": 3, "p": 2, "e_range": (1, 1)}),
+        (["census", "-n", "3", "-p", "2", "-e", "1"], {"n": 3, "p": 2, "e_range": (1, 1)}),
+        (["series", "--id", "cotype_z2"], {"series_id": "cotype_z2"}),
+        (["constants"], {}),
+        (["verify"], {"suites": ("all",)}),
+    ],
+)
+def test_left_out_options_keep_their_run_config_defaults(argv, given):
+    cfg = config_from_args(build_parser().parse_args(argv))
+    assert cfg == RunConfig(command=argv[0], **given)
 
 
 def test_verify_prime_and_index_have_their_own_keys(capsys, tmp_path):
@@ -390,6 +458,17 @@ def test_verify_prime_and_index_have_their_own_keys(capsys, tmp_path):
     assert doc["config"]["n"] is None and doc["config"]["e_range"] is None
     assert [c["id"] for c in doc["checks"]] == ["cotype-z4/chain-support", "cotype-z4/p=2"]
     assert "2^4" in doc["checks"][1]["description"]
+
+
+def test_verify_budget_exhaustion_skips_checks(capsys, tmp_path):
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "oracle", "--small", "--budget", "20",
+        "--cache-dir", str(tmp_path),
+    )
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["summary"]["skipped"] > 0 and doc["summary"]["failed"] == 0
+    assert all(c["note"].startswith("budget exhausted") for c in doc["checks"] if c["skipped"])
 
 
 def test_verify_all_small_touches_every_suite(capsys, tmp_path):

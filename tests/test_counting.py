@@ -439,6 +439,18 @@ class TestLedgerPersistence:
         assert list(tmp_path.iterdir()) == []
         assert led.stats["misses"] == 0
 
+    @pytest.mark.parametrize("kwargs", [{"threads": 0}, {"node_budget": -5}, {"node_budget": 0}])
+    @pytest.mark.parametrize("kept", [False, True], ids=["miss", "hit"])
+    def test_invalid_search_settings_rejected_before_lookup(self, tmp_path, kwargs, kept):
+        led = CountLedger(tmp_path)
+        if kept:
+            led.census(3, 2, 0)
+        stats = dict(led.stats)
+        with pytest.raises(ValueError):
+            led.census(3, 2, 0, **kwargs)
+        assert led.stats == stats
+        assert len(list(tmp_path.iterdir())) == kept
+
     @pytest.mark.parametrize(
         "cell", [(3, 4, 0), (3, 2, -2), (0, 2, 1), (3, 2.0, 2), (True, 2, 1)]
     )
@@ -759,6 +771,9 @@ class TestMultiplicative:
         for kwargs in ({"compute": False}, {}):
             with pytest.raises(ValueError, match="n >= 1"):
                 multiplicative_extend(0, 4, ledger, **kwargs)
+            # n is checked at entry, also when no cell is looked up
+            with pytest.raises(ValueError, match="not an integer"):
+                multiplicative_extend(3.0, 1, ledger, **kwargs)
         with pytest.raises(ValueError, match="limit"):
             multiplicative_extend(3, -3, ledger)
         for coranks in ((3,), (5,), (-1,), (1, 3)):

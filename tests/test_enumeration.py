@@ -77,6 +77,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="not an integer"):
             EnumSpec(*cell)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"node_budget": 0}, "node budget"), ({"threads": 0}, "threads"),
+         ({"threads": -3}, "threads")],
+    )
+    def test_rejects_bad_search_settings(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            EnumSpec(n=3, p=2, e=1, **kwargs)
+
 
 class TestKnownCounts:
     def test_rank_two_always_one(self):

@@ -8,7 +8,10 @@ state, and the workloads module is only parsed, so a renamed or deleted name
 fails a test in this suite too.  Every name a package module imports is
 used there or is a tracer call site.  The per-cell search table of
 scripts/search_nodes.py and the garbage-collector probe scripts/gc_probe.py
-get a smoke run.
+get a smoke run.  The frontends state each rule once: every CLI option
+parses into the `RunConfig` field of its name, `VerifyScope` takes its
+settings from fields of the same names, and `verify` catches budget
+exhaustion in one helper.
 """
 
 import ast
@@ -18,10 +21,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from dataclasses import fields
 from types import ModuleType, SimpleNamespace
 
 import subring_census
+from subring_census.cli import RunConfig, build_parser
 from subring_census.enumeration import enumerate_irreducible
+from subring_census.verify import VerifyScope
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -83,6 +89,37 @@ def test_sieve_names_outside_call_sites_resolve():
     analytics = importlib.import_module("subring_census.analytics")
     assert callable(analytics.iter_primes) and callable(analytics._sieve)
     assert isinstance(analytics._sieve_cache, bytearray)
+
+
+def test_cli_dests_are_run_config_fields():
+    # config_from_args passes every parsed dest to RunConfig by name
+    (commands,) = build_parser()._subparsers._group_actions
+    dests = {commands.dest} | {
+        action.dest
+        for sp in commands.choices.values()
+        for action in sp._actions
+        if action.dest != "help"
+    }
+    assert dests - {f.name for f in fields(RunConfig)} == set()
+
+
+def test_verify_scope_settings_are_run_config_fields():
+    # cmd_verify builds the scope from the RunConfig fields of the same names
+    settings = {f.name for f in fields(VerifyScope)} - {"ledger"}
+    assert settings - {f.name for f in fields(RunConfig)} == set()
+
+
+def test_verify_catches_budget_exhaustion_in_one_helper():
+    tree = ast.parse((SRC / "verify.py").read_text())
+    catching = {"BudgetExceededError", "RuntimeError", "Exception", "BaseException"}
+    handlers = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ExceptHandler)
+        and (node.type is None or catching & {getattr(n, "id", "") for n in ast.walk(node.type)})
+    ]
+    (helper,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_check"]
+    assert len(handlers) == 1 and handlers[0] in list(ast.walk(helper))
 
 
 def _class_constant(path: Path, cls: str, name: str):

@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from subring_census.counting import CensusRecord, CountLedger
 from subring_census.verify import (
     SUITES,
     VerifyScope,
@@ -84,3 +87,53 @@ def test_suite_registry_names():
         "rpstar",
         "stretch",
     }
+
+
+@pytest.mark.parametrize("name", list(SUITES))
+def test_budget_exhaustion_skips_the_check_and_goes_on(name):
+    results = run_verify(VerifyScope(suites=(name,), small=True, node_budget=20))
+    ids = [r.check_id for r in results]
+    assert ids and len(ids) == len(set(ids))
+    assert all(r.note.startswith("budget exhausted") for r in results if r.skipped)
+
+
+def test_skipped_check_keeps_its_description():
+    full = {r.check_id: r for r in run_verify(VerifyScope(suites=("stretch",), small=True))}
+    tight = run_verify(VerifyScope(suites=("stretch",), small=True, node_budget=20))
+    skipped = [r for r in tight if r.skipped]
+    assert skipped
+    for r in skipped:
+        assert r.description == full[r.check_id].description
+        assert (r.lhs, r.rhs, r.passed) == (None, None, True)
+
+
+def test_cross_prime_left_out_when_a_prime_is_skipped():
+    ledger = CountLedger()
+    for e in range(7):  # the small grid's p = 2 cells, kept before the budget tightens
+        ledger.census(4, 2, e)
+    scope = VerifyScope(suites=("cotype-z4",), small=True, node_budget=20, ledger=ledger)
+    by_id = {r.check_id: r for r in run_verify(scope)}
+    assert by_id["cotype-z4/p=2"].passed and not by_id["cotype-z4/p=2"].skipped
+    assert by_id["cotype-z4/p=3"].skipped
+    assert "cotype-z4/cross-prime" not in by_id
+
+
+def test_stale_census_fails_the_structural_check(tmp_path):
+    CountLedger(tmp_path).census(3, 2, 1)
+    path = tmp_path / "census-n3.jsonl"
+    item = json.loads(path.read_text())
+    # counts that validate and carry a valid checksum, but are wrong
+    payload = dict(item["record"], f=99, h=[0, 99, 0], cotypes={"2,1": 99})
+    stale = CensusRecord.from_payload(payload)
+    path.write_text(json.dumps({"checksum": stale.checksum(), "record": payload}) + "\n")
+    scope = VerifyScope(suites=("invariants",), small=True, ledger=CountLedger(tmp_path))
+    by_id = {r.check_id: r for r in run_verify(scope)}
+    structural = by_id["invariants/structural"]
+    assert not structural.passed and not structural.skipped
+    assert "cache is stale" in structural.lhs
+
+
+@pytest.mark.parametrize("kwargs", [{"threads": 0}, {"node_budget": 0}, {"node_budget": -5}])
+def test_scope_rejects_bad_search_settings(kwargs):
+    with pytest.raises(ValueError):
+        VerifyScope(**kwargs)
