@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Search nodes, matrices and seconds per irreducible cell G_m(p^j).
+"""Search nodes, entry tests, matrices and seconds per irreducible cell G_m(p^j).
 
     python scripts/search_nodes.py 4,2,10 5,2,10 6,2,10 [--diagonals]
 
@@ -7,12 +7,17 @@ Each cell m,p,j is searched as a census miss searches it: the pruned engine
 with every rule on, over the full-support diagonals of Z^m at index p^j
 (corank m-1), with a visitor that only counts.  So the figures are those of
 the search alone, without the leaf cotypes.  A node is one value placed at
-an entry, or one leaf (see `enumeration.PruneRuleSet`).  Seconds are
-wall-clock time of one run on this process.  With --diagonals every diagonal
-gets its own line under its cell.
+an entry, or one leaf (see `enumeration.PruneRuleSet`).  An entry test is
+one call of the block-entry test `enumeration._entry_values`, which hands
+the search the accepted values of one support-block entry; the script counts
+them by wrapping that module attribute while it searches.  Seconds are
+wall-clock time of one run on this process, the wrapper's small cost
+included, and us_per_node is seconds per node in microseconds.  With
+--diagonals every diagonal gets its own line under its cell.
 
 The last line of standard output is a JSON list with one object per cell:
-m, p, j, nodes, matrices, seconds and, with --diagonals, its diagonals.
+m, p, j, nodes, entry_tests, matrices, seconds, us_per_node and, with
+--diagonals, its diagonals.
 """
 
 import argparse
@@ -20,30 +25,49 @@ import json
 import sys
 import time
 
+from subring_census import enumeration
 from subring_census.combinatorics import compositions
 from subring_census.enumeration import EnumSpec, check_cell, visit_subrings
 
 
+def _us_per_node(row: dict) -> float:
+    return row["seconds"] / row["nodes"] * 1e6 if row["nodes"] else float("nan")
+
+
 def search_cell(m: int, p: int, j: int) -> list[dict]:
-    """Nodes, matrices and seconds of each full-support diagonal of G_m(p^j)."""
+    """Nodes, entry tests, matrices and seconds of each full-support diagonal
+    of G_m(p^j)."""
+    entry_values = enumeration._entry_values
+    tests = [0]
+
+    def counted(block, r, s, p):
+        tests[0] += 1
+        return entry_values(block, r, s, p)
+
     out = []
-    for diagonal in compositions(j, m - 1, strict=True):
-        counter = [0]
-        matrices = [0]
+    enumeration._entry_values = counted
+    try:
+        for diagonal in compositions(j, m - 1, strict=True):
+            counter = [0]
+            matrices = [0]
+            tests[0] = 0
 
-        def count(rows, block):
-            matrices[0] += 1
+            def count(rows, block):
+                matrices[0] += 1
 
-        start = time.perf_counter()
-        visit_subrings(EnumSpec(m, p, j, diagonal=diagonal), count, counter)
-        out.append(
-            {
+            start = time.perf_counter()
+            visit_subrings(EnumSpec(m, p, j, diagonal=diagonal), count, counter)
+            row = {
                 "diagonal": list(diagonal),
                 "nodes": counter[0],
+                "entry_tests": tests[0],
                 "matrices": matrices[0],
                 "seconds": time.perf_counter() - start,
             }
-        )
+            row["us_per_node"] = _us_per_node(row)
+            out.append(row)
+    finally:
+        enumeration._entry_values = entry_values
     return out
 
 
@@ -70,7 +94,10 @@ def main() -> int:
             parser.error(f"cell {m},{p},{j}: {exc}")
 
     summary = []
-    print(f"{'cell':>14}  {'nodes':>10}  {'matrices':>10}  {'nodes/matrix':>12}  {'seconds':>8}")
+    print(
+        f"{'cell':>14}  {'nodes':>10}  {'entry tests':>11}  {'matrices':>10}  "
+        f"{'nodes/matrix':>12}  {'seconds':>8}  {'us/node':>7}"
+    )
     for m, p, j in args.cells:
         diagonals = search_cell(m, p, j)
         cell = {
@@ -78,9 +105,11 @@ def main() -> int:
             "p": p,
             "j": j,
             "nodes": sum(d["nodes"] for d in diagonals),
+            "entry_tests": sum(d["entry_tests"] for d in diagonals),
             "matrices": sum(d["matrices"] for d in diagonals),
             "seconds": sum(d["seconds"] for d in diagonals),
         }
+        cell["us_per_node"] = _us_per_node(cell)
         lines = [(f"G_{m}({p}^{j})", cell)]
         if args.diagonals:
             cell["diagonals"] = diagonals
@@ -88,8 +117,9 @@ def main() -> int:
         for name, row in lines:
             ratio = row["nodes"] / row["matrices"] if row["matrices"] else float("nan")
             print(
-                f"{name:>14}  {row['nodes']:>10}  {row['matrices']:>10}  "
-                f"{ratio:>12.2f}  {row['seconds']:>8.3f}"
+                f"{name:>14}  {row['nodes']:>10}  {row['entry_tests']:>11}  "
+                f"{row['matrices']:>10}  {ratio:>12.2f}  {row['seconds']:>8.3f}  "
+                f"{row['us_per_node']:>7.2f}"
             )
         summary.append(cell)
     print(json.dumps(summary))

@@ -346,19 +346,6 @@ def _block_cotype(
     return entry
 
 
-def _count_cotype(
-    cotypes: dict[tuple[int, ...], int],
-    entries: Sequence[Sequence[int]],
-    alphas: tuple[int, ...],
-    corank: int,
-    index: int,
-) -> None:
-    """Count one matrix of index p^e under its cotype alphas, after its
-    structural check."""
-    _structural_check(entries, corank, index)
-    cotypes[alphas] = cotypes.get(alphas, 0) + 1
-
-
 def _record_from_cotypes(
     n: int, p: int, e: int, cotypes: dict[tuple[int, ...], int], mode: str, rules: str
 ) -> CensusRecord:
@@ -395,7 +382,8 @@ def build_record(
     cotypes: dict[tuple[int, ...], int] = {}
     for m in matrices:
         ct = m.cotype()
-        _count_cotype(cotypes, m.entries, ct.alphas, ct.corank, index)
+        _structural_check(m.entries, ct.corank, index)
+        cotypes[ct.alphas] = cotypes.get(ct.alphas, 0) + 1
     return _record_from_cotypes(n, p, e, cotypes, mode, rules)
 
 
@@ -573,6 +561,7 @@ class CountLedger:
         node_budget: int = DEFAULT_NODE_BUDGET,
         threads: int = 1,
         progress: bool = False,
+        counter: list[int] | None = None,
     ) -> CensusRecord:
         """Exact census at (n, p, e); cached unless recheck forces recomputation.
 
@@ -581,8 +570,11 @@ class CountLedger:
         processes, is compared against the cached record and a mismatch
         raises (stale engine guard).  The enumerations of one call share
         node_budget; exhaustion propagates as BudgetExceededError and nothing
-        partial is stored.  An invalid cell, node budget or worker count
-        raises ValueError before the lookup, so nothing is appended.
+        partial is stored.  counter, a one-element list, accrues the search
+        nodes as in `enumeration.visit_subrings`, so calls that pass the same
+        counter share one budget; a hit searches nothing.  An invalid cell,
+        node budget or worker count raises ValueError before the lookup, so
+        nothing is appended.
         """
         check_cell(n, p, e)
         check_search(node_budget, threads)
@@ -594,7 +586,8 @@ class CountLedger:
             return cached
         else:
             self.stats["misses"] += 1
-        counter = [0]
+        if counter is None:
+            counter = [0]
         opts = {"node_budget": node_budget, "progress": progress}
         if recheck:
             matrices = enumerate_subrings(EnumSpec(n, p, e, threads=threads, **opts), counter)
@@ -674,7 +667,9 @@ class CountLedger:
 
         def count(rows, block):
             ct, corank = _block_cotype(rows, block, table)
-            _count_cotype(cotypes, rows, ct.alphas, corank, index)
+            _structural_check(rows, corank, index)
+            alphas = ct.alphas
+            cotypes[alphas] = cotypes.get(alphas, 0) + 1
 
         visit_subrings(EnumSpec(m, p, j, corank=m - 1, **opts), count, counter)
         self._irreducible[key] = cotypes
@@ -910,6 +905,7 @@ def multiplicative_extend(
     coranks: tuple[int, ...] = (),
     compute: bool = True,
     node_budget: int = DEFAULT_NODE_BUDGET,
+    counter: list[int] | None = None,
 ) -> ExtendedCounts:
     """Extend prime-power censuses multiplicatively to every index <= limit.
 
@@ -917,9 +913,10 @@ def multiplicative_extend(
     ascending order of p^e, and every table is built from the records kept,
     over one `IndexSplit` of the indices.
     With compute=False, absent census records are reported (all of them, in a
-    MissingCensusError) instead of being enumerated on demand.  n must be an
-    integer of at least 1, limit nonnegative and every corank in 0..n-1
-    (ValueError).
+    MissingCensusError) instead of being enumerated on demand.  counter is
+    passed to every census call, so with one given they share node_budget.
+    n must be an integer of at least 1, limit nonnegative and every corank
+    in 0..n-1 (ValueError).
     """
     check_cell(n, 2, 0)
     if limit < 0:
@@ -933,7 +930,9 @@ def multiplicative_extend(
         if not compute and ledger.cached(n, p, e) is None:
             missing.append((n, p, e))
             return 0
-        record = records[(p, e)] = ledger.census(n, p, e, node_budget=node_budget)
+        record = records[(p, e)] = ledger.census(
+            n, p, e, node_budget=node_budget, counter=counter
+        )
         return record.f_count
 
     split = IndexSplit.of(limit)

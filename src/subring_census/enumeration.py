@@ -15,7 +15,8 @@ span):
   as each support-block entry is placed, on the principal sub-block it
   completes, so a subtree is cut at the first entry that breaks closure.
   Only the top row of that check involves the entry: the rest is solved once
-  per prefix, which leaves one congruence mod B[r][r] per later column.  The
+  per prefix, back-substituted in place on the live block, which leaves one
+  congruence mod B[r][r] per later column.  The
   s-r-1 that are linear in the entry are solved to one residue class, and
   only its members are tested by the last, quadratic one, so the search is
   handed the accepted values of the entry and tries no other.  On a diagonal
@@ -32,8 +33,10 @@ span):
 What a diagonal's search needs that depends only on its shape -- n, the
 support and the rules, not p or the exponents -- is planned once per shape
 and kept (`_diagonal_plan`): the fill positions, whether the rules prove
-closure there, the support layout and each position's domain kind.  Each
-diagonal builds only its template rows, powers, block and domain ranges.
+closure there, the support layout and each position's fixed domain.  Each
+diagonal builds only its support, template rows and block, in one pass
+(`_template_rows`, which the naive engine uses too), and the domain ranges
+its rules leave to search.
 
 `visit_subrings` is the one driver of both engines: it walks the diagonals
 under one node budget, prints the `--progress` lines, applies every
@@ -66,7 +69,6 @@ from .combinatorics import compositions, is_prime
 # perfbench/tracing.py wraps both as call sites of this module
 from .hnf import (
     SubringMatrix,
-    _solve_rows,
     hnf_from_columns,
     is_irreducible_rows,
     is_subring_rows,
@@ -214,12 +216,35 @@ class EnumSpec:
         check_search(self.node_budget, self.threads)
 
 
-def _template_rows(n: int, p: int, exps: tuple[int, ...]) -> list[list[int]]:
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n - 1):
-        rows[i][i] = p ** exps[i]
-    rows[n - 1][n - 1] = 1
-    return rows
+def _template_rows(
+    n: int, p: int, exps: tuple[int, ...]
+) -> tuple[tuple[int, ...], list[list[int]], list[list[int]]]:
+    """The support of a diagonal (the i with exps[i] > 0), its template rows
+    and its support block, built in one pass over the exponents.
+
+    Row i holds p^exps[i] on the diagonal and the last row is the unit row;
+    every other entry is 0.  The block is the support rows and columns of
+    the template: diagonal, the entries above it 0.
+    """
+    width = len(exps) - exps.count(0)
+    support = []
+    rows = []
+    block = []
+    for i, a in enumerate(exps):
+        row = [0] * n
+        if a:
+            row[i] = q = p**a
+            block_row = [0] * width
+            block_row[len(block)] = q
+            block.append(block_row)
+            support.append(i)
+        else:
+            row[i] = 1
+        rows.append(row)
+    row = [0] * n
+    row[-1] = 1
+    rows.append(row)
+    return tuple(support), rows, block
 
 
 def _fill_positions(n: int, support: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -237,9 +262,7 @@ def _snapshot(rows: Sequence[Sequence[int]]) -> Rows:
     return tuple(tuple(row) for row in rows)
 
 
-def _identity_check_support(
-    rows: list[list[int]], support: tuple[int, ...], powers: dict[int, int], n: int
-) -> bool:
+def _identity_check_support(rows: list[list[int]], support: tuple[int, ...], n: int) -> bool:
     """Identity membership evaluated only at support rows (unit rows solve to 1)."""
     c = [1] * n
     for i in reversed(support):
@@ -249,7 +272,7 @@ def _identity_check_support(
             cj = c[j]
             if cj:
                 s -= row[j] * cj
-        q, r = divmod(s, powers[i])
+        q, r = divmod(s, row[i])
         if r:
             return False
         c[i] = q
@@ -260,12 +283,10 @@ def _naive_for_diagonal(
     spec: EnumSpec, exps: tuple[int, ...], counter: list[int], visit: Visit
 ) -> None:
     """Full Cartesian product over entry domains, filtered by the certificate."""
-    n, p, budget = spec.n, spec.p, spec.node_budget
-    support = tuple(i for i, v in enumerate(exps) if v > 0)
-    rows = _template_rows(n, p, exps)
+    n, budget = spec.n, spec.node_budget
+    support, rows, _ = _template_rows(n, spec.p, exps)
     positions = _fill_positions(n, support)
-    powers = {i: p ** exps[i] for i in support}
-    domains = [range(powers[i]) for i, _ in positions]
+    domains = [range(rows[i][i]) for i, _ in positions]
     nodes = counter[0]
     for combo in itertools.product(*domains):
         nodes += 1
@@ -274,7 +295,7 @@ def _naive_for_diagonal(
             raise BudgetExceededError(nodes, budget)
         for (i, j), v in zip(positions, combo):
             rows[i][j] = v
-        if _identity_check_support(rows, support, powers, n) and products_in_span(rows):
+        if _identity_check_support(rows, support, n) and products_in_span(rows):
             visit(rows, [[rows[i][j] for j in support] for i in support])
     counter[0] = nodes
 
@@ -315,29 +336,34 @@ def _entry_values(block: list[list[int]], r: int, s: int, p: int) -> list[int]:
     narrows the class v = 0 mod p (`_narrow`); for t = s block[r][t] is v
     itself, and the quadratic condition is tested on each member of the
     class that is left.
+
+    Each system is back-substituted bottom-up in place on the live rows
+    block[r+1..s], with right-hand side block[i][s]*block[i][t] at row i:
+    no sub-block, column or right-hand side is copied.
     """
     top = block[r]
     pivot = top[r]
-    sub = [row[r + 1 : s + 1] for row in block[r + 1 : s + 1]]
-    last = [row[-1] for row in sub]
     base, step = 0, p
-    for u in range(s - r):
-        c = _solve_rows(sub, [x * row[u] for x, row in zip(last, sub)])
-        if c is None:
-            return []
+    for t in range(r + 1, s + 1):
+        # c[i - r - 1] solves row i of the system for t
+        c = [0] * (s - r)
+        for i in range(s, r, -1):
+            row = block[i]
+            acc = row[s] * row[t]
+            for j in range(i + 1, s + 1):
+                acc -= row[j] * c[j - r - 1]
+            q, rem = divmod(acc, row[i])
+            if rem:
+                return []
+            c[i - r - 1] = q
         known = sum(a * b for a, b in zip(top[r + 1 : s], c))
         c_s = c[-1]
-        if u < s - r - 1:
-            narrowed = _narrow(base, step, top[r + 1 + u] - c_s, known, pivot)
+        if t < s:
+            narrowed = _narrow(base, step, top[t] - c_s, known, pivot)
             if narrowed is None:
                 return []
             base, step = narrowed
     return [v for v in range(base, pivot, step) if (v * (v - c_s) - known) % pivot == 0]
-
-
-# domain kinds of a searched position: multiples of p below its row's power,
-# {0, 1}, or every residue below that power
-_BLOCK, _ZERO_ONE, _FULL = "block", "01", "full"
 
 
 class _DiagonalPlan(NamedTuple):
@@ -353,7 +379,12 @@ class _DiagonalPlan(NamedTuple):
     supp_after: tuple[tuple[int, ...], ...]
     # per position: its (row, column) in the support block, or None
     block_at: tuple[tuple[int, int] | None, ...]
-    kinds: tuple[str, ...]
+    # per position: (0, 1), or None where the values depend on the diagonal:
+    # the entry test's values, or a range that ranged names
+    domains: tuple[tuple[int, int] | None, ...]
+    # (position, row, multiples of p only) of each position whose values are
+    # a range below its row's power: multiples of p, or every residue
+    ranged: tuple[tuple[int, int, bool], ...]
 
 
 @functools.cache
@@ -381,16 +412,23 @@ def _diagonal_plan(n: int, support: tuple[int, ...], rules: PruneRuleSet) -> _Di
     block_at = tuple(
         (block_idx[i], block_idx[j]) if j in supp_set else None for i, j in positions
     )
-    kinds = []
-    for i, j in positions:
-        if j in supp_set:
-            kinds.append(_BLOCK if rules.block_divisibility else _FULL)
-        elif rules.zero_one_outside_support or (rules.last_column and j == last_col):
-            kinds.append(_ZERO_ONE)
-        else:
-            kinds.append(_FULL)
+    domains: list[tuple[int, int] | None] = []
+    ranged = []
+    for idx, (i, j) in enumerate(positions):
+        zero_one = j not in supp_set and (
+            rules.zero_one_outside_support or (rules.last_column and j == last_col)
+        )
+        domains.append((0, 1) if zero_one else None)
+        if not zero_one and not (j in supp_set and rules.irreducible_block):
+            ranged.append((idx, i, j in supp_set and rules.block_divisibility))
     return _DiagonalPlan(
-        tuple(positions), closure_proved, unit_cols, supp_after, block_at, tuple(kinds)
+        tuple(positions),
+        closure_proved,
+        unit_cols,
+        supp_after,
+        block_at,
+        tuple(domains),
+        tuple(ranged),
     )
 
 
@@ -398,32 +436,22 @@ def _pruned_for_diagonal(
     spec: EnumSpec, exps: tuple[int, ...], counter: list[int], visit: Visit
 ) -> None:
     n, p, rules, budget = spec.n, spec.p, spec.rules, spec.node_budget
-    support = tuple(i for i, v in enumerate(exps) if v > 0)
-    positions, closure_proved, unit_cols, supp_after, block_at, kinds = _diagonal_plan(
-        n, support, rules
+    support, rows, block = _template_rows(n, p, exps)
+    positions, closure_proved, unit_cols, supp_after, block_at, domains, ranged = (
+        _diagonal_plan(n, support, rules)
     )
-    rows = _template_rows(n, p, exps)
-    powers = {i: p ** exps[i] for i in support}
     last_col = n - 1
     if closure_proved:  # the last column is set, not searched
-        for i in support:
-            rows[i][last_col] = 1
-
-    # the support block, kept in step with rows
-    block = [[powers[i] if i == j else 0 for j in support] for i in support]
-    domains: list[range | tuple[int, ...]] = []
-    for (i, _), kind in zip(positions, kinds):
-        if kind == _BLOCK:
-            domains.append(range(0, powers[i], p))
-        elif kind == _ZERO_ONE:
-            domains.append((0, 1))
-        else:
-            domains.append(range(powers[i]))
+        for row in rows:
+            row[last_col] = 1
+    if ranged:
+        domains = list(domains)
+        for idx, i, by_p in ranged:
+            domains[idx] = range(0, rows[i][i], p if by_p else 1)
 
     npos = len(positions)
     rule_one = rules.exactly_one_one
     rule_lc = rules.last_column
-    rule_block = rules.irreducible_block
 
     def place(idx: int) -> None:
         if idx == npos:
@@ -431,14 +459,16 @@ def _pruned_for_diagonal(
             if counter[0] > budget:
                 raise BudgetExceededError(counter[0], budget)
             if closure_proved or (
-                _identity_check_support(rows, support, powers, n) and products_in_span(rows)
+                _identity_check_support(rows, support, n) and products_in_span(rows)
             ):
                 visit(rows, block)
             return
         i, j = positions[idx]
         row_i = rows[i]
         at = block_at[idx]
-        values = _entry_values(block, *at, p) if rule_block and at is not None else domains[idx]
+        values = domains[idx]
+        if values is None:  # a block entry under the irreducible-block rule
+            values = _entry_values(block, *at, p)
         for v in values:
             counter[0] += 1
             if counter[0] > budget:

@@ -3,7 +3,8 @@
 Each check computes a left- and right-hand side by two independent routes and
 records them with a stable id and a self-contained description.  Failures are
 report entries, never exceptions.  Every check that enumerates or takes a
-census runs under `_check`: when its block exhausts the node budget, the
+census runs under `_check`: the searches of its block share one node counter,
+so the node budget bounds each check, and when the block exhausts it the
 check is recorded as skipped, under its own id and description, and the suite
 goes on.
 """
@@ -90,6 +91,8 @@ class VerifyScope:
 
     def __post_init__(self) -> None:
         check_search(self.node_budget, self.threads)
+        # the search nodes of the current check; `_check` starts a fresh one
+        self.counter = [0]
         if self.max_index is not None and self.prime is None:
             raise ValueError("an index bound for the cotype-z4 suite needs its prime")
 
@@ -97,8 +100,11 @@ class VerifyScope:
         return "all" in self.suites or name in self.suites
 
     def census(self, n: int, p: int, e: int, **kwargs):
-        """The ledger's census of (n, p, e) within this scope's node budget."""
-        return self.ledger.census(n, p, e, node_budget=self.node_budget, **kwargs)
+        """The ledger's census of (n, p, e) within this scope's node budget,
+        counted on the current check's counter."""
+        return self.ledger.census(
+            n, p, e, node_budget=self.node_budget, counter=self.counter, **kwargs
+        )
 
 
 def _result(check_id, description, lhs, rhs, passed=None, note="") -> CheckResult:
@@ -108,13 +114,21 @@ def _result(check_id, description, lhs, rhs, passed=None, note="") -> CheckResul
 
 
 @contextlib.contextmanager
-def _check(out: list[CheckResult], check_id: str, description: str | Callable[[], str]):
+def _check(
+    scope: VerifyScope,
+    out: list[CheckResult],
+    check_id: str,
+    description: str | Callable[[], str],
+):
     """Run one check's block, which records its sides through the yielded
-    function.  A block that exhausts the node budget records the check as
-    skipped instead, under the same id and description, and the suite goes
-    on.  A description that names what the block counted is given as a
-    function, read when the check is recorded."""
+    function.  The block's searches share one fresh node counter
+    (`scope.counter`), so the node budget bounds the check as a whole.  A
+    block that exhausts it records the check as skipped instead, under the
+    same id and description, and the suite goes on.  A description that
+    names what the block counted is given as a function, read when the check
+    is recorded."""
     describe = description if callable(description) else lambda: description
+    scope.counter = [0]
 
     def record(lhs, rhs, passed=None, note="") -> None:
         out.append(_result(check_id, describe(), lhs, rhs, passed, note))
@@ -138,6 +152,7 @@ def suite_cocyclic(scope: VerifyScope) -> list[CheckResult]:
     for n in n_range:
         for p in p_range:
             with _check(
+                scope,
                 out,
                 f"cocyclic/n={n}/p={p}",
                 f"count of corank-1 subrings of Z^{n} at index {p}^e equals C({n},2) "
@@ -167,6 +182,7 @@ def suite_corank_formulas(scope: VerifyScope) -> list[CheckResult]:
         for n in n_range:
             for p in (2, 3):
                 with _check(
+                    scope,
                     out,
                     f"corank{k}-closed-form/n={n}/p={p}",
                     f"h(n={n}, k={k}; {p}^e) equals {form.format(p=p)}",
@@ -181,6 +197,7 @@ def suite_corank_formulas(scope: VerifyScope) -> list[CheckResult]:
     a, b = corank2_formula_coefficients(n0)
     variant = a * irreducible_count(3, p0, 3) + b * (e0 - 1)
     with _check(
+        scope,
         out,
         "corank2-variant-flag",
         "fixed-argument variant a(n) g_3(p^3) + b(n)(e-1) does NOT match the census "
@@ -197,6 +214,7 @@ def suite_corank_formulas(scope: VerifyScope) -> list[CheckResult]:
         )
         weighted = displayed_formula_h(5, 3, 2, 4)
         with _check(
+            scope,
             out,
             "corank3-weight-flag",
             "unweighted pair sum c(5) g_4(2^4) + d(5) sum_j g_3(2^j) matches "
@@ -225,6 +243,7 @@ def suite_local_factors(scope: VerifyScope) -> list[CheckResult]:
         table = expand(catalog(entry), (e_max, 0, 0))
         for p in p_range:
             with _check(
+                scope,
                 out,
                 f"local-factor/n={n}/p={p}",
                 f"census totals f_{n}({p}^e) for e <= {e_max} equal the "
@@ -278,6 +297,7 @@ def suite_cotype_z4(scope: VerifyScope) -> list[CheckResult]:
     census_by_p: dict[int, dict[tuple[int, int, int], int]] = {}
     for p, emax in grids:
         with _check(
+            scope,
             out,
             f"cotype-z4/p={p}",
             f"cotype census of Z^4 at p={p} for total index <= {p}^{emax} "
@@ -481,6 +501,7 @@ def suite_invariants(scope: VerifyScope) -> list[CheckResult]:
         grids += [(3, 5, 5), (4, 5, 4), (5, 2, 4), (6, 2, 3)]
     checked = 0
     with _check(
+        scope,
         out,
         "invariants/structural",
         lambda: "corank equals diagonal support, last-column 0/1 and pair rules, and "
@@ -496,6 +517,7 @@ def suite_invariants(scope: VerifyScope) -> list[CheckResult]:
             violation = str(exc)
         record(violation or "no violations", "no violations")
     with _check(
+        scope,
         out,
         "invariants/count-sandwich",
         "C(n-1,k) g_{k+1}(p^e) <= h_{n,k}(p^e) <= (n-k)^k C(n-1,k) g_{k+1}(p^e) "
@@ -521,6 +543,7 @@ def suite_invariants(scope: VerifyScope) -> list[CheckResult]:
     # output without them, at cells the naive engine cannot reach.
     for n, p, e in ((4, 2, 5), (5, 2, 6), (5, 3, 5), (6, 2, 7), (7, 2, 8)):
         with _check(
+            scope,
             out,
             f"invariants/permutation-closure/n={n}/p={p}/e={e}",
             f"the irreducible subrings of Z^{n} at index {p}^{e} are closed under the "
@@ -528,7 +551,7 @@ def suite_invariants(scope: VerifyScope) -> list[CheckResult]:
             f"a search that lost whole S_{n}-orbits would still pass",
         ) as record:
             matrices = enumerate_subrings(
-                EnumSpec(n, p, e, corank=n - 1, node_budget=scope.node_budget)
+                EnumSpec(n, p, e, corank=n - 1, node_budget=scope.node_budget), scope.counter
             )
             record(len(permutation_gaps(matrices)), 0, note=f"{len(matrices)} matrices")
     return out
@@ -545,6 +568,7 @@ def suite_oracle(scope: VerifyScope) -> list[CheckResult]:
     for n in (2, 3, 4):
         for p in (2, 3):
             with _check(
+                scope,
                 out,
                 f"oracle/enumeration/n={n}/p={p}",
                 f"definition-only and rule-driven enumerations agree for Z^{n} "
@@ -553,9 +577,12 @@ def suite_oracle(scope: VerifyScope) -> list[CheckResult]:
                 agree = True
                 detail = ""
                 for e in range(e_max + 1):
-                    naive = enumerate_subrings(EnumSpec(n, p, e, "naive", node_budget=budget))
+                    naive = enumerate_subrings(
+                        EnumSpec(n, p, e, "naive", node_budget=budget), scope.counter
+                    )
                     pruned = enumerate_subrings(
-                        EnumSpec(n, p, e, "pruned", node_budget=budget, threads=scope.threads)
+                        EnumSpec(n, p, e, "pruned", node_budget=budget, threads=scope.threads),
+                        scope.counter,
                     )
                     if [m.entries for m in naive] != [m.entries for m in pruned]:
                         agree = False
@@ -563,14 +590,16 @@ def suite_oracle(scope: VerifyScope) -> list[CheckResult]:
                         break
                 record(agree, True, note=detail)
     with _check(
+        scope,
         out,
         "oracle/rules-off",
         "pruned engine with every rule disabled reproduces the naive output",
     ) as record:
         rules_off = enumerate_subrings(
-            EnumSpec(4, 2, 3, "pruned", rules=PruneRuleSet.none(), node_budget=budget)
+            EnumSpec(4, 2, 3, "pruned", rules=PruneRuleSet.none(), node_budget=budget),
+            scope.counter,
         )
-        naive = enumerate_subrings(EnumSpec(4, 2, 3, "naive", node_budget=budget))
+        naive = enumerate_subrings(EnumSpec(4, 2, 3, "naive", node_budget=budget), scope.counter)
         record([m.entries for m in rules_off], [m.entries for m in naive])
     rng = random.Random(0xC0FFEE)
     samples = 10**3 if scope.small else 10**4
@@ -729,6 +758,7 @@ def suite_rpstar(scope: VerifyScope) -> list[CheckResult]:
         for p in (2, 3):
             key = (p,) * (n - 1)
             with _check(
+                scope,
                 out,
                 f"rpstar/n={n}/p={p}",
                 f"exactly one subring of Z^{n} has cotype ({','.join(map(str, key))})",
@@ -744,19 +774,22 @@ def suite_rpstar(scope: VerifyScope) -> list[CheckResult]:
 def suite_stretch(scope: VerifyScope) -> list[CheckResult]:
     out = []
     with _check(
-        out, "stretch/z6-index-128", "Z^6 has at least 2^6 = 64 subrings of index 2^7"
+        scope, out, "stretch/z6-index-128", "Z^6 has at least 2^6 = 64 subrings of index 2^7"
     ) as record:
         f_count = scope.census(6, 2, 7).f_count
         record(f_count, 64, passed=f_count >= 64)
     limit = 200 if not scope.small else 60
     with _check(
+        scope,
         out,
         "stretch/sylow-bijection",
         f"subrings of Z^3 of index <= {limit} whose quotient has 2-part "
         "(Z/2)^2 are equinumerous with odd-index subrings of index <= "
         f"{limit // 4}",
     ) as record:
-        table = multiplicative_extend(3, limit, scope.ledger, node_budget=scope.node_budget)
+        table = multiplicative_extend(
+            3, limit, scope.ledger, node_budget=scope.node_budget, counter=scope.counter
+        )
         record22 = scope.census(3, 2, 2)
         weight = record22.cotype_counts.get((2, 2), 0)
         # the 2-part of a qualifying subring is the unique cotype-(2,2)

@@ -238,6 +238,36 @@ class TestDecomposition:
             led.census(n, 2, e)
         assert led.stats == {"hits": 0, "misses": top + 1, "rechecks": 0, **stats}
 
+    @pytest.mark.parametrize(
+        "cell, f_count, checksum",
+        [
+            ((4, 2, 10), 996, "70be1617d31c4c1b8cb77318f954a5f60e47b91155d767f6ee443b87f9b77e77"),
+            ((4, 3, 7), 566, "46f178ddfe2dc60b0d5c4c58397b19ca0a6da9983617ba3cacf6468874a316b0"),
+            ((5, 2, 9), 6480, "6266227170d5542545e3d092352cfef99a69db0ea6e6b8925c913ab985e386d8"),
+            ((6, 2, 8), 22996, "99210636af100e76c479fa76710328757f1da309deb157a3c46417de505baf07"),
+            ((7, 2, 8), 129696, "d0e57a7a229dd7c8f9009db449a69c212e148daef971a838a298fcc7c3741add"),
+        ],
+    )
+    def test_cold_census_checksum_pins(self, cell, f_count, checksum):
+        # records of a cold miss, pinned as the engine wrote them before the
+        # block-entry test solved in place; a faster search must not move them
+        record = CountLedger().census(*cell)
+        assert (record.f_count, record.checksum()) == (f_count, checksum)
+
+    def test_shared_counter_accrues_across_calls(self):
+        # a counter passed to several censuses bounds them together; a hit
+        # searches nothing
+        cold = [0]
+        CountLedger().census(4, 2, 6, counter=cold)
+        led, shared = CountLedger(), [0]
+        led.census(4, 2, 6, counter=shared)
+        led.census(4, 2, 6, counter=shared)
+        assert shared[0] == cold[0] > 0
+        # the nodes already on the counter count against the budget
+        CountLedger().census(4, 2, 6, node_budget=cold[0], counter=[0])
+        with pytest.raises(BudgetExceededError):
+            CountLedger().census(4, 2, 6, node_budget=cold[0], counter=[1])
+
     @pytest.mark.stretch
     def test_cold_z7_matches_full_enumeration(self):
         record = CountLedger().census(7, 2, 7)

@@ -265,14 +265,16 @@ class TestSubBlockCheck:
                     )
         assert min(seen.values()) >= 20, seen
 
-    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_entry_test_matches_oracle(self, p):
         # The values returned for (r, s), computed before block[r][s] holds
         # one as in the search, must be exactly the multiples of p that the
-        # full sub-block solve accepts, in ascending order.
+        # full sub-block solve accepts, in ascending order.  Blocks reach
+        # 6 x 6, the support block of Z^7, so every entry test solves systems
+        # of up to five rows in place.
         rng = random.Random(100 + p)
         seen = {"rows below fail": 0, "accepted": 0, "rejected": 0}
-        for k in range(2, 6):
+        for k in range(2, 7):
             for _ in range(60):
                 block = [[0] * k for _ in range(k)]
                 for r in range(k):
@@ -298,6 +300,33 @@ class TestSubBlockCheck:
                             seen["rejected"] += block[r][r] // p - len(closed)
                         block[r][s] = kept
         assert min(seen.values()) >= 20, seen
+
+    @pytest.mark.parametrize("m, p, j", [(7, 2, 8), (6, 3, 6)])
+    def test_entry_test_matches_oracle_on_survivor_blocks(self, m, p, j):
+        # Random blocks rarely pass their early checks, so the widest ones
+        # here are support blocks of survivors: each entry is re-tested with
+        # only the entries placed before it (columns left to right, each
+        # bottom to top) and must get the oracle's values, its own among them.
+        blocks = []
+        visit_subrings(
+            EnumSpec(m, p, j, corank=m - 1),
+            lambda rows, block: blocks.append([row[:] for row in block]),
+        )
+        k = m - 1
+        order = [(r, s) for s in range(1, k) for r in range(s - 1, -1, -1)]
+        for survivor in blocks[::7]:
+            for at, (r, s) in enumerate(order):
+                block = [row[:] for row in survivor]
+                for rr, ss in order[at:]:
+                    block[rr][ss] = 0
+                got = _entry_values(block, r, s, p)
+                closed = []
+                for v in range(0, block[r][r], p):
+                    block[r][s] = v
+                    if _sub_block_closed(block, r, s):
+                        closed.append(v)
+                assert got == closed, (survivor, r, s)
+                assert survivor[r][s] in got
 
 
 @given(
@@ -537,7 +566,7 @@ class TestBudget:
             plan = enumeration._diagonal_plan(4, (0, 1, 2), rules)
             assert plan is enumeration._diagonal_plan(4, (0, 1, 2), rules)
             assert plan.closure_proved == (rules == PruneRuleSet())
-            for name in ("positions", "unit_cols", "supp_after", "block_at", "kinds"):
+            for name in ("positions", "unit_cols", "supp_after", "block_at", "domains", "ranged"):
                 value = getattr(plan, name)
                 assert isinstance(value, tuple), name
                 assert all(v is None or isinstance(v, (tuple, str)) for v in value), name

@@ -7,8 +7,8 @@ this suite.  Here the tracer module is loaded read-only, without touching its
 state, and the workloads module is only parsed, so a renamed or deleted name
 fails a test in this suite too.  Every name a package module imports is
 used there or is a tracer call site.  The per-cell search table of
-scripts/search_nodes.py and the garbage-collector probe scripts/gc_probe.py
-get a smoke run.  The frontends state each rule once: every CLI option
+scripts/search_nodes.py gets a smoke run and pinned counts, and the
+garbage-collector probe scripts/gc_probe.py a smoke run.  The frontends state each rule once: every CLI option
 parses into the `RunConfig` field of its name, `VerifyScope` takes its
 settings from fields of the same names, and `verify` catches budget
 exhaustion in one helper.
@@ -158,6 +158,35 @@ def test_search_nodes_script_counts_the_cell():
     assert (cell["m"], cell["p"], cell["j"]) == (4, 2, 6)
     assert cell["matrices"] == len(enumerate_irreducible(4, 2, 6))
     assert cell["nodes"] == sum(d["nodes"] for d in cell["diagonals"]) > cell["matrices"]
+    # one block-entry test per support-block entry reached with its
+    # prefix placed, counted by the script's wrapper
+    assert cell["entry_tests"] == sum(d["entry_tests"] for d in cell["diagonals"]) == 65
+    assert cell["us_per_node"] > 0
+
+
+def test_search_nodes_script_pins():
+    # nodes, entry tests and matrices of cells up to G_7: a faster search
+    # must visit exactly the same tree
+    src = str(Path(subring_census.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    pins = {
+        (4, 2, 10): (1945, 447, 767),
+        (4, 3, 7): (947, 198, 382),
+        (5, 2, 9): (9211, 3357, 2955),
+        (6, 2, 8): (9709, 4634, 2555),
+        (7, 2, 8): (6711, 4086, 1323),
+    }
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "search_nodes.py")]
+        + [",".join(map(str, cell)) for cell in pins],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    got = {
+        (c["m"], c["p"], c["j"]): (c["nodes"], c["entry_tests"], c["matrices"])
+        for c in json.loads(done.stdout.splitlines()[-1])
+    }
+    assert got == pins
 
 
 def test_closed_form_audit_script_prints_its_summary():

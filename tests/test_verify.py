@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from subring_census import verify
 from subring_census.counting import CensusRecord, CountLedger
 from subring_census.verify import (
     SUITES,
@@ -95,6 +96,43 @@ def test_budget_exhaustion_skips_the_check_and_goes_on(name):
     ids = [r.check_id for r in results]
     assert ids and len(ids) == len(set(ids))
     assert all(r.note.startswith("budget exhausted") for r in results if r.skipped)
+
+
+@pytest.mark.parametrize(
+    "suites, small",
+    [(("local-factors",), False), (("cocyclic", "corank-formulas", "invariants", "stretch"), True)],
+)
+def test_budget_bounds_each_check(monkeypatch, suites, small):
+    # every search a check makes counts on one counter of its own: a spy on
+    # each census and enumeration call records which counter it was given
+    budget = 400
+    counters: list[list[int]] = []
+    calls = [0]
+
+    def seen(counter):
+        calls[0] += 1
+        if not any(counter is c for c in counters):
+            counters.append(counter)
+
+    census, enumerate_subrings = CountLedger.census, verify.enumerate_subrings
+
+    def spy_census(self, n, p, e, **kwargs):
+        seen(kwargs["counter"])
+        return census(self, n, p, e, **kwargs)
+
+    def spy_enumerate(spec, counter):
+        seen(counter)
+        return enumerate_subrings(spec, counter)
+
+    monkeypatch.setattr(CountLedger, "census", spy_census)
+    monkeypatch.setattr(verify, "enumerate_subrings", spy_enumerate)
+    results = run_verify(VerifyScope(suites=suites, small=small, node_budget=budget))
+    skipped = [r for r in results if r.skipped]
+    assert skipped and len(skipped) < len(results)
+    # a check's searches stop at the node past the budget, which raised
+    assert max(c[0] for c in counters) <= budget + 1
+    assert sum(1 for c in counters if c[0] == budget + 1) == len(skipped)
+    assert calls[0] > len(counters)
 
 
 def test_skipped_check_keeps_its_description():
