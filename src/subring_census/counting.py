@@ -41,6 +41,7 @@ multiplicatively from the prime-power records.
 from __future__ import annotations
 
 import fcntl
+import functools
 import hashlib
 import json
 import math
@@ -95,6 +96,11 @@ def _str(value, name: str) -> str:
     return value
 
 
+# json.dumps of a provenance string (mode, rules, engine), memoized: a ledger
+# holds a handful of distinct ones, each escaped once
+_json_string = functools.lru_cache(maxsize=64)(json.dumps)
+
+
 @dataclass(frozen=True)
 class CensusRecord:
     """Exact counts of the subring matrices of Z^n with determinant p^e."""
@@ -142,10 +148,11 @@ class CensusRecord:
         Cotype entries are sorted as whole '"key":count' strings.  The
         closing quote sorts before every digit, comma and minus sign, so
         this orders the keys as strings, as json does ("16,1" < "4,4" <
-        "8,2").  The provenance strings go through json.dumps for json's
-        escaping.
+        "8,2").  The provenance strings get json's escaping from
+        `_json_string`, a memo of json.dumps, so each distinct string is
+        escaped once, not once per record.
         """
-        dumps = json.dumps
+        dumps = _json_string
         cotypes = sorted(
             [f'"{",".join(map(str, key))}":{count}' for key, count in self.cotype_counts.items()]
         )
@@ -164,23 +171,28 @@ class CensusRecord:
         """The record of a payload dict.  n, p, e, f, g, every h entry and
         every cotype count must be ints (not bools) and mode, rules and
         engine strings, or TypeError; a cotype key that is not comma-joined
-        integers raises ValueError."""
-        cotypes = {
-            tuple(map(int, key.split(","))): _int(count, "cotype count")
-            for key, count in payload["cotypes"].items()
-        }
-        return cls(
-            n=_int(payload["n"], "n"),
-            p=_int(payload["p"], "p"),
-            e=_int(payload["e"], "e"),
-            f_count=_int(payload["f"], "f"),
-            g_count=_int(payload["g"], "g"),
-            h_counts=tuple(_int(v, "h entry") for v in payload["h"]),
-            cotype_counts=cotypes,
-            mode=_str(payload["mode"], "mode"),
-            rules=_str(payload["rules"], "rules"),
-            engine_version=_str(payload["engine"], "engine"),
-        )
+        integers raises ValueError.
+
+        Fields are read and tested in that order, so the first bad one
+        raises; `_int` and `_str` are called only to raise.
+        """
+        cotypes = {}
+        for key, count in payload["cotypes"].items():
+            alphas = tuple(map(int, key.split(",")))
+            if type(count) is not int:
+                _int(count, "cotype count")
+            cotypes[alphas] = count
+        n, p, e, f, g = [
+            v if type(v := payload[k]) is int else _int(v, k) for k in ("n", "p", "e", "f", "g")
+        ]
+        h = tuple(payload["h"])
+        for v in h:
+            if type(v) is not int:
+                _int(v, "h entry")
+        mode, rules, engine = [
+            v if type(v := payload[k]) is str else _str(v, k) for k in ("mode", "rules", "engine")
+        ]
+        return cls(n, p, e, f, g, h, cotypes, mode, rules, engine)
 
     def validate(self) -> None:
         n = self.n
@@ -516,7 +528,9 @@ class CountLedger:
 
         The append holds an exclusive flock on the log.  Under it, a tail
         without a final newline can only be what a dead writer left, and is
-        cut off before the line goes out in a single write.
+        cut off before the line goes out in a single write.  The log's last
+        byte is read only when its size differs from the bytes this ledger
+        has parsed, which always end at a newline.
         """
         n = record.n
         self._records[(n, record.p, record.e)] = record
@@ -526,18 +540,18 @@ class CountLedger:
         digest = hashlib.sha256(body).hexdigest()
         line = b'{"checksum":"' + digest.encode() + b'","record":' + body + b"}\n"
         path = self._file(n)
+        offset, lines = self._read_upto.get(n, (0, 0))
         fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
         try:
             fcntl.flock(fd, fcntl.LOCK_EX)
             size = os.fstat(fd).st_size
-            if size and os.pread(fd, 1, size - 1) != b"\n":
+            if size != offset and size and os.pread(fd, 1, size - 1) != b"\n":
                 size = _complete_length(fd, size)
                 os.ftruncate(fd, size)
             if os.write(fd, line) != len(line):
                 raise OSError(f"short append to {path}")
         finally:
             os.close(fd)
-        offset, lines = self._read_upto.get(n, (0, 0))
         if offset == size:
             self._read_upto[n] = (size + len(line), lines + 1)
 
@@ -625,7 +639,7 @@ class CountLedger:
                 return out
             out = dict(merged(k - 1, d)) if k > 2 or d == 0 else {}
             for m in range(2, k + 1):
-                ways = binomial(k - 1, m - 1)
+                ways = math.comb(k - 1, m - 1)
                 if k - m > 1:
                     js = range(m - 1, d + 1)
                 else:  # F_{k-m} is non-empty only at j = d

@@ -59,7 +59,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import multiprocessing
 import sys
 from dataclasses import dataclass, fields, replace
 from typing import Callable, NamedTuple, Sequence
@@ -102,9 +101,12 @@ class BudgetExceededError(RuntimeError):
 def check_cell(n: int, p: int, e: int) -> None:
     """Raise ValueError unless (n, p, e) names a census cell: integers (not
     bools) with n >= 1, p prime and e >= 0."""
-    for name, value in (("n", n), ("p", p), ("e", e)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"{name} = {value!r} is not an integer")
+    if not (type(n) is int and type(p) is int and type(e) is int):
+        # the common case is three plain ints; this names the first that is
+        # not an integer, rejecting bools and admitting int subclasses
+        for name, value in (("n", n), ("p", p), ("e", e)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} = {value!r} is not an integer")
     if n < 1:
         raise ValueError("need n >= 1")
     if not is_prime(p):
@@ -510,13 +512,20 @@ def _diagonal_task(args: tuple[EnumSpec, tuple[int, ...]]) -> tuple[list[Rows], 
     return found, counter[0]
 
 
+@functools.lru_cache(maxsize=256)
+def _strict_compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
+    """The full-support diagonals of every G_{parts+1}(total) search, listed
+    once per (total, parts) and shared across primes."""
+    return tuple(compositions(total, parts, strict=True))
+
+
 def _diagonals_for_spec(spec: EnumSpec) -> list[tuple[int, ...]]:
     k = spec.corank
     if spec.diagonal is not None:
         exps_list = [tuple(spec.diagonal)]
     elif spec.mode == "pruned" and k == spec.n - 1:
         # full support: every part positive
-        return compositions(spec.e, k, strict=True)
+        return list(_strict_compositions(spec.e, k))
     else:
         exps_list = compositions(spec.e, spec.n - 1, strict=False)
     if spec.mode == "pruned" and k is not None:
@@ -599,7 +608,10 @@ def enumerate_subrings(spec: EnumSpec, counter: list[int] | None = None) -> list
     if spec.threads > 1 and total > 1:
         # a worker stops its diagonal at the whole budget; the running sum
         # bounds the run, and raising leaves the with block, which terminates
-        # the pool without waiting for the other workers
+        # the pool without waiting for the other workers; multiprocessing is
+        # imported here, so a process that never starts a pool skips it
+        import multiprocessing
+
         ctx = multiprocessing.get_context()
         with ctx.Pool(processes=spec.threads) as pool:
             tasks = pool.imap(_diagonal_task, [(spec, t) for t in exps_list])

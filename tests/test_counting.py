@@ -620,6 +620,38 @@ class TestLedgerPersistence:
         again = CountLedger(tmp_path)
         assert again.cached(3, 2, 1) == r1 and again.cached(3, 2, 2) == r2
 
+    def test_append_reads_the_last_byte_only_past_what_it_parsed(self, tmp_path, monkeypatch):
+        pread = counting.os.pread
+        reads = []
+
+        def spy(fd, length, offset):
+            reads.append((length, offset))
+            return pread(fd, length, offset)
+
+        monkeypatch.setattr(counting.os, "pread", spy)
+        led, other = CountLedger(tmp_path), CountLedger()
+        # a log that holds only what this ledger parsed or wrote ends at a newline
+        r1, r2 = led.census(3, 2, 1), led.census(3, 2, 2)
+        assert reads == []
+        # another writer's complete line, then a torn tail, past this ledger's offset
+        r3, r4, r5 = other.census(3, 2, 3), other.census(3, 2, 4), other.census(3, 2, 5)
+        path = tmp_path / "census-n3.jsonl"
+        with path.open("a") as fh:
+            fh.write(ledger_line(r3) + ledger_line(r4)[:-20])
+        assert led.census(3, 2, 3) == r3  # read from the log; the tail is left
+        assert reads == []
+        assert led.census(3, 2, 5) == r5
+        assert reads and path.read_text() == "".join(map(ledger_line, (r1, r2, r3, r5)))
+        fresh = CountLedger(tmp_path)
+        assert [fresh.cached(3, 2, e) for e in range(1, 6)] == [r1, r2, r3, None, r5]
+
+    def test_cold_extend_log_bytes_pin(self, tmp_path):
+        # the log of a cold extension, byte for byte: a cheaper record codec
+        # or append must write exactly these bytes
+        multiplicative_extend(3, 2000, CountLedger(tmp_path), coranks=(1, 2))
+        digest = hashlib.sha256((tmp_path / "census-n3.jsonl").read_bytes()).hexdigest()
+        assert digest == "8a795c3dc3bd372b1a70874261a3f2541d3cce0d39644612e3dcebe630f661af"
+
     def test_reads_lines_another_instance_appended(self, tmp_path, monkeypatch):
         reader, writer = CountLedger(tmp_path), CountLedger(tmp_path)
         writer.census(3, 2, 1)

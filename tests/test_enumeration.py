@@ -77,6 +77,29 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="not an integer"):
             EnumSpec(*cell)
 
+    @pytest.mark.parametrize("bad", [False, True, 2.0, "2", None])
+    @pytest.mark.parametrize("at", range(3))
+    def test_check_cell_names_the_non_integer(self, at, bad):
+        # the plain-int fast path leaves every other argument to the loop,
+        # which names the argument and its value
+        cell = [3, 2, 1]
+        cell[at] = bad
+        message = f"{'npe'[at]} = {bad!r} is not an integer"
+        with pytest.raises(ValueError) as err:
+            enumeration.check_cell(*cell)
+        assert str(err.value) == message
+
+    def test_check_cell_admits_int_subclasses(self):
+        class Exponent(int):
+            pass
+
+        for at in range(3):
+            cell = [3, 2, 1]
+            cell[at] = Exponent(cell[at])
+            enumeration.check_cell(*cell)
+        with pytest.raises(ValueError, match="need e >= 0"):
+            enumeration.check_cell(3, 2, Exponent(-1))
+
     @pytest.mark.parametrize(
         "kwargs, message",
         [({"node_budget": 0}, "node budget"), ({"threads": 0}, "threads"),

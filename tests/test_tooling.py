@@ -6,9 +6,11 @@ read `verify`'s constants table; the benchmark's own self-tests run outside
 this suite.  Here the tracer module is loaded read-only, without touching its
 state, and the workloads module is only parsed, so a renamed or deleted name
 fails a test in this suite too.  Every name a package module imports is
-used there or is a tracer call site.  The per-cell search table of
-scripts/search_nodes.py gets a smoke run and pinned counts, and the
-garbage-collector probe scripts/gc_probe.py a smoke run.  The frontends state each rule once: every CLI option
+used there or is a tracer call site, and importing the library leaves
+multiprocessing out.  The per-cell search table of scripts/search_nodes.py
+gets a smoke run and pinned counts, and the garbage-collector probe
+scripts/gc_probe.py and the per-phase table of scripts/extend_cells.py a
+smoke run.  The frontends state each rule once: every CLI option
 parses into the `RunConfig` field of its name, `VerifyScope` takes its
 settings from fields of the same names, and `verify` catches budget
 exhaustion in one helper.
@@ -212,3 +214,36 @@ def test_gc_probe_script_reports_one_pass():
     report = json.loads(done.stdout.splitlines()[-1])
     assert report["passes"] == 1
     assert len(report["per_pass"]["collections"]) == 3
+
+
+def test_extend_cells_script_splits_a_small_extension():
+    src = str(Path(subring_census.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "extend_cells.py"), "3", "100"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == "35 cells"  # the prime powers up to 100
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert (report["n"], report["limit"], report["cells"]) == (3, 100, 35)
+    phases = {row["phase"]: row for row in report["phases"]}
+    assert list(phases) == ["search", "build", "append", "read", "rest"]
+    # every cell is searched, built and appended cold; the replay only reads
+    for name in ("search", "build", "append"):
+        assert phases[name]["cold_ms"] > 0 and phases[name]["replay_ms"] == 0
+    assert phases["read"]["replay_ms"] > 0
+    assert all(row["us_per_cell"] >= 0 for name, row in phases.items() if name != "rest")
+
+
+def test_library_import_leaves_multiprocessing_out():
+    # the pool of enumerate_subrings imports multiprocessing when it starts
+    src = str(Path(subring_census.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, subring_census.counting, subring_census.verify; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
