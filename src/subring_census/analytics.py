@@ -331,7 +331,8 @@ def euler_product(spec: EulerProductSpec, stats: dict | None = None) -> BoundedV
     receives head_cutoff, head_primes, series_terms (the loop cutoff on the
     loop path) and the parts tail_bound, zeta_bound and rounding_bound of
     the bound.  Whether an enclosure is tight enough is for the caller to
-    judge.
+    judge.  A series product whose value or error leaves float range, as
+    tauberian_constant(12, 3) does, raises ValueError naming the spec.
     """
     if spec.tail_exponent < 2:
         raise ValueError("tail exponent must be at least 2")
@@ -414,14 +415,21 @@ def _series_product(spec: EulerProductSpec, stats: dict | None) -> BoundedValue:
 
     # value = (head rounded once) * exp(log_tail) with log_tail off by at most
     # err = tail + zeta + rounding; rho covers the division, exp and product.
-    value = num / den * math.exp(log_tail)
     err = tail + zeta + rounding
     rho = 2 * (_EPS + _LIBM)
-    share = abs(value) * math.expm1(err) / err
+    try:
+        value = num / den * math.exp(log_tail)
+        share = abs(value) * math.expm1(err) / err
+        spread = abs(value) * math.exp(err)
+    except OverflowError:
+        raise ValueError(
+            f"Euler product {spec.name!r} leaves float range: log of the tail "
+            f"{log_tail:.3g}, its error {err:.3g}"
+        ) from None
     parts = {
         "tail_bound": share * tail,
         "zeta_bound": share * zeta,
-        "rounding_bound": share * rounding + abs(value) * math.exp(err) * rho / (1 - rho),
+        "rounding_bound": share * rounding + spread * rho / (1 - rho),
     }
     bound = parts["tail_bound"] + parts["zeta_bound"] + parts["rounding_bound"]
     if stats is not None:

@@ -78,7 +78,6 @@ class RunConfig:
     max_index: int | None = None
     recheck: bool = False
     node_budget: int = DEFAULT_NODE_BUDGET
-    threads: int = 1
     series_id: str | None = None
     series_n: int | None = None
     bounds: tuple[int, int, int] | None = None
@@ -175,7 +174,7 @@ def _ledger(cfg: RunConfig) -> CountLedger:
 
 def _search(cfg: RunConfig) -> dict:
     """The search settings of enumerate and census, by their EnumSpec names."""
-    return {"node_budget": cfg.node_budget, "threads": cfg.threads, "progress": cfg.progress}
+    return {"node_budget": cfg.node_budget, "progress": cfg.progress}
 
 
 def _rules(cfg: RunConfig) -> PruneRuleSet:
@@ -299,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", dest="fmt", choices=("json", "csv", "text"))
         sp.add_argument("--out", help="write the report to this path (atomically)")
         if search:
-            sp.add_argument("--threads", type=int)
             sp.add_argument(
                 "--budget", dest="node_budget", type=int, metavar="BUDGET",
                 help="search node budget",

@@ -2,9 +2,8 @@
 trial division.
 
 Everything here is plain Python integer arithmetic, so counts are exact at
-any size and values are safe to share across threads.  `smallest_prime_factor`
-is the package's one trial-division loop: every primality and factor test
-goes through it or through `is_prime`.
+any size.  `smallest_prime_factor` is the package's one trial-division loop:
+every primality and factor test goes through it or through `is_prime`.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ def compositions(total: int, parts: int, strict: bool = False) -> list[tuple[int
 
     Each composition is a plain tuple of parts.  Weak compositions allow zero
     parts; strict ones require every part >= 1.  The lexicographic order is a
-    documented contract: parallel work can be partitioned by composition and
-    merged back deterministically.
+    documented contract: the canonical matrix order of the enumeration takes
+    diagonals in it.
 
     A strict composition is a choice of parts-1 cut points in 1..total-1,
     and a weak one of total into parts is a strict one of total + parts with

@@ -573,25 +573,23 @@ class CountLedger:
         e: int,
         recheck: bool = False,
         node_budget: int = DEFAULT_NODE_BUDGET,
-        threads: int = 1,
         progress: bool = False,
         counter: list[int] | None = None,
     ) -> CensusRecord:
         """Exact census at (n, p, e); cached unless recheck forces recomputation.
 
-        A miss is built from irreducible blocks, serially.  With recheck, a
-        full enumeration of every diagonal, spread over `threads` worker
-        processes, is compared against the cached record and a mismatch
-        raises (stale engine guard).  The enumerations of one call share
-        node_budget; exhaustion propagates as BudgetExceededError and nothing
-        partial is stored.  counter, a one-element list, accrues the search
-        nodes as in `enumeration.visit_subrings`, so calls that pass the same
-        counter share one budget; a hit searches nothing.  An invalid cell,
-        node budget or worker count raises ValueError before the lookup, so
+        A miss is built from irreducible blocks.  With recheck, a full
+        enumeration of every diagonal is compared against the cached record
+        and a mismatch raises (stale engine guard).  The enumerations of one
+        call share node_budget; exhaustion propagates as BudgetExceededError
+        and nothing partial is stored.  counter, a one-element list, accrues
+        the search nodes as in `enumeration.visit_subrings`, so calls that
+        pass the same counter share one budget; a hit searches nothing.  An
+        invalid cell or node budget raises ValueError before the lookup, so
         nothing is appended.
         """
         check_cell(n, p, e)
-        check_search(node_budget, threads)
+        check_search(node_budget)
         cached = self._lookup(n, p, e)
         if recheck:
             self.stats["rechecks"] += 1
@@ -604,7 +602,7 @@ class CountLedger:
             counter = [0]
         opts = {"node_budget": node_budget, "progress": progress}
         if recheck:
-            matrices = enumerate_subrings(EnumSpec(n, p, e, threads=threads, **opts), counter)
+            matrices = enumerate_subrings(EnumSpec(n, p, e, **opts), counter)
             record = build_record(n, p, e, matrices, "pruned", self._rules)
         else:
             merged = self._merged_cotypes(n, p, e, opts, counter)

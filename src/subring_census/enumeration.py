@@ -41,10 +41,9 @@ its rules leave to search.
 `visit_subrings` is the one driver of both engines: it walks the diagonals
 under one node budget, prints the `--progress` lines, applies every
 `EnumSpec` filter and hands each survivor's live rows and support block to a
-visitor.  `enumerate_subrings` collects snapshots through it (with threads >
-1, in pool workers that each run it on one diagonal) and returns them in
-canonical order: diagonal composition in lexicographic order, then
-column-major entry order, independent of rule toggles and worker count.
+visitor.  `enumerate_subrings` collects snapshots through it and returns
+them in canonical order: diagonal composition in lexicographic order, then
+column-major entry order, independent of rule toggles.
 Census misses count cotypes with a visitor and build no matrix list.
 
 A search node is one value placed at one entry, or one leaf reached.  Every
@@ -60,7 +59,7 @@ import functools
 import itertools
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple, Sequence
 
 from .combinatorics import compositions, is_prime
@@ -92,11 +91,6 @@ class BudgetExceededError(RuntimeError):
         self.nodes = nodes
         self.budget = budget
 
-    def __reduce__(self):
-        # a pool worker sends the error to the parent pickled; the default
-        # rebuilds from self.args, which hold only the message
-        return type(self), (self.nodes, self.budget)
-
 
 def check_cell(n: int, p: int, e: int) -> None:
     """Raise ValueError unless (n, p, e) names a census cell: integers (not
@@ -115,12 +109,10 @@ def check_cell(n: int, p: int, e: int) -> None:
         raise ValueError("need e >= 0")
 
 
-def check_search(node_budget: int, threads: int) -> None:
-    """Raise ValueError unless the node budget and the worker count are positive."""
+def check_search(node_budget: int) -> None:
+    """Raise ValueError unless the node budget is positive."""
     if node_budget < 1:
         raise ValueError("node budget must be positive")
-    if threads < 1:
-        raise ValueError("threads must be positive")
 
 
 @dataclass(frozen=True)
@@ -199,7 +191,6 @@ class EnumSpec:
     # one frozen rule set, shared by every spec that takes the default
     rules: PruneRuleSet = PruneRuleSet()
     node_budget: int = DEFAULT_NODE_BUDGET
-    threads: int = 1
     progress: bool = False
 
     def __post_init__(self) -> None:
@@ -215,7 +206,7 @@ class EnumSpec:
                 raise ValueError("diagonal filter parts must be nonnegative")
             if sum(self.diagonal) != self.e:
                 raise ValueError("diagonal filter must sum to e")
-        check_search(self.node_budget, self.threads)
+        check_search(self.node_budget)
 
 
 def _template_rows(
@@ -503,15 +494,6 @@ def _pruned_for_diagonal(
         del place
 
 
-def _diagonal_task(args: tuple[EnumSpec, tuple[int, ...]]) -> tuple[list[Rows], int]:
-    spec, exps = args
-    counter = [0]
-    found: list[Rows] = []
-    spec = replace(spec, diagonal=exps, progress=False)
-    visit_subrings(spec, lambda rows, block: found.append(_snapshot(rows)), counter)
-    return found, counter[0]
-
-
 @functools.lru_cache(maxsize=256)
 def _strict_compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
     """The full-support diagonals of every G_{parts+1}(total) search, listed
@@ -531,15 +513,6 @@ def _diagonals_for_spec(spec: EnumSpec) -> list[tuple[int, ...]]:
     if spec.mode == "pruned" and k is not None:
         exps_list = [t for t in exps_list if sum(1 for v in t if v > 0) == k]
     return exps_list
-
-
-def _report_progress(spec: EnumSpec, done: int, total: int, nodes: int) -> None:
-    # nodes is the running total of the counter the caller shares, so it
-    # keeps growing across the enumerations of one census
-    print(
-        f"Z^{spec.n} at {spec.p}^{spec.e}: diagonals {done}/{total}, {nodes} nodes",
-        file=sys.stderr,
-    )
 
 
 def _with_corank(visit: Visit, corank: int) -> Visit:
@@ -577,7 +550,12 @@ def visit_subrings(spec: EnumSpec, visit: Visit, counter: list[int] | None = Non
     for done, exps in enumerate(exps_list, start=1):
         search(spec, exps, counter, visit)
         if spec.progress:
-            _report_progress(spec, done, total, counter[0])
+            # the node count is the running total of the counter the caller
+            # shares, so it keeps growing across the enumerations of one census
+            print(
+                f"Z^{spec.n} at {spec.p}^{spec.e}: diagonals {done}/{total}, {counter[0]} nodes",
+                file=sys.stderr,
+            )
 
 
 def _canonical_key(rows: Rows) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -589,42 +567,16 @@ def _canonical_key(rows: Rows) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def enumerate_subrings(spec: EnumSpec, counter: list[int] | None = None) -> list[SubringMatrix]:
-    """All subring matrices matching the spec, in canonical order.
+    """All subring matrices matching the spec, in canonical order: the
+    survivors of `visit_subrings`, snapshotted and sorted.
 
     Raises BudgetExceededError when the node budget runs out; partial output
-    is never returned.  With threads > 1 the per-diagonal subtrees run in
-    worker processes and are merged back in canonical order, so the result
-    is identical to a serial run, which is `visit_subrings` with a collector.
-
-    counter, a one-element list, accrues the search nodes; the budget bounds
-    its running total, so calls that pass the same counter share one budget.
+    is never returned.  counter, a one-element list, accrues the search
+    nodes; the budget bounds its running total, so calls that pass the same
+    counter share one budget.
     """
-    if counter is None:
-        counter = [0]
-    exps_list = _diagonals_for_spec(spec)
-    total = len(exps_list)
     found: list[Rows] = []
-
-    if spec.threads > 1 and total > 1:
-        # a worker stops its diagonal at the whole budget; the running sum
-        # bounds the run, and raising leaves the with block, which terminates
-        # the pool without waiting for the other workers; multiprocessing is
-        # imported here, so a process that never starts a pool skips it
-        import multiprocessing
-
-        ctx = multiprocessing.get_context()
-        with ctx.Pool(processes=spec.threads) as pool:
-            tasks = pool.imap(_diagonal_task, [(spec, t) for t in exps_list])
-            for done, (rows_list, used) in enumerate(tasks, start=1):
-                counter[0] += used
-                if counter[0] > spec.node_budget:
-                    raise BudgetExceededError(counter[0], spec.node_budget)
-                found.extend(rows_list)
-                if spec.progress:
-                    _report_progress(spec, done, total, counter[0])
-    else:
-        visit_subrings(spec, lambda rows, block: found.append(_snapshot(rows)), counter)
-
+    visit_subrings(spec, lambda rows, block: found.append(_snapshot(rows)), counter)
     # every survivor is already certified by the search (see _pruned_for_diagonal)
     return [SubringMatrix(rows) for rows in sorted(found, key=_canonical_key)]
 

@@ -76,21 +76,18 @@ class VerifyScope:
 
     prime/max_index narrow the cotype-z4 grid to a single prime and index
     bound (max_index needs prime); the other suites keep their stock grids.
-    threads reaches only the full enumerations: the oracle's pruned runs and
-    the invariants rechecks.
     """
 
     suites: tuple[str, ...] = ("all",)
     small: bool = False
     stretch: bool = False
-    threads: int = 1
     node_budget: int = DEFAULT_NODE_BUDGET
     prime: int | None = None
     max_index: int | None = None
     ledger: CountLedger = field(default_factory=CountLedger)
 
     def __post_init__(self) -> None:
-        check_search(self.node_budget, self.threads)
+        check_search(self.node_budget)
         # the search nodes of the current check; `_check` starts a fresh one
         self.counter = [0]
         if self.max_index is not None and self.prime is None:
@@ -511,7 +508,7 @@ def suite_invariants(scope: VerifyScope) -> list[CheckResult]:
         try:
             for n, p, emax in grids:
                 for e in range(emax + 1):
-                    census = scope.census(n, p, e, recheck=True, threads=scope.threads)
+                    census = scope.census(n, p, e, recheck=True)
                     checked += census.f_count
         except CensusValidationError as exc:
             violation = str(exc)
@@ -581,8 +578,7 @@ def suite_oracle(scope: VerifyScope) -> list[CheckResult]:
                         EnumSpec(n, p, e, "naive", node_budget=budget), scope.counter
                     )
                     pruned = enumerate_subrings(
-                        EnumSpec(n, p, e, "pruned", node_budget=budget, threads=scope.threads),
-                        scope.counter,
+                        EnumSpec(n, p, e, "pruned", node_budget=budget), scope.counter
                     )
                     if [m.entries for m in naive] != [m.entries for m in pruned]:
                         agree = False

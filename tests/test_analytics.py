@@ -185,6 +185,15 @@ class TestEulerProduct:
             assert min(stats["tail_bound"], stats["zeta_bound"], stats["rounding_bound"]) >= 0
             assert parts <= v.bound
 
+    @pytest.mark.parametrize("coeffs", [[1, 0, 2**16], [1, 0, 0, 0, 2**34]], ids=["exp", "expm1"])
+    def test_series_out_of_float_range_is_a_value_error(self, coeffs):
+        # Head cutoff 2^15 and a log series far past float range: the first
+        # spec overflows exp(log_tail), as tauberian_constant(12, 3) does, and
+        # the second expm1 of the log's error, each in milliseconds.
+        spec = an.EulerProductSpec.from_inverse_p_polynomial("huge", coeffs)
+        with pytest.raises(ValueError, match="'huge' leaves float range"):
+            an.euler_product(spec)
+
 
 # The local factors corank_probability spelled out by hand before they came
 # from _deviation: (1-u)^2 (1+2u), (1-u)^5 (1+5u), (1-u)^5 (1+u) (1+4u+6u^2).

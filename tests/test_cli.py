@@ -236,6 +236,10 @@ def test_series_command(capsys):
         ["series", "--id", "cotype_z2", "--budget", "50"],
         ["constants", "--id", "zeta_2", "--progress"],
         ["verify", "--suite", "rpstar", "--progress"],
+        # no command takes a worker count: every search runs serially
+        ["enumerate", "-n", "3", "-p", "2", "-e", "1", "--threads", "2"],
+        ["census", "-n", "3", "-p", "2", "-e", "1", "--threads", "2"],
+        ["verify", "--suite", "rpstar", "--small", "--threads", "2"],
     ],
 )
 def test_flags_a_command_ignores_are_usage_errors(argv):
@@ -275,9 +279,9 @@ def test_malformed_arguments_are_usage_errors(capsys, argv):
         ["verify", "--suite", "cotype-z4", "--max-index", "64"],
         # search settings are checked where they enter, also by a call
         # that builds no enumeration spec
-        ["census", "-n", "3", "-p", "2", "-e", "0:1", "--threads", "-3"],
+        ["enumerate", "-n", "3", "-p", "2", "-e", "0:1", "--budget", "-3"],
         ["census", "-n", "3", "-p", "2", "-e", "0", "--budget", "0"],
-        ["verify", "--suite", "rpstar", "--small", "--threads", "0"],
+        ["verify", "--suite", "rpstar", "--small", "--budget", "0"],
     ],
 )
 def test_invalid_values_exit_2_with_one_line(capsys, tmp_path, argv):
@@ -383,20 +387,18 @@ def _subparser(name):
             ["enumerate", "-n", "4", "-p", "3", "-e", "1:3", "--mode", "naive",
              "--corank", "2", "--irreducible", "--disable-rule", "zero-one",
              "--disable-rule", "last-column", "--disable-rule", "zero-one",
-             "--dump", "m.txt", "--threads", "2", "--budget", "77", "--progress",
+             "--dump", "m.txt", "--budget", "77", "--progress",
              "--format", "csv", "--out", "r.csv"],
             {"n": 4, "p": 3, "e_range": [1, 3], "mode": "naive", "corank": 2,
              "irreducible": True, "disabled_rules": ["last-column", "zero-one"],
-             "dump": "m.txt", "threads": 2, "node_budget": 77, "progress": True,
+             "dump": "m.txt", "node_budget": 77, "progress": True,
              "fmt": "csv", "out": "r.csv"},
         ),
         (
-            ["census", "-n", "3", "-p", "5", "-e", "2", "--recheck", "--threads", "3",
-             "--budget", "50", "--progress", "--cache-dir", "c", "--format", "text",
-             "--out", "r.txt"],
-            {"n": 3, "p": 5, "e_range": [2, 2], "recheck": True, "threads": 3,
-             "node_budget": 50, "progress": True, "cache_dir": "c", "fmt": "text",
-             "out": "r.txt"},
+            ["census", "-n", "3", "-p", "5", "-e", "2", "--recheck", "--budget", "50",
+             "--progress", "--cache-dir", "c", "--format", "text", "--out", "r.txt"],
+            {"n": 3, "p": 5, "e_range": [2, 2], "recheck": True, "node_budget": 50,
+             "progress": True, "cache_dir": "c", "fmt": "text", "out": "r.txt"},
         ),
         (
             ["series", "--id", "corank2_local", "--n", "5", "--bounds", "4,2,1",
@@ -411,10 +413,10 @@ def _subparser(name):
         ),
         (
             ["verify", "--suite", "rpstar", "--suite", "cocyclic", "--small", "--stretch",
-             "-p", "3", "--max-index", "81", "--threads", "2", "--budget", "99",
+             "-p", "3", "--max-index", "81", "--budget", "99",
              "--cache-dir", "v", "--format", "csv", "--out", "v.csv"],
             {"suites": ["rpstar", "cocyclic"], "small": True, "stretch": True, "prime": 3,
-             "max_index": 81, "threads": 2, "node_budget": 99, "cache_dir": "v",
+             "max_index": 81, "node_budget": 99, "cache_dir": "v",
              "fmt": "csv", "out": "v.csv"},
         ),
     ],

@@ -163,15 +163,6 @@ class TestDecomposition:
         led.census(5, 2, 5, recheck=True)
         assert [spec for spec, _ in calls] == [EnumSpec(5, 2, 5)]
 
-    def test_only_recheck_starts_workers(self, monkeypatch):
-        calls = spy_on_enumeration(monkeypatch)
-        led = CountLedger()
-        led.census(5, 2, 6, threads=2)
-        assert calls and all(spec.threads == 1 for spec, _ in calls)
-        del calls[:]
-        led.census(5, 2, 6, recheck=True, threads=2)
-        assert [spec for spec, _ in calls] == [EnumSpec(5, 2, 6, threads=2)]
-
     def test_budget_exhaustion_leaves_nothing_partial(self, tmp_path, monkeypatch):
         calls = spy_on_enumeration(monkeypatch)
         CountLedger().census(5, 2, 6)
@@ -469,7 +460,7 @@ class TestLedgerPersistence:
         assert list(tmp_path.iterdir()) == []
         assert led.stats["misses"] == 0
 
-    @pytest.mark.parametrize("kwargs", [{"threads": 0}, {"node_budget": -5}, {"node_budget": 0}])
+    @pytest.mark.parametrize("kwargs", [{"node_budget": -5}, {"node_budget": 0}])
     @pytest.mark.parametrize("kept", [False, True], ids=["miss", "hit"])
     def test_invalid_search_settings_rejected_before_lookup(self, tmp_path, kwargs, kept):
         led = CountLedger(tmp_path)

@@ -1,16 +1,9 @@
-import itertools
-import os
-import pickle
 import random
-import subprocess
-import sys
-from dataclasses import fields, replace
-from pathlib import Path
+from dataclasses import fields
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import subring_census
 from subring_census import enumeration
 from subring_census.catalog import irreducible_count
 from subring_census.combinatorics import binomial, compositions
@@ -18,7 +11,6 @@ from subring_census.enumeration import (
     BudgetExceededError,
     EnumSpec,
     PruneRuleSet,
-    _diagonal_task,
     _diagonals_for_spec,
     _entry_values,
     _narrow,
@@ -102,8 +94,7 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize(
         "kwargs, message",
-        [({"node_budget": 0}, "node budget"), ({"threads": 0}, "threads"),
-         ({"threads": -3}, "threads")],
+        [({"node_budget": 0}, "node budget")],
     )
     def test_rejects_bad_search_settings(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -493,13 +484,6 @@ class TestPermutationClosure:
 
 
 class TestDeterminism:
-    def test_thread_count_does_not_change_output(self):
-        # the naive corank spec runs the driver's corank filter in the workers
-        for spec in (EnumSpec(n=4, p=2, e=4), EnumSpec(4, 2, 4, mode="naive", corank=2)):
-            serial = enumerate_subrings(spec)
-            parallel = enumerate_subrings(replace(spec, threads=2))
-            assert entries(serial) == entries(parallel)
-
     def test_diagonal_filter(self):
         ms = enumerate_subrings(EnumSpec(n=3, p=2, e=3, diagonal=(2, 1)))
         assert all(m.diagonal == (4, 2, 1) for m in ms)
@@ -605,51 +589,21 @@ class TestBudget:
             assert exc.budget == 100
             assert exc.nodes > 100
 
-    def test_budget_error_pickles(self):
-        exc = BudgetExceededError(30001, 30000)
-        back = pickle.loads(pickle.dumps(exc))
-        assert (back.nodes, back.budget) == (30001, 30000)
-        assert str(back) == str(exc)
-
-    @staticmethod
-    def _threaded_budget_error(budget):
-        # The run is in a child process so that a hanging pool fails on the
-        # timeout instead of stalling the suite.
-        code = (
-            "from subring_census.enumeration import BudgetExceededError, EnumSpec, "
-            "enumerate_subrings\n"
-            "try:\n"
-            f"    enumerate_subrings(EnumSpec(n=4, p=2, e=11, node_budget={budget}, threads=2))\n"
-            "except BudgetExceededError as exc:\n"
-            "    print(exc.budget, exc.nodes)\n"
-        )
-        src = str(Path(subring_census.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-        )
-        assert done.returncode == 0, done.stderr
-        budget_seen, nodes = map(int, done.stdout.split())
-        assert budget_seen == budget
-        return nodes
-
-    def test_budget_exhaustion_under_threads(self):
-        # A worker's error must reach the parent.  The first diagonals at
-        # (4, 2, 11) take 3, 6 and 12 nodes, so with budget 10 the third one
-        # stops in its worker (at budget + 1 nodes) while the parent's sum is 9.
-        assert self._threaded_budget_error(10) == 11
-
-    def test_budget_is_global_under_threads(self):
-        # With a budget above every single diagonal but below their sum, only
-        # the parent's running sum can raise, and it must raise at the first
-        # diagonal that takes the sum past the budget, not after the last.
+    def test_budget_is_global(self):
+        # With a budget above every single diagonal but below their sum, the
+        # run must stop at the first node past the budget: the budget bounds
+        # the whole run, not each diagonal.
         spec = EnumSpec(n=4, p=2, e=11)
-        used = [_diagonal_task((spec, t))[1] for t in _diagonals_for_spec(spec)]
+        used = []
+        for t in _diagonals_for_spec(spec):
+            counter = [0]
+            visit_subrings(EnumSpec(4, 2, 11, diagonal=t), lambda rows, block: None, counter)
+            used.append(counter[0])
         budget = sum(used) // 2
         assert max(used) < budget < sum(used)
-        first_over = next(total for total in itertools.accumulate(used) if total > budget)
-        assert first_over < sum(used)
-        assert self._threaded_budget_error(budget) == first_over
+        with pytest.raises(BudgetExceededError) as err:
+            enumerate_subrings(EnumSpec(n=4, p=2, e=11, node_budget=budget))
+        assert (err.value.nodes, err.value.budget) == (budget + 1, budget)
 
 
 def test_full_support_diagonals_are_strict_compositions():

@@ -237,7 +237,7 @@ def test_extend_cells_script_splits_a_small_extension():
 
 
 def test_library_import_leaves_multiprocessing_out():
-    # the pool of enumerate_subrings imports multiprocessing when it starts
+    # no library module imports multiprocessing; every search runs serially
     src = str(Path(subring_census.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(

@@ -171,7 +171,7 @@ def test_stale_census_fails_the_structural_check(tmp_path):
     assert "cache is stale" in structural.lhs
 
 
-@pytest.mark.parametrize("kwargs", [{"threads": 0}, {"node_budget": 0}, {"node_budget": -5}])
+@pytest.mark.parametrize("kwargs", [{"node_budget": 0}, {"node_budget": -5}])
 def test_scope_rejects_bad_search_settings(kwargs):
     with pytest.raises(ValueError):
         VerifyScope(**kwargs)
