@@ -589,10 +589,21 @@ class TestBudget:
             assert exc.budget == 100
             assert exc.nodes > 100
 
-    def test_budget_is_global(self):
+    # The two tests below keep the names they had when each diagonal ran in a
+    # worker of its own; the search is serial now, and they check the same
+    # promise on that path: the budget error reaches the caller, and the
+    # budget bounds the whole run, not each diagonal.
+
+    def test_budget_exhaustion_under_threads(self):
+        # The first diagonals at (4, 2, 11) take 3, 6 and 12 nodes, so with
+        # budget 10 the run stops inside the third one, at budget + 1 nodes.
+        with pytest.raises(BudgetExceededError) as err:
+            enumerate_subrings(EnumSpec(n=4, p=2, e=11, node_budget=10))
+        assert (err.value.nodes, err.value.budget) == (11, 10)
+
+    def test_budget_is_global_under_threads(self):
         # With a budget above every single diagonal but below their sum, the
-        # run must stop at the first node past the budget: the budget bounds
-        # the whole run, not each diagonal.
+        # run must stop at the first node past the budget.
         spec = EnumSpec(n=4, p=2, e=11)
         used = []
         for t in _diagonals_for_spec(spec):
