@@ -27,7 +27,7 @@ import time
 
 from subring_census import enumeration
 from subring_census.combinatorics import compositions
-from subring_census.enumeration import EnumSpec, check_cell, visit_subrings
+from subring_census.enumeration import EnumSpec, NodeBudget, check_cell, visit_subrings
 
 
 def _us_per_node(row: dict) -> float:
@@ -48,7 +48,7 @@ def search_cell(m: int, p: int, j: int) -> list[dict]:
     enumeration._entry_values = counted
     try:
         for diagonal in compositions(j, m - 1, strict=True):
-            counter = [0]
+            budget = NodeBudget()
             matrices = [0]
             tests[0] = 0
 
@@ -56,10 +56,10 @@ def search_cell(m: int, p: int, j: int) -> list[dict]:
                 matrices[0] += 1
 
             start = time.perf_counter()
-            visit_subrings(EnumSpec(m, p, j, diagonal=diagonal), count, counter)
+            visit_subrings(EnumSpec(m, p, j, diagonal=diagonal), count, budget)
             row = {
                 "diagonal": list(diagonal),
-                "nodes": counter[0],
+                "nodes": budget.used,
                 "entry_tests": tests[0],
                 "matrices": matrices[0],
                 "seconds": time.perf_counter() - start,

@@ -24,6 +24,7 @@ from .hnf import (
 from .enumeration import (
     BudgetExceededError,
     EnumSpec,
+    NodeBudget,
     PruneRuleSet,
     enumerate_irreducible,
     enumerate_subrings,
@@ -37,6 +38,7 @@ __all__ = [
     "EnumSpec",
     "HnfMatrix",
     "MPoly",
+    "NodeBudget",
     "PruneRuleSet",
     "RatFunc",
     "SeriesTable",

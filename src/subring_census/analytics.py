@@ -368,6 +368,19 @@ def _log_coefficients(coeffs: tuple[int, ...], terms: int) -> list[Fraction]:
     return b
 
 
+def _tree_product(values: list[int]) -> int:
+    """The product of values, multiplied pairwise in a balanced tree.
+
+    Each level halves the list, so the factors of every multiplication are
+    of about equal size; a left-to-right product instead multiplies a
+    growing integer by each small one in turn, which is quadratic in the
+    size of the result.  The integer is the same either way.
+    """
+    while len(values) > 1:
+        values = [math.prod(values[i : i + 2]) for i in range(0, len(values), 2)]
+    return values[0] if values else 1
+
+
 def _series_product(spec: EulerProductSpec, stats: dict | None) -> BoundedValue:
     coeffs = spec.coefficients
     d = len(coeffs) - 1
@@ -388,14 +401,11 @@ def _series_product(spec: EulerProductSpec, stats: dict | None) -> BoundedValue:
         terms_k += 1
     tail = dropped(terms_k)
 
-    num = den = 1
-    primes = []
+    primes = list(iter_primes(cutoff))
     c = spec.tail_constant * (1 + 1e-12)
-    for p in iter_primes(cutoff):
-        f = _checked_factor(spec, p, c)[0]
-        num *= f[0]
-        den *= f[1]
-        primes.append(p)
+    factors = [_checked_factor(spec, p, c)[0] for p in primes]
+    num = _tree_product([f[0] for f in factors])
+    den = _tree_product([f[1] for f in factors])
 
     b = _log_coefficients(coeffs, terms_k)
     log_zeta = functools.cache(functools.partial(_log_zeta_rough, primes=tuple(primes)))

@@ -33,6 +33,7 @@ from .enumeration import (
     DEFAULT_NODE_BUDGET,
     BudgetExceededError,
     EnumSpec,
+    NodeBudget,
     PruneRuleSet,
     enumerate_subrings,
 )
@@ -172,11 +173,6 @@ def _ledger(cfg: RunConfig) -> CountLedger:
     return CountLedger(cfg.cache_dir or os.environ.get(CACHE_ENV_VAR))
 
 
-def _search(cfg: RunConfig) -> dict:
-    """The search settings of enumerate and census, by their EnumSpec names."""
-    return {"node_budget": cfg.node_budget, "progress": cfg.progress}
-
-
 def _rules(cfg: RunConfig) -> PruneRuleSet:
     disabled = {RULE_NAMES[name] for name in cfg.disabled_rules}
     return PruneRuleSet(**{f.name: f.name not in disabled for f in fields(PruneRuleSet)})
@@ -194,8 +190,11 @@ def cmd_enumerate(cfg: RunConfig) -> tuple[dict, int]:
     dump = _atomic_open(Path(cfg.dump)) if cfg.dump else contextlib.nullcontext()
     with dump as dump_fh:  # like --out, the file appears only after the last e
         for e in range(cfg.e_range[0], cfg.e_range[1] + 1):
-            spec = EnumSpec(cfg.n, cfg.p, e, cfg.mode, corank, rules=_rules(cfg), **_search(cfg))
-            matrices = enumerate_subrings(spec)
+            spec = EnumSpec(
+                cfg.n, cfg.p, e, cfg.mode, corank, rules=_rules(cfg), progress=cfg.progress
+            )
+            # each e on a budget of its own
+            matrices = enumerate_subrings(spec, NodeBudget(cfg.node_budget))
             if dump_fh:
                 dump_matrices(dump_fh, matrices, cfg.p)
             entries.append({"n": cfg.n, "p": cfg.p, "e": e, "count": len(matrices)})
@@ -207,7 +206,10 @@ def cmd_census(cfg: RunConfig) -> tuple[dict, int]:
     ledger = _ledger(cfg)
     entries = []
     for e in range(cfg.e_range[0], cfg.e_range[1] + 1):
-        record = ledger.census(cfg.n, cfg.p, e, recheck=cfg.recheck, **_search(cfg))
+        record = ledger.census(
+            cfg.n, cfg.p, e, recheck=cfg.recheck, progress=cfg.progress,
+            budget=NodeBudget(cfg.node_budget),  # each e on a budget of its own
+        )
         payload = record.payload()
         payload["checksum"] = record.checksum()
         entries.append(payload)

@@ -55,12 +55,11 @@ from . import hnf
 from .catalog import irreducible_count
 from .combinatorics import binomial, is_prime
 from .enumeration import (
-    DEFAULT_NODE_BUDGET,
     ENGINE_VERSION,
     EnumSpec,
+    NodeBudget,
     PruneRuleSet,
     check_cell,
-    check_search,
     enumerate_subrings,
     visit_subrings,
 )
@@ -95,6 +94,11 @@ def _str(value, name: str) -> str:
         raise TypeError(f"{name} = {value!r} is not a string")
     return value
 
+
+# the search mode and pruning rules of every record built here; a ledger
+# serves only records of these rules and ENGINE_VERSION
+RECORD_MODE = "pruned"
+RECORD_RULES = PruneRuleSet().fingerprint()
 
 # json.dumps of a provenance string (mode, rules, engine), memoized: a ledger
 # holds a handful of distinct ones, each escaped once
@@ -359,7 +363,7 @@ def _block_cotype(
 
 
 def _record_from_cotypes(
-    n: int, p: int, e: int, cotypes: dict[tuple[int, ...], int], mode: str, rules: str
+    n: int, p: int, e: int, cotypes: dict[tuple[int, ...], int]
 ) -> CensusRecord:
     """The validated census record of (n, p, e) with the given cotype census."""
     h_counts = [0] * n
@@ -374,29 +378,22 @@ def _record_from_cotypes(
         g_count=h_counts[n - 1],
         h_counts=tuple(h_counts),
         cotype_counts=cotypes,
-        mode=mode,
-        rules=rules,
+        mode=RECORD_MODE,
+        rules=RECORD_RULES,
         engine_version=ENGINE_VERSION,
     )
     record.validate()
     return record
 
 
-def build_record(
-    n: int,
-    p: int,
-    e: int,
-    matrices: list[SubringMatrix],
-    mode: str,
-    rules: str,
-) -> CensusRecord:
+def build_record(n: int, p: int, e: int, matrices: list[SubringMatrix]) -> CensusRecord:
     index = p**e
     cotypes: dict[tuple[int, ...], int] = {}
     for m in matrices:
         ct = m.cotype()
         _structural_check(m.entries, ct.corank, index)
         cotypes[ct.alphas] = cotypes.get(ct.alphas, 0) + 1
-    return _record_from_cotypes(n, p, e, cotypes, mode, rules)
+    return _record_from_cotypes(n, p, e, cotypes)
 
 
 def _complete_length(fd: int, end: int) -> int:
@@ -459,7 +456,6 @@ class CountLedger:
         self.stats = dict.fromkeys(
             ("hits", "misses", "rechecks", "irreducible_built", "irreducible_reused"), 0
         )
-        self._rules = PruneRuleSet().fingerprint()
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
 
@@ -519,7 +515,7 @@ class CountLedger:
             record = self._parse_line(path, lines, line)
             if record.n != n:
                 raise ValueError(f"{path}:{lines}: record of n={record.n} in the log of n={n}")
-            if record.engine_version == ENGINE_VERSION and record.rules == self._rules:
+            if record.engine_version == ENGINE_VERSION and record.rules == RECORD_RULES:
                 self._records[(n, record.p, record.e)] = record
         self._read_upto[n] = (offset + len(complete), lines)
 
@@ -572,24 +568,20 @@ class CountLedger:
         p: int,
         e: int,
         recheck: bool = False,
-        node_budget: int = DEFAULT_NODE_BUDGET,
         progress: bool = False,
-        counter: list[int] | None = None,
+        budget: NodeBudget | None = None,
     ) -> CensusRecord:
         """Exact census at (n, p, e); cached unless recheck forces recomputation.
 
         A miss is built from irreducible blocks.  With recheck, a full
         enumeration of every diagonal is compared against the cached record
-        and a mismatch raises (stale engine guard).  The enumerations of one
-        call share node_budget; exhaustion propagates as BudgetExceededError
-        and nothing partial is stored.  counter, a one-element list, accrues
-        the search nodes as in `enumeration.visit_subrings`, so calls that
-        pass the same counter share one budget; a hit searches nothing.  An
-        invalid cell or node budget raises ValueError before the lookup, so
-        nothing is appended.
+        and a mismatch raises (stale engine guard).  The searches of one call
+        spend budget (see `enumeration.NodeBudget`), a fresh default one when
+        None; exhaustion propagates as BudgetExceededError and nothing
+        partial is stored.  A hit searches nothing.  An invalid cell raises
+        ValueError before the lookup, so nothing is appended.
         """
         check_cell(n, p, e)
-        check_search(node_budget)
         cached = self._lookup(n, p, e)
         if recheck:
             self.stats["rechecks"] += 1
@@ -598,16 +590,15 @@ class CountLedger:
             return cached
         else:
             self.stats["misses"] += 1
-        if counter is None:
-            counter = [0]
-        opts = {"node_budget": node_budget, "progress": progress}
+        if budget is None:
+            budget = NodeBudget()
         if recheck:
-            matrices = enumerate_subrings(EnumSpec(n, p, e, **opts), counter)
-            record = build_record(n, p, e, matrices, "pruned", self._rules)
+            matrices = enumerate_subrings(EnumSpec(n, p, e, progress=progress), budget)
+            record = build_record(n, p, e, matrices)
         else:
-            merged = self._merged_cotypes(n, p, e, opts, counter)
+            merged = self._merged_cotypes(n, p, e, progress, budget)
             cotypes = {key + (1,) * (n - 1 - len(key)): count for key, count in merged.items()}
-            record = _record_from_cotypes(n, p, e, cotypes, "pruned", self._rules)
+            record = _record_from_cotypes(n, p, e, cotypes)
         if cached is not None:
             if not record.counts_equal(cached):
                 raise CensusValidationError(
@@ -619,7 +610,7 @@ class CountLedger:
         return record
 
     def _merged_cotypes(
-        self, n: int, p: int, e: int, opts: dict, counter: list[int]
+        self, n: int, p: int, e: int, progress: bool, budget: NodeBudget
     ) -> dict[tuple[int, ...], int]:
         """F_n(e) by the block recursion, keyed by the invariant factors > 1.
 
@@ -646,7 +637,7 @@ class CountLedger:
                     rest = merged(k - m, d - j)
                     if not rest:
                         continue
-                    block = self._irreducible_cotypes(m, p, j, opts, counter)
+                    block = self._irreducible_cotypes(m, p, j, progress, budget)
                     for a, ca in block.items():
                         for b, cb in rest.items():
                             key = tuple(sorted(a + b, reverse=True)) if b else a
@@ -662,7 +653,7 @@ class CountLedger:
             del merged
 
     def _irreducible_cotypes(
-        self, m: int, p: int, j: int, opts: dict, counter: list[int]
+        self, m: int, p: int, j: int, progress: bool, budget: NodeBudget
     ) -> dict[tuple[int, ...], int]:
         """G_m(j) for j >= m-1 >= 1: cotype census of the irreducible subrings
         of Z^m at index p^j."""
@@ -683,7 +674,7 @@ class CountLedger:
             alphas = ct.alphas
             cotypes[alphas] = cotypes.get(alphas, 0) + 1
 
-        visit_subrings(EnumSpec(m, p, j, corank=m - 1, **opts), count, counter)
+        visit_subrings(EnumSpec(m, p, j, corank=m - 1, progress=progress), count, budget)
         self._irreducible[key] = cotypes
         self.stats["irreducible_built"] += 1
         return cotypes
@@ -851,21 +842,15 @@ class IndexSplit:
         return cls(limit, part, prime_powers)
 
 
-def multiplicative_table(
-    limit: int, prime_power_value, split: IndexSplit | None = None
-) -> list[int]:
-    """values[j] for 1 <= j <= limit of the multiplicative function determined
-    by prime_power_value(p, e); values[0] is unused.
+def multiplicative_table(split: IndexSplit, prime_power_value) -> list[int]:
+    """values[j] for 1 <= j <= split.limit of the multiplicative function
+    determined by prime_power_value(p, e); values[0] is unused.
 
-    prime_power_value is called once per prime power p^e <= limit, in
+    prime_power_value is called once per prime power p^e <= split.limit, in
     ascending order of p^e; every other j takes the product of the values
-    at its p-part q (p its smallest prime factor) and at j / q.  split is
-    `IndexSplit.of(limit)`, built here when not given.
+    at its p-part q (p its smallest prime factor) and at j / q.
     """
-    if split is None:
-        split = IndexSplit.of(limit)
-    if split.limit != limit:
-        raise ValueError(f"index split is for limit {split.limit}, not {limit}")
+    limit = split.limit
     values = [0] * (limit + 1)
     if limit >= 1:
         values[1] = 1
@@ -916,8 +901,7 @@ def multiplicative_extend(
     ledger: CountLedger,
     coranks: tuple[int, ...] = (),
     compute: bool = True,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    counter: list[int] | None = None,
+    budget: NodeBudget | None = None,
 ) -> ExtendedCounts:
     """Extend prime-power censuses multiplicatively to every index <= limit.
 
@@ -925,8 +909,9 @@ def multiplicative_extend(
     ascending order of p^e, and every table is built from the records kept,
     over one `IndexSplit` of the indices.
     With compute=False, absent census records are reported (all of them, in a
-    MissingCensusError) instead of being enumerated on demand.  counter is
-    passed to every census call, so with one given they share node_budget.
+    MissingCensusError) instead of being enumerated on demand.  budget is
+    passed to every census call (see `enumeration.NodeBudget`): one budget
+    bounds them together, and None starts a fresh default one for each.
     n must be an integer of at least 1, limit nonnegative and every corank
     in 0..n-1 (ValueError).
     """
@@ -942,20 +927,16 @@ def multiplicative_extend(
         if not compute and ledger.cached(n, p, e) is None:
             missing.append((n, p, e))
             return 0
-        record = records[(p, e)] = ledger.census(
-            n, p, e, node_budget=node_budget, counter=counter
-        )
+        record = records[(p, e)] = ledger.census(n, p, e, budget=budget)
         return record.f_count
 
     split = IndexSplit.of(limit)
-    f = multiplicative_table(limit, f_value, split)
+    f = multiplicative_table(split, f_value)
     if missing:
         raise MissingCensusError(missing)
     h_tilde = {
-        k: multiplicative_table(limit, lambda p, e, k=k: records[(p, e)].h_tilde(k), split)
+        k: multiplicative_table(split, lambda p, e, k=k: records[(p, e)].h_tilde(k))
         for k in coranks
     }
-    lattice = multiplicative_table(
-        limit, lambda p, e: lattice_prime_power_count(n, p, e), split
-    )
+    lattice = multiplicative_table(split, lambda p, e: lattice_prime_power_count(n, p, e))
     return ExtendedCounts(n=n, limit=limit, f=f, h_tilde=h_tilde, lattice=lattice)

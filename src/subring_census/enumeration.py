@@ -39,7 +39,7 @@ diagonal builds only its support, template rows and block, in one pass
 its rules leave to search.
 
 `visit_subrings` is the one driver of both engines: it walks the diagonals
-under one node budget, prints the `--progress` lines, applies every
+spending one `NodeBudget`, prints the `--progress` lines, applies every
 `EnumSpec` filter and hands each survivor's live rows and support block to a
 visitor.  `enumerate_subrings` collects snapshots through it and returns
 them in canonical order: diagonal composition in lexicographic order, then
@@ -49,8 +49,8 @@ Census misses count cotypes with a visitor and build no matrix list.
 A search node is one value placed at one entry, or one leaf reached.  Every
 value of an entry's domain is a node, also one a later rule then rejects,
 except at support-block entries with the irreducible-block rule on: there
-only the accepted values are placed, so only they are nodes.  The node
-budget and the `--progress` lines count these.
+only the accepted values are placed, so only they are nodes.  The
+`NodeBudget` and the `--progress` lines count these.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ from .hnf import (
 )
 
 ENGINE_VERSION = "0.1.0"
-# the search node budget of every entry point that takes one
+# the node limit of a NodeBudget that is not given one
 DEFAULT_NODE_BUDGET = 10**9
 
 Rows = tuple[tuple[int, ...], ...]
@@ -109,10 +109,26 @@ def check_cell(n: int, p: int, e: int) -> None:
         raise ValueError("need e >= 0")
 
 
-def check_search(node_budget: int) -> None:
-    """Raise ValueError unless the node budget is positive."""
-    if node_budget < 1:
-        raise ValueError("node budget must be positive")
+class NodeBudget:
+    """A search node limit and the nodes used against it so far.
+
+    Every search given the same budget spends it together: `used` is their
+    running total, and the node that takes it past `limit` raises
+    BudgetExceededError with nodes == limit + 1.  So one budget passed to
+    several searches bounds them as a whole, and a fresh budget for each
+    bounds each on its own.  The entry points that take a budget
+    (`visit_subrings`, `enumerate_subrings`, `enumerate_irreducible`,
+    `counting.CountLedger.census`, `counting.multiplicative_extend`) start a
+    fresh default one when given None.  A limit below 1 raises ValueError.
+    """
+
+    __slots__ = ("limit", "used")
+
+    def __init__(self, limit: int = DEFAULT_NODE_BUDGET):
+        if limit < 1:
+            raise ValueError("node budget must be positive")
+        self.limit = limit
+        self.used = 0
 
 
 @dataclass(frozen=True)
@@ -171,7 +187,7 @@ class PruneRuleSet:
 
 @dataclass(frozen=True)
 class EnumSpec:
-    """What to enumerate: dimension, prime power, mode, filters and budgets.
+    """What to enumerate: dimension, prime power, mode and filters.
 
     corank restricts output to subrings of that corank.  In pruned mode this
     restricts diagonals to compositions with that support size; in naive mode
@@ -190,7 +206,6 @@ class EnumSpec:
     diagonal: tuple[int, ...] | None = None
     # one frozen rule set, shared by every spec that takes the default
     rules: PruneRuleSet = PruneRuleSet()
-    node_budget: int = DEFAULT_NODE_BUDGET
     progress: bool = False
 
     def __post_init__(self) -> None:
@@ -206,7 +221,6 @@ class EnumSpec:
                 raise ValueError("diagonal filter parts must be nonnegative")
             if sum(self.diagonal) != self.e:
                 raise ValueError("diagonal filter must sum to e")
-        check_search(self.node_budget)
 
 
 def _template_rows(
@@ -273,24 +287,24 @@ def _identity_check_support(rows: list[list[int]], support: tuple[int, ...], n: 
 
 
 def _naive_for_diagonal(
-    spec: EnumSpec, exps: tuple[int, ...], counter: list[int], visit: Visit
+    spec: EnumSpec, exps: tuple[int, ...], budget: NodeBudget, visit: Visit
 ) -> None:
     """Full Cartesian product over entry domains, filtered by the certificate."""
-    n, budget = spec.n, spec.node_budget
+    n, limit = spec.n, budget.limit
     support, rows, _ = _template_rows(n, spec.p, exps)
     positions = _fill_positions(n, support)
     domains = [range(rows[i][i]) for i, _ in positions]
-    nodes = counter[0]
+    nodes = budget.used
     for combo in itertools.product(*domains):
         nodes += 1
-        if nodes > budget:
-            counter[0] = nodes
-            raise BudgetExceededError(nodes, budget)
+        if nodes > limit:
+            budget.used = nodes
+            raise BudgetExceededError(nodes, limit)
         for (i, j), v in zip(positions, combo):
             rows[i][j] = v
         if _identity_check_support(rows, support, n) and products_in_span(rows):
             visit(rows, [[rows[i][j] for j in support] for i in support])
-    counter[0] = nodes
+    budget.used = nodes
 
 
 def _narrow(base: int, step: int, a: int, k: int, mod: int) -> tuple[int, int] | None:
@@ -426,9 +440,9 @@ def _diagonal_plan(n: int, support: tuple[int, ...], rules: PruneRuleSet) -> _Di
 
 
 def _pruned_for_diagonal(
-    spec: EnumSpec, exps: tuple[int, ...], counter: list[int], visit: Visit
+    spec: EnumSpec, exps: tuple[int, ...], budget: NodeBudget, visit: Visit
 ) -> None:
-    n, p, rules, budget = spec.n, spec.p, spec.rules, spec.node_budget
+    n, p, rules, limit = spec.n, spec.p, spec.rules, budget.limit
     support, rows, block = _template_rows(n, p, exps)
     positions, closure_proved, unit_cols, supp_after, block_at, domains, ranged = (
         _diagonal_plan(n, support, rules)
@@ -448,9 +462,9 @@ def _pruned_for_diagonal(
 
     def place(idx: int) -> None:
         if idx == npos:
-            counter[0] += 1
-            if counter[0] > budget:
-                raise BudgetExceededError(counter[0], budget)
+            budget.used += 1
+            if budget.used > limit:
+                raise BudgetExceededError(budget.used, limit)
             if closure_proved or (
                 _identity_check_support(rows, support, n) and products_in_span(rows)
             ):
@@ -463,9 +477,9 @@ def _pruned_for_diagonal(
         if values is None:  # a block entry under the irreducible-block rule
             values = _entry_values(block, *at, p)
         for v in values:
-            counter[0] += 1
-            if counter[0] > budget:
-                raise BudgetExceededError(counter[0], budget)
+            budget.used += 1
+            if budget.used > limit:
+                raise BudgetExceededError(budget.used, limit)
             row_i[j] = v
             if at is not None:
                 block[at[0]][at[1]] = v
@@ -525,7 +539,7 @@ def _with_corank(visit: Visit, corank: int) -> Visit:
     return filtered
 
 
-def visit_subrings(spec: EnumSpec, visit: Visit, counter: list[int] | None = None) -> None:
+def visit_subrings(spec: EnumSpec, visit: Visit, budget: NodeBudget | None = None) -> None:
     """Call visit(rows, block) on every survivor of the spec's search, serially,
     diagonal by diagonal in composition order, after every filter of the spec.
 
@@ -534,12 +548,12 @@ def visit_subrings(spec: EnumSpec, visit: Visit, counter: list[int] | None = Non
     visitor reads them during the call and copies what it keeps.  Within a
     diagonal the order is the search's, not the canonical one.
 
-    counter, a one-element list, accrues the search nodes; the budget bounds
-    its running total, so calls that pass the same counter share one budget.
-    Raises BudgetExceededError when it runs out, possibly after some visits.
+    The search spends budget (see `NodeBudget`), a fresh default one when
+    None, and raises BudgetExceededError when it runs out, possibly after
+    some visits.
     """
-    if counter is None:
-        counter = [0]
+    if budget is None:
+        budget = NodeBudget()
     search = _pruned_for_diagonal
     if spec.mode == "naive":
         search = _naive_for_diagonal
@@ -548,12 +562,12 @@ def visit_subrings(spec: EnumSpec, visit: Visit, counter: list[int] | None = Non
     exps_list = _diagonals_for_spec(spec)
     total = len(exps_list)
     for done, exps in enumerate(exps_list, start=1):
-        search(spec, exps, counter, visit)
+        search(spec, exps, budget, visit)
         if spec.progress:
-            # the node count is the running total of the counter the caller
-            # shares, so it keeps growing across the enumerations of one census
+            # the nodes used of a budget the caller may share, so the count
+            # keeps growing across the enumerations of one census
             print(
-                f"Z^{spec.n} at {spec.p}^{spec.e}: diagonals {done}/{total}, {counter[0]} nodes",
+                f"Z^{spec.n} at {spec.p}^{spec.e}: diagonals {done}/{total}, {budget.used} nodes",
                 file=sys.stderr,
             )
 
@@ -566,17 +580,15 @@ def _canonical_key(rows: Rows) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return diagonal, tuple(rows[i][j] for j in range(n) for i in range(j + 1))
 
 
-def enumerate_subrings(spec: EnumSpec, counter: list[int] | None = None) -> list[SubringMatrix]:
+def enumerate_subrings(spec: EnumSpec, budget: NodeBudget | None = None) -> list[SubringMatrix]:
     """All subring matrices matching the spec, in canonical order: the
     survivors of `visit_subrings`, snapshotted and sorted.
 
-    Raises BudgetExceededError when the node budget runs out; partial output
-    is never returned.  counter, a one-element list, accrues the search
-    nodes; the budget bounds its running total, so calls that pass the same
-    counter share one budget.
+    The search spends budget (see `NodeBudget`) and raises
+    BudgetExceededError when it runs out; partial output is never returned.
     """
     found: list[Rows] = []
-    visit_subrings(spec, lambda rows, block: found.append(_snapshot(rows)), counter)
+    visit_subrings(spec, lambda rows, block: found.append(_snapshot(rows)), budget)
     # every survivor is already certified by the search (see _pruned_for_diagonal)
     return [SubringMatrix(rows) for rows in sorted(found, key=_canonical_key)]
 
@@ -610,7 +622,7 @@ def permutation_gaps(matrices: list[SubringMatrix]) -> list[SubringMatrix]:
 
 
 def enumerate_irreducible(
-    n: int, p: int, e: int, node_budget: int = DEFAULT_NODE_BUDGET
+    n: int, p: int, e: int, budget: NodeBudget | None = None
 ) -> list[SubringMatrix]:
     """All irreducible subring matrices of Z^n with determinant p^e.
 
@@ -618,8 +630,8 @@ def enumerate_irreducible(
     a block of size m and index > 1 has corank m-1 (Liu, JCTA 114, 2007), so
     the irreducible ones are exactly those of corank n-1: the subring
     matrices on strict-composition (full support) diagonals.  Empty below
-    the minimal index e = n-1.
+    the minimal index e = n-1.  The search spends budget (see `NodeBudget`).
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    return enumerate_subrings(EnumSpec(n, p, e, corank=n - 1, node_budget=node_budget))
+    return enumerate_subrings(EnumSpec(n, p, e, corank=n - 1), budget)

@@ -3,10 +3,10 @@
 Each check computes a left- and right-hand side by two independent routes and
 records them with a stable id and a self-contained description.  Failures are
 report entries, never exceptions.  Every check that enumerates or takes a
-census runs under `_check`: the searches of its block share one node counter,
-so the node budget bounds each check, and when the block exhausts it the
-check is recorded as skipped, under its own id and description, and the suite
-goes on.
+census runs under `_check`: the searches of its block spend one fresh
+`NodeBudget`, so the node budget bounds each check, and when the block
+exhausts it the check is recorded as skipped, under its own id and
+description, and the suite goes on.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from .enumeration import (
     DEFAULT_NODE_BUDGET,
     BudgetExceededError,
     EnumSpec,
+    NodeBudget,
     PruneRuleSet,
-    check_search,
     enumerate_subrings,
     permutation_gaps,
 )
@@ -74,6 +74,8 @@ class CheckResult:
 class VerifyScope:
     """Which suites to run and at what scale.
 
+    node_budget is the node limit of each check: `_check` gives every check
+    a fresh `NodeBudget` of it (see `enumeration.NodeBudget`).
     prime/max_index narrow the cotype-z4 grid to a single prime and index
     bound (max_index needs prime); the other suites keep their stock grids.
     """
@@ -87,9 +89,8 @@ class VerifyScope:
     ledger: CountLedger = field(default_factory=CountLedger)
 
     def __post_init__(self) -> None:
-        check_search(self.node_budget)
-        # the search nodes of the current check; `_check` starts a fresh one
-        self.counter = [0]
+        # the budget of the current check; `_check` starts a fresh one
+        self.budget = NodeBudget(self.node_budget)
         if self.max_index is not None and self.prime is None:
             raise ValueError("an index bound for the cotype-z4 suite needs its prime")
 
@@ -97,11 +98,8 @@ class VerifyScope:
         return "all" in self.suites or name in self.suites
 
     def census(self, n: int, p: int, e: int, **kwargs):
-        """The ledger's census of (n, p, e) within this scope's node budget,
-        counted on the current check's counter."""
-        return self.ledger.census(
-            n, p, e, node_budget=self.node_budget, counter=self.counter, **kwargs
-        )
+        """The ledger's census of (n, p, e), spending the current check's budget."""
+        return self.ledger.census(n, p, e, budget=self.budget, **kwargs)
 
 
 def _result(check_id, description, lhs, rhs, passed=None, note="") -> CheckResult:
@@ -118,14 +116,13 @@ def _check(
     description: str | Callable[[], str],
 ):
     """Run one check's block, which records its sides through the yielded
-    function.  The block's searches share one fresh node counter
-    (`scope.counter`), so the node budget bounds the check as a whole.  A
-    block that exhausts it records the check as skipped instead, under the
-    same id and description, and the suite goes on.  A description that
-    names what the block counted is given as a function, read when the check
-    is recorded."""
+    function.  The block's searches spend one fresh budget (`scope.budget`),
+    so the node budget bounds the check as a whole.  A block that exhausts
+    it records the check as skipped instead, under the same id and
+    description, and the suite goes on.  A description that names what the
+    block counted is given as a function, read when the check is recorded."""
     describe = description if callable(description) else lambda: description
-    scope.counter = [0]
+    scope.budget = NodeBudget(scope.node_budget)
 
     def record(lhs, rhs, passed=None, note="") -> None:
         out.append(_result(check_id, describe(), lhs, rhs, passed, note))
@@ -547,9 +544,7 @@ def suite_invariants(scope: VerifyScope) -> list[CheckResult]:
             f"coordinate permutations (0 1) and (0 1 ... {n - 1}), which generate S_{n}; "
             f"a search that lost whole S_{n}-orbits would still pass",
         ) as record:
-            matrices = enumerate_subrings(
-                EnumSpec(n, p, e, corank=n - 1, node_budget=scope.node_budget), scope.counter
-            )
+            matrices = enumerate_subrings(EnumSpec(n, p, e, corank=n - 1), scope.budget)
             record(len(permutation_gaps(matrices)), 0, note=f"{len(matrices)} matrices")
     return out
 
@@ -561,7 +556,6 @@ def suite_invariants(scope: VerifyScope) -> list[CheckResult]:
 def suite_oracle(scope: VerifyScope) -> list[CheckResult]:
     out = []
     e_max = 3 if scope.small else 5
-    budget = scope.node_budget
     for n in (2, 3, 4):
         for p in (2, 3):
             with _check(
@@ -574,12 +568,8 @@ def suite_oracle(scope: VerifyScope) -> list[CheckResult]:
                 agree = True
                 detail = ""
                 for e in range(e_max + 1):
-                    naive = enumerate_subrings(
-                        EnumSpec(n, p, e, "naive", node_budget=budget), scope.counter
-                    )
-                    pruned = enumerate_subrings(
-                        EnumSpec(n, p, e, "pruned", node_budget=budget), scope.counter
-                    )
+                    naive = enumerate_subrings(EnumSpec(n, p, e, "naive"), scope.budget)
+                    pruned = enumerate_subrings(EnumSpec(n, p, e, "pruned"), scope.budget)
                     if [m.entries for m in naive] != [m.entries for m in pruned]:
                         agree = False
                         detail = f"mismatch at e={e}"
@@ -592,10 +582,9 @@ def suite_oracle(scope: VerifyScope) -> list[CheckResult]:
         "pruned engine with every rule disabled reproduces the naive output",
     ) as record:
         rules_off = enumerate_subrings(
-            EnumSpec(4, 2, 3, "pruned", rules=PruneRuleSet.none(), node_budget=budget),
-            scope.counter,
+            EnumSpec(4, 2, 3, "pruned", rules=PruneRuleSet.none()), scope.budget
         )
-        naive = enumerate_subrings(EnumSpec(4, 2, 3, "naive", node_budget=budget), scope.counter)
+        naive = enumerate_subrings(EnumSpec(4, 2, 3, "naive"), scope.budget)
         record([m.entries for m in rules_off], [m.entries for m in naive])
     rng = random.Random(0xC0FFEE)
     samples = 10**3 if scope.small else 10**4
@@ -783,9 +772,7 @@ def suite_stretch(scope: VerifyScope) -> list[CheckResult]:
         "(Z/2)^2 are equinumerous with odd-index subrings of index <= "
         f"{limit // 4}",
     ) as record:
-        table = multiplicative_extend(
-            3, limit, scope.ledger, node_budget=scope.node_budget, counter=scope.counter
-        )
+        table = multiplicative_extend(3, limit, scope.ledger, budget=scope.budget)
         record22 = scope.census(3, 2, 2)
         weight = record22.cotype_counts.get((2, 2), 0)
         # the 2-part of a qualifying subring is the unique cotype-(2,2)

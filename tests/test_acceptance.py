@@ -19,6 +19,7 @@ from subring_census.counting import (
 from subring_census.enumeration import (
     BudgetExceededError,
     EnumSpec,
+    NodeBudget,
     enumerate_subrings,
 )
 from subring_census.hnf import Cotype, HnfMatrix, smith_normal_form, snf_oracle_minor_gcds
@@ -265,7 +266,7 @@ def test_criterion_10_stretch_checks():
     start = time.time()
     notes = []
     try:
-        record = LEDGER.census(6, 2, 7, node_budget=10**9)
+        record = LEDGER.census(6, 2, 7, budget=NodeBudget(10**9))
         assert record.f_count >= 64, f"f_6(2^7) = {record.f_count} < 64"
         notes.append(f"f_6(2^7) = {record.f_count} >= 64")
     except BudgetExceededError:

@@ -185,6 +185,20 @@ class TestEulerProduct:
             assert min(stats["tail_bound"], stats["zeta_bound"], stats["rounding_bound"]) >= 0
             assert parts <= v.bound
 
+    @pytest.mark.parametrize("n, k", [(3, 1), (4, 3), (8, 2), (11, 3)])
+    def test_tree_head_equals_sequential_product(self, n, k):
+        # the head factors of a tauberian_constant spec at the primes below
+        # 2^12, multiplied left to right and as a tree
+        spec = an.EulerProductSpec.from_inverse_p_polynomial("t", an._deviation(n, k))
+        for part in (0, 1):
+            values = [spec.factor(p)[part] for p in an.iter_primes(1 << 12)]
+            sequential = 1
+            for v in values:
+                sequential *= v
+            assert an._tree_product(values) == sequential, (n, k, part)
+            assert an._tree_product(values[:5]) == math.prod(values[:5])
+        assert an._tree_product([]) == 1 and an._tree_product([7]) == 7
+
     @pytest.mark.parametrize("coeffs", [[1, 0, 2**16], [1, 0, 0, 0, 2**34]], ids=["exp", "expm1"])
     def test_series_out_of_float_range_is_a_value_error(self, coeffs):
         # Head cutoff 2^15 and a log series far past float range: the first

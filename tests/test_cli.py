@@ -15,8 +15,13 @@ from subring_census.cli import (
     config_from_args,
     main,
 )
-from subring_census.counting import CensusRecord
-from subring_census.enumeration import ENGINE_VERSION, PruneRuleSet
+from subring_census.counting import CensusRecord, CountLedger
+from subring_census.enumeration import (
+    ENGINE_VERSION,
+    BudgetExceededError,
+    NodeBudget,
+    PruneRuleSet,
+)
 from subring_census.hnf import load_matrices
 
 
@@ -217,6 +222,27 @@ def test_enumerate_budget_exit_code(capsys):
     )
     assert code == 3
     assert "budget" in err
+
+
+def test_census_gives_each_cell_a_budget_of_its_own(capsys, tmp_path):
+    # the nodes of each e in turn on one ledger, as the command searches them
+    ledger, used = CountLedger(), []
+    for e in range(7):
+        budget = NodeBudget()
+        ledger.census(4, 2, e, budget=budget)
+        used.append(budget.used)
+    limit = max(used)
+    # every cell fits the limit, but one budget shared by them all runs out
+    shared, ledger = NodeBudget(limit), CountLedger()
+    with pytest.raises(BudgetExceededError):
+        for e in range(7):
+            ledger.census(4, 2, e, budget=shared)
+    code, out, _ = run_cli(
+        capsys, "census", "-n", "4", "-p", "2", "-e", "0:6", "--budget", str(limit),
+        "--cache-dir", str(tmp_path),
+    )
+    assert code == 0
+    assert [entry["e"] for entry in json.loads(out)["entries"]] == list(range(7))
 
 
 def test_series_command(capsys):

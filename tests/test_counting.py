@@ -29,6 +29,7 @@ from subring_census.enumeration import (
     ENGINE_VERSION,
     BudgetExceededError,
     EnumSpec,
+    NodeBudget,
     PruneRuleSet,
     enumerate_irreducible,
     enumerate_subrings,
@@ -120,7 +121,7 @@ DECOMPOSITION_GRID = [
 
 def full_record(n, p, e):
     matrices = enumerate_subrings(EnumSpec(n, p, e))
-    return build_record(n, p, e, matrices, "pruned", PruneRuleSet().fingerprint())
+    return build_record(n, p, e, matrices)
 
 
 def spy_on_enumeration(monkeypatch):
@@ -129,14 +130,14 @@ def spy_on_enumeration(monkeypatch):
     enumerate_subrings."""
     calls = []
 
-    def spy_enumerate(spec, counter):
-        out = enumerate_subrings(spec, counter)
-        calls.append((spec, counter[0]))
+    def spy_enumerate(spec, budget):
+        out = enumerate_subrings(spec, budget)
+        calls.append((spec, budget.used))
         return out
 
-    def spy_visit(spec, visit, counter):
-        visit_subrings(spec, visit, counter)
-        calls.append((spec, counter[0]))
+    def spy_visit(spec, visit, budget):
+        visit_subrings(spec, visit, budget)
+        calls.append((spec, budget.used))
 
     monkeypatch.setattr(counting, "enumerate_subrings", spy_enumerate)
     monkeypatch.setattr(counting, "visit_subrings", spy_visit)
@@ -168,24 +169,24 @@ class TestDecomposition:
         CountLedger().census(5, 2, 6)
         totals = [nodes for _, nodes in calls]
         used = [b - a for a, b in zip([0] + totals, totals)]
-        # the searches of one census run on one counter
+        # the searches of one census spend one budget
         assert min(used) > 0
-        # every enumeration fits the budget alone, but not all of them together
-        budget = max(used)
-        assert totals[-1] > budget
-        cut = next(i for i, t in enumerate(totals) if t > budget)
+        # every enumeration fits the limit alone, but not all of them together
+        limit = max(used)
+        assert totals[-1] > limit
+        cut = next(i for i, t in enumerate(totals) if t > limit)
         assert cut > 0
         keys = [(spec.n, spec.p, spec.e) for spec, _ in calls]
         led = CountLedger(tmp_path)
         with pytest.raises(BudgetExceededError):
-            led.census(5, 2, 6, node_budget=budget)
+            led.census(5, 2, 6, budget=NodeBudget(limit))
         assert list(tmp_path.iterdir()) == []
         assert CountLedger(tmp_path).cached(5, 2, 6) is None
         assert sorted(led._irreducible) == sorted(keys[:cut])
         fresh = CountLedger()
         for m, p, j in led._irreducible:
             assert led._irreducible[(m, p, j)] == fresh._irreducible_cotypes(
-                m, p, j, {}, [0]
+                m, p, j, False, NodeBudget()
             )
         record = led.census(5, 2, 6)
         full = full_record(5, 2, 6)
@@ -246,18 +247,47 @@ class TestDecomposition:
         assert (record.f_count, record.checksum()) == (f_count, checksum)
 
     def test_shared_counter_accrues_across_calls(self):
-        # a counter passed to several censuses bounds them together; a hit
+        # a budget passed to several censuses bounds them together; a hit
         # searches nothing
-        cold = [0]
-        CountLedger().census(4, 2, 6, counter=cold)
-        led, shared = CountLedger(), [0]
-        led.census(4, 2, 6, counter=shared)
-        led.census(4, 2, 6, counter=shared)
-        assert shared[0] == cold[0] > 0
-        # the nodes already on the counter count against the budget
-        CountLedger().census(4, 2, 6, node_budget=cold[0], counter=[0])
+        cold = NodeBudget()
+        CountLedger().census(4, 2, 6, budget=cold)
+        led, shared = CountLedger(), NodeBudget()
+        led.census(4, 2, 6, budget=shared)
+        led.census(4, 2, 6, budget=shared)
+        assert shared.used == cold.used > 0
+        # the nodes already used count against the limit
+        CountLedger().census(4, 2, 6, budget=NodeBudget(cold.used))
+        spent = NodeBudget(cold.used)
+        spent.used = 1
         with pytest.raises(BudgetExceededError):
-            CountLedger().census(4, 2, 6, node_budget=cold[0], counter=[1])
+            CountLedger().census(4, 2, 6, budget=spent)
+
+    def test_one_budget_spans_census_enumeration_and_extension(self, tmp_path):
+        # each call alone, on a budget of its own
+        alone = [NodeBudget() for _ in range(3)]
+        multiplicative_extend(3, 50, CountLedger(), budget=alone[0])
+        enumerate_subrings(EnumSpec(4, 2, 5), alone[1])
+        CountLedger().census(4, 2, 6, budget=alone[2])
+        used = [b.used for b in alone]
+        assert min(used) > 0
+        # one budget given to all three adds their nodes
+        shared = NodeBudget()
+        multiplicative_extend(3, 50, CountLedger(), budget=shared)
+        enumerate_subrings(EnumSpec(4, 2, 5), shared)
+        CountLedger().census(4, 2, 6, budget=shared)
+        assert shared.used == sum(used)
+        # one node short of their sum, the last search stops at the node past
+        # the limit, and its census appends nothing
+        limit = sum(used) - 1
+        tight = NodeBudget(limit)
+        multiplicative_extend(3, 50, CountLedger(), budget=tight)
+        enumerate_subrings(EnumSpec(4, 2, 5), tight)
+        led = CountLedger(tmp_path)
+        with pytest.raises(BudgetExceededError) as err:
+            led.census(4, 2, 6, budget=tight)
+        assert (err.value.nodes, err.value.budget, tight.used) == (limit + 1, limit, limit + 1)
+        assert list(tmp_path.iterdir()) == []
+        assert led.cached(4, 2, 6) is None
 
     @pytest.mark.stretch
     def test_cold_z7_matches_full_enumeration(self):
@@ -296,7 +326,7 @@ class TestBlockCotype:
                 for j in range(m - 1, j_max + 1):
                     matrices = enumerate_irreducible(m, p, j)
                     full = Counter(matrix.cotype().alphas for matrix in matrices)
-                    assert led._irreducible_cotypes(m, p, j, {}, [0]) == full, (m, p, j)
+                    assert led._irreducible_cotypes(m, p, j, False, NodeBudget()) == full, (m, p, j)
                     for matrix in matrices:
                         oracle = snf_oracle_minor_gcds(matrix)
                         assert matrix.cotype().alphas == tuple(reversed(oracle[1:])), (
@@ -353,7 +383,7 @@ class TestBlockCotype:
 
         monkeypatch.setattr(counting, "Cotype", counted_cotype)
         monkeypatch.setattr(counting, "_structural_check", counted_check)
-        got = CountLedger()._irreducible_cotypes(5, 2, 7, {}, [0])
+        got = CountLedger()._irreducible_cotypes(5, 2, 7, False, NodeBudget())
         assert set(built) == set(got) and set(built.values()) == {1}
         assert checked[0] == sum(got.values()) == len(enumerate_irreducible(5, 2, 7))
 
@@ -375,7 +405,7 @@ class TestStructuralCheck:
     def test_wrong_index_raises(self):
         matrices = enumerate_subrings(EnumSpec(3, 2, 3))
         with pytest.raises(CensusValidationError, match="determinant"):
-            build_record(3, 2, 4, matrices, "pruned", PruneRuleSet().fingerprint())
+            build_record(3, 2, 4, matrices)
 
     def test_accepts_subring_matrix(self):
         counting._structural_check([[2, 0, 1], [0, 1, 0], [0, 0, 1]], 1, 2)
@@ -460,15 +490,16 @@ class TestLedgerPersistence:
         assert list(tmp_path.iterdir()) == []
         assert led.stats["misses"] == 0
 
-    @pytest.mark.parametrize("kwargs", [{"node_budget": -5}, {"node_budget": 0}])
+    @pytest.mark.parametrize("kwargs", [{"limit": -5}, {"limit": 0}])
     @pytest.mark.parametrize("kept", [False, True], ids=["miss", "hit"])
     def test_invalid_search_settings_rejected_before_lookup(self, tmp_path, kwargs, kept):
+        # the budget is checked where it is made, before census can look up
         led = CountLedger(tmp_path)
         if kept:
             led.census(3, 2, 0)
         stats = dict(led.stats)
         with pytest.raises(ValueError):
-            led.census(3, 2, 0, **kwargs)
+            led.census(3, 2, 0, budget=NodeBudget(**kwargs))
         assert led.stats == stats
         assert len(list(tmp_path.iterdir())) == kept
 
@@ -802,17 +833,18 @@ class TestMultiplicative:
             ]
 
     def test_table(self):
-        tab = multiplicative_table(12, lambda p, e: p**e)
+        tab = multiplicative_table(IndexSplit.of(12), lambda p, e: p**e)
         assert tab[1:] == [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]
 
     def test_shared_split(self):
         split = IndexSplit.of(100)
         assert [q for q, _, _ in split.prime_powers][:8] == [2, 3, 4, 5, 7, 8, 9, 11]
         assert (split.part[12], split.part[90], split.part[81]) == (4, 2, 81)
+        # a split serves any number of tables, each as from a split of its own
         for value in (lambda p, e: p**e + e, lambda p, e: p + 2 * e):
-            assert multiplicative_table(100, value, split) == multiplicative_table(100, value)
-        with pytest.raises(ValueError, match="limit 100"):
-            multiplicative_table(99, lambda p, e: 1, split)
+            assert multiplicative_table(split, value) == multiplicative_table(
+                IndexSplit.of(100), value
+            )
 
     def test_missing_listed(self, tmp_path):
         with pytest.raises(MissingCensusError) as err:
@@ -937,7 +969,7 @@ class TestNoCyclicGarbage:
 
         def budget_miss():
             with pytest.raises(BudgetExceededError):
-                CountLedger().census(5, 2, 8, node_budget=50)
+                CountLedger().census(5, 2, 8, budget=NodeBudget(50))
 
         def extend_and_replay():
             multiplicative_extend(3, 500, CountLedger(tmp_path), coranks=(1, 2))

@@ -10,6 +10,7 @@ from subring_census.combinatorics import binomial, compositions
 from subring_census.enumeration import (
     BudgetExceededError,
     EnumSpec,
+    NodeBudget,
     PruneRuleSet,
     _diagonals_for_spec,
     _entry_values,
@@ -91,14 +92,6 @@ class TestSpecValidation:
             enumeration.check_cell(*cell)
         with pytest.raises(ValueError, match="need e >= 0"):
             enumeration.check_cell(3, 2, Exponent(-1))
-
-    @pytest.mark.parametrize(
-        "kwargs, message",
-        [({"node_budget": 0}, "node budget")],
-    )
-    def test_rejects_bad_search_settings(self, kwargs, message):
-        with pytest.raises(ValueError, match=message):
-            EnumSpec(n=3, p=2, e=1, **kwargs)
 
 
 class TestKnownCounts:
@@ -457,13 +450,13 @@ class TestVisitSubrings:
             assert block == [[rows[i][j] for j in support] for i in support]
             seen.append(tuple(map(tuple, rows)))
 
-        counter = [0]
-        visit_subrings(spec, visit, counter)
-        expected = [m.entries for m in enumerate_subrings(spec, [0])]
+        budget = NodeBudget()
+        visit_subrings(spec, visit, budget)
+        expected = [m.entries for m in enumerate_subrings(spec)]
         assert sorted(seen) == sorted(expected) and len(seen) == len(set(seen))
-        again = [0]
+        again = NodeBudget()
         enumerate_subrings(spec, again)
-        assert counter == again
+        assert budget.used == again.used
 
 
 class TestPermutationClosure:
@@ -513,12 +506,18 @@ class TestDeterminism:
 
 
 class TestBudget:
+    @pytest.mark.parametrize("limit", [0, -5])
+    def test_limit_below_one_rejected(self, limit):
+        # the one place a node limit is checked
+        with pytest.raises(ValueError, match="node budget"):
+            NodeBudget(limit)
+
     def test_node_count_pin(self):
         # the irreducible-block rule's entry values decide which subtrees are
         # cut, so a change to them that keeps the output can still move this
-        counter = [0]
-        enumerate_subrings(EnumSpec(4, 2, 11), counter)
-        assert counter[0] == 5598
+        budget = NodeBudget()
+        enumerate_subrings(EnumSpec(4, 2, 11), budget)
+        assert budget.used == 5598
 
     def test_last_column_searched_unless_every_rule_on(self):
         # The full-support cell's node counts with the last column searched;
@@ -535,13 +534,13 @@ class TestBudget:
         expected = entries(enumerate_subrings(EnumSpec(4, 2, 6, corank=3)))
         assert len(expected) == 67
         for name, nodes in searched.items():
-            counter = [0]
+            budget = NodeBudget()
             spec = EnumSpec(4, 2, 6, corank=3, rules=PruneRuleSet(**{name: False}))
-            assert entries(enumerate_subrings(spec, counter)) == expected, name
-            assert counter[0] == nodes, name
-        counter = [0]
-        enumerate_subrings(EnumSpec(4, 2, 6, corank=3), counter)
-        assert counter[0] == 591 - 6 * 67
+            assert entries(enumerate_subrings(spec, budget)) == expected, name
+            assert budget.used == nodes, name
+        budget = NodeBudget()
+        enumerate_subrings(EnumSpec(4, 2, 6, corank=3), budget)
+        assert budget.used == 591 - 6 * 67
 
     @pytest.mark.parametrize("p, e", [(2, 6), (3, 4)])
     def test_plan_cache_carries_nothing_between_rule_sets(self, p, e):
@@ -550,13 +549,13 @@ class TestBudget:
         subsets.append(PruneRuleSet())
 
         def run(rules):
-            counter, seen = [0], []
+            budget, seen = NodeBudget(), []
 
             def visit(rows, block):
                 seen.append(tuple(map(tuple, rows)))
 
-            visit_subrings(EnumSpec(4, p, e, rules=rules), visit, counter)
-            return seen, counter[0]
+            visit_subrings(EnumSpec(4, p, e, rules=rules), visit, budget)
+            return seen, budget.used
 
         fresh = {}
         for rules in subsets:
@@ -580,11 +579,11 @@ class TestBudget:
 
     def test_budget_exhaustion(self):
         with pytest.raises(BudgetExceededError):
-            enumerate_subrings(EnumSpec(n=4, p=3, e=4, mode="naive", node_budget=100))
+            enumerate_subrings(EnumSpec(n=4, p=3, e=4, mode="naive"), NodeBudget(100))
 
     def test_budget_error_reports_counts(self):
         try:
-            enumerate_subrings(EnumSpec(n=4, p=3, e=4, mode="naive", node_budget=100))
+            enumerate_subrings(EnumSpec(n=4, p=3, e=4, mode="naive"), NodeBudget(100))
         except BudgetExceededError as exc:
             assert exc.budget == 100
             assert exc.nodes > 100
@@ -598,7 +597,7 @@ class TestBudget:
         # The first diagonals at (4, 2, 11) take 3, 6 and 12 nodes, so with
         # budget 10 the run stops inside the third one, at budget + 1 nodes.
         with pytest.raises(BudgetExceededError) as err:
-            enumerate_subrings(EnumSpec(n=4, p=2, e=11, node_budget=10))
+            enumerate_subrings(EnumSpec(n=4, p=2, e=11), NodeBudget(10))
         assert (err.value.nodes, err.value.budget) == (11, 10)
 
     def test_budget_is_global_under_threads(self):
@@ -607,14 +606,14 @@ class TestBudget:
         spec = EnumSpec(n=4, p=2, e=11)
         used = []
         for t in _diagonals_for_spec(spec):
-            counter = [0]
-            visit_subrings(EnumSpec(4, 2, 11, diagonal=t), lambda rows, block: None, counter)
-            used.append(counter[0])
-        budget = sum(used) // 2
-        assert max(used) < budget < sum(used)
+            budget = NodeBudget()
+            visit_subrings(EnumSpec(4, 2, 11, diagonal=t), lambda rows, block: None, budget)
+            used.append(budget.used)
+        limit = sum(used) // 2
+        assert max(used) < limit < sum(used)
         with pytest.raises(BudgetExceededError) as err:
-            enumerate_subrings(EnumSpec(n=4, p=2, e=11, node_budget=budget))
-        assert (err.value.nodes, err.value.budget) == (budget + 1, budget)
+            enumerate_subrings(spec, NodeBudget(limit))
+        assert (err.value.nodes, err.value.budget) == (limit + 1, limit)
 
 
 def test_full_support_diagonals_are_strict_compositions():

@@ -13,11 +13,13 @@ scripts/gc_probe.py and the per-phase table of scripts/extend_cells.py a
 smoke run.  The frontends state each rule once: every CLI option
 parses into the `RunConfig` field of its name, `VerifyScope` takes its
 settings from fields of the same names, and `verify` catches budget
-exhaustion in one helper.
+exhaustion in one helper.  A search limit and its running count travel
+together, as one `NodeBudget`.
 """
 
 import ast
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -27,8 +29,15 @@ from dataclasses import fields
 from types import ModuleType, SimpleNamespace
 
 import subring_census
+from subring_census import enumeration
 from subring_census.cli import RunConfig, build_parser
-from subring_census.enumeration import enumerate_irreducible
+from subring_census.counting import CountLedger, multiplicative_extend
+from subring_census.enumeration import (
+    EnumSpec,
+    enumerate_irreducible,
+    enumerate_subrings,
+    visit_subrings,
+)
 from subring_census.verify import VerifyScope
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -122,6 +131,22 @@ def test_verify_catches_budget_exhaustion_in_one_helper():
     ]
     (helper,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_check"]
     assert len(handlers) == 1 and handlers[0] in list(ast.walk(helper))
+
+
+def test_search_limit_travels_only_as_a_node_budget():
+    # a limit passed apart from its running count could be checked, or
+    # shared, differently at each entry point
+    for fn in (
+        visit_subrings,
+        enumerate_subrings,
+        enumerate_irreducible,
+        CountLedger.census,
+        multiplicative_extend,
+    ):
+        params = inspect.signature(fn).parameters
+        assert "budget" in params and not {"node_budget", "counter"} & set(params), fn
+    assert not {"node_budget", "counter"} & {f.name for f in fields(EnumSpec)}
+    assert not hasattr(enumeration, "check_search")
 
 
 def _class_constant(path: Path, cls: str, name: str):

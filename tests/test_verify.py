@@ -4,6 +4,7 @@ import pytest
 
 from subring_census import verify
 from subring_census.counting import CensusRecord, CountLedger
+from subring_census.enumeration import NodeBudget
 from subring_census.verify import (
     SUITES,
     VerifyScope,
@@ -103,36 +104,37 @@ def test_budget_exhaustion_skips_the_check_and_goes_on(name):
     [(("local-factors",), False), (("cocyclic", "corank-formulas", "invariants", "stretch"), True)],
 )
 def test_budget_bounds_each_check(monkeypatch, suites, small):
-    # every search a check makes counts on one counter of its own: a spy on
-    # each census and enumeration call records which counter it was given
-    budget = 400
-    counters: list[list[int]] = []
+    # every search a check makes spends one budget of its own: a spy on each
+    # census and enumeration call records which budget it was given
+    limit = 400
+    budgets: list[NodeBudget] = []
     calls = [0]
 
-    def seen(counter):
+    def seen(budget):
         calls[0] += 1
-        if not any(counter is c for c in counters):
-            counters.append(counter)
+        if not any(budget is b for b in budgets):
+            budgets.append(budget)
 
     census, enumerate_subrings = CountLedger.census, verify.enumerate_subrings
 
     def spy_census(self, n, p, e, **kwargs):
-        seen(kwargs["counter"])
+        seen(kwargs["budget"])
         return census(self, n, p, e, **kwargs)
 
-    def spy_enumerate(spec, counter):
-        seen(counter)
-        return enumerate_subrings(spec, counter)
+    def spy_enumerate(spec, budget):
+        seen(budget)
+        return enumerate_subrings(spec, budget)
 
     monkeypatch.setattr(CountLedger, "census", spy_census)
     monkeypatch.setattr(verify, "enumerate_subrings", spy_enumerate)
-    results = run_verify(VerifyScope(suites=suites, small=small, node_budget=budget))
+    results = run_verify(VerifyScope(suites=suites, small=small, node_budget=limit))
     skipped = [r for r in results if r.skipped]
     assert skipped and len(skipped) < len(results)
-    # a check's searches stop at the node past the budget, which raised
-    assert max(c[0] for c in counters) <= budget + 1
-    assert sum(1 for c in counters if c[0] == budget + 1) == len(skipped)
-    assert calls[0] > len(counters)
+    assert all(b.limit == limit for b in budgets)
+    # a check's searches stop at the node past the limit, which raised
+    assert max(b.used for b in budgets) <= limit + 1
+    assert sum(1 for b in budgets if b.used == limit + 1) == len(skipped)
+    assert calls[0] > len(budgets)
 
 
 def test_skipped_check_keeps_its_description():
