@@ -11,7 +11,7 @@ that does it while the two runs go, the way scripts/search_nodes.py wraps
 `_entry_values`:
 
     search   CountLedger._irreducible_cotypes  (the G_m(j) searches)
-    build    counting._record_from_cotypes     (record build and validate)
+    build    counting._record_from_cotypes     (record build and key checks)
     append   CountLedger._store                (serialize, checksum, append)
     read     CountLedger._read_new             (parse and verify log lines)
     rest     everything else of the two calls  (lookups, block recursion,

@@ -12,9 +12,8 @@ import re
 from collections.abc import Callable
 from pathlib import Path
 
-from .polynomials import MPoly, P, RatFunc, SeriesTable, X, Y, Z, expand
-
-_ONE = MPoly.const(1)
+from .combinatorics import binomial
+from .polynomials import ONE, MPoly, P, RatFunc, SeriesTable, X, Y, Z, expand
 
 _DATA_DIR = Path(__file__).parent / "data"
 
@@ -67,25 +66,25 @@ def _load_cotype_z4_numerator() -> MPoly:
 
 
 def _product(*factors: MPoly) -> MPoly:
-    out = _ONE
+    out = ONE
     for f in factors:
         out = out * f
     return out
 
 
 def _subring_local_z2() -> RatFunc:
-    return RatFunc(_ONE, _ONE - X)
+    return RatFunc(ONE, ONE - X)
 
 
 def _subring_local_z3() -> RatFunc:
-    num = (_ONE + X) ** 2
-    den = _product(_ONE - X, _ONE - P * X**3)
+    num = (ONE + X) ** 2
+    den = _product(ONE - X, ONE - P * X**3)
     return RatFunc(num, den)
 
 
 def _subring_local_z4() -> RatFunc:
     num = (
-        _ONE
+        ONE
         + 4 * X
         + 2 * X**2
         + (4 * P - 3) * X**3
@@ -96,19 +95,19 @@ def _subring_local_z4() -> RatFunc:
         - 4 * P**2 * X**8
         - P**2 * X**9
     )
-    den = _product((_ONE - X) ** 2, _ONE - P**2 * X**4, _ONE - P**3 * X**6)
+    den = _product((ONE - X) ** 2, ONE - P**2 * X**4, ONE - P**3 * X**6)
     return RatFunc(num, den)
 
 
 def _irreducible_z3() -> RatFunc:
     num = X**2 + P * X**3 + 2 * P * X**4
-    den = _product(_ONE - X, _ONE - P * X**3)
+    den = _product(ONE - X, ONE - P * X**3)
     return RatFunc(num, den)
 
 
 def _irreducible_z4() -> RatFunc:
     body = (
-        _ONE
+        ONE
         + (P**2 + P - 1) * X
         + (5 * P**2 - P) * X**2
         + (P**3 + P**2 - P) * X**3
@@ -123,29 +122,29 @@ def _irreducible_z4() -> RatFunc:
     )
     num = X**3 * body
     den = _product(
-        (_ONE - X) ** 2,
-        _ONE - P * X**3,
-        _ONE - P**2 * X**4,
-        _ONE - P**3 * X**6,
+        (ONE - X) ** 2,
+        ONE - P * X**3,
+        ONE - P**2 * X**4,
+        ONE - P**3 * X**6,
     )
     return RatFunc(num, den)
 
 
 def _cotype_z3() -> RatFunc:
-    num = _ONE + 2 * X - 2 * X**2 * Y - X**3 * Y
-    den = _product(_ONE - X, _ONE - X * Y, _ONE - P * X**2 * Y)
+    num = ONE + 2 * X - 2 * X**2 * Y - X**3 * Y
+    den = _product(ONE - X, ONE - X * Y, ONE - P * X**2 * Y)
     return RatFunc(num, den)
 
 
 def cotype_z4_denominator() -> MPoly:
     return _product(
-        _ONE - X,
-        _ONE - X * Y,
-        _ONE - X * Y * Z,
-        _ONE - P * X**2 * Y,
-        _ONE - P**2 * X**2 * Y * Z,
-        _ONE - P**2 * X**2 * Y**2 * Z,
-        _ONE - P**3 * X**3 * Y**2 * Z,
+        ONE - X,
+        ONE - X * Y,
+        ONE - X * Y * Z,
+        ONE - P * X**2 * Y,
+        ONE - P**2 * X**2 * Y * Z,
+        ONE - P**2 * X**2 * Y**2 * Z,
+        ONE - P**3 * X**3 * Y**2 * Z,
     )
 
 
@@ -154,20 +153,16 @@ def _cotype_z4() -> RatFunc:
 
 
 def _cocyclic_local(n: int) -> RatFunc:
-    from .combinatorics import binomial
-
     m = binomial(n, 2)
-    return RatFunc(_ONE + (m - 1) * X, _ONE - X)
+    return RatFunc(ONE + (m - 1) * X, ONE - X)
 
 
 def _corank2_local(n: int) -> RatFunc:
     # h_{n,2}(p^e) = a g_3(p^e) + b (e-1) with the coefficients of formula_h
-    from .combinatorics import binomial
-
     a, b = binomial(n, 3), 3 * binomial(n, 4)
     m = binomial(n, 2)
     num = (
-        _ONE
+        ONE
         + (m - 2) * X
         + (a + b - m + 1) * X**2
         - a * X**3
@@ -175,13 +170,13 @@ def _corank2_local(n: int) -> RatFunc:
         + (a - m + 2) * P * X**4
         - (2 * a + b - m + 1) * P * X**5
     )
-    den = _product((_ONE - X) ** 2, _ONE - P * X**3)
+    den = _product((ONE - X) ** 2, ONE - P * X**3)
     return RatFunc(num, den)
 
 
 def _corank2_local_z4() -> RatFunc:
     num = (
-        _ONE
+        ONE
         - 8 * X**2
         + 8 * X**3
         + 3 * P * X**3
@@ -196,15 +191,15 @@ def _corank2_local_z4() -> RatFunc:
         + 24 * P * X**8
         - 6 * P * X**9
     )
-    den = _product((_ONE - X) ** 6, _ONE - P * X**3)
+    den = _product((ONE - X) ** 6, ONE - P * X**3)
     return RatFunc(num, den)
 
 
 def _lattice_local(n: int) -> RatFunc:
-    den = _ONE
+    den = ONE
     for i in range(n):
-        den = den * (_ONE - P**i * X)
-    return RatFunc(_ONE, den)
+        den = den * (ONE - P**i * X)
+    return RatFunc(ONE, den)
 
 
 #: builder of each id accepted by :func:`catalog`, in documented order, and

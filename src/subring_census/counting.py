@@ -1,14 +1,15 @@
 """Censuses of subring matrices: exact counts, persistence, and closed forms.
 
-A census record fixes (n, p, e) and stores the total count, the count of
-irreducible matrices, per-corank counts, and the full cotype census.  Records
+A census record fixes (n, p, e) and holds the full cotype census, from
+which its total, irreducible and per-corank counts are computed.  Records
 are persisted in one append-only log per n, census-n{n}.jsonl, one line
 {"checksum": sha256, "record": payload} per record in compact sorted-key
 JSON, so long enumerations survive restarts, several processes can share a
 directory, and the cache is auditable.  `CensusRecord.serialized` writes the
 record's canonical bytes straight from its fields; the checksum is their
 sha256.  A line is loaded only if its fields have the right types, its
-checksum matches, its counts and shape validate and its n is the log's.
+stored counts are those of its cotypes, its checksum matches and its n is
+the log's.
 
 A record is built from irreducible blocks, not by searching every diagonal.
 A subring of p-power index splits uniquely into irreducible subrings over a
@@ -32,7 +33,8 @@ validated once, at its first leaf; every matrix is still checked.
 `census(recheck=True)` still enumerates every diagonal of Z^n, certifies
 every leaf in full, takes full Smith forms by elimination and compares, so
 it stays the independent check, by a different algorithm for m <= 5.
-Per-corank counts h_{n,k}(p^e) are read off the record, as `h_counts[k]`.
+Per-corank counts h_{n,k}(p^e) are read off the record's cotype census, as
+`h_counts[k]`, which sums the cotypes of corank k.
 
 Composite-index counts are never enumerated: they are reconstructed
 multiplicatively from the prime-power records.
@@ -107,18 +109,60 @@ _json_string = functools.lru_cache(maxsize=64)(json.dumps)
 
 @dataclass(frozen=True)
 class CensusRecord:
-    """Exact counts of the subring matrices of Z^n with determinant p^e."""
+    """Exact counts of the subring matrices of Z^n with determinant p^e.
+
+    The cotype census is the one count held: at construction h_counts[k]
+    sums the cotypes of corank k, f_count all of them and g_count is
+    h_counts[n-1] (irreducible means corank n-1).  Construction raises
+    CensusValidationError unless n >= 1, p >= 2, e >= 0, no count is
+    negative and each key is a chain of n-1 positive factors, each divisible
+    by the next, with product p^e.
+    """
 
     n: int
     p: int
     e: int
-    f_count: int
-    g_count: int
-    h_counts: tuple[int, ...]
     cotype_counts: dict[tuple[int, ...], int]
     mode: str
     rules: str
     engine_version: str
+    h_counts: tuple[int, ...] = field(init=False, compare=False)
+    f_count: int = field(init=False, compare=False)
+    g_count: int = field(init=False, compare=False)
+
+    def __post_init__(self) -> None:
+        n, p = self.n, self.p
+        if n < 1 or p < 2 or self.e < 0:
+            raise CensusValidationError(f"(n={n}, p={p}, e={self.e}) is not a census cell")
+        h = [0] * n
+        for key, count in self.cotype_counts.items():
+            if len(key) != n - 1:
+                raise CensusValidationError(f"cotype {key} does not have n-1 = {n - 1} factors")
+            if count < 0:
+                raise CensusValidationError("negative cotype count")
+            # one pass from the last factor: each is at least 1 and divides
+            # the one before it.  Their product is p^e when the first factor
+            # (divisible by every other) is a power of p and the exponents of
+            # p sum to e, which dividing out p tests without building p^e
+            prev, corank, exponent, rest = 1, 0, 0, 1
+            for a in reversed(key):
+                if a < prev or a % prev:
+                    raise CensusValidationError(
+                        f"cotype {key} is not a chain of positive factors, "
+                        "each divisible by the next"
+                    )
+                prev = rest = a
+                if a > 1:
+                    corank += 1
+                    while rest % p == 0:
+                        rest //= p
+                        exponent += 1
+            if rest != 1 or exponent != self.e:
+                raise CensusValidationError("cotype index does not match p^e")
+            h[corank] += count
+        object.__setattr__(self, "h_counts", tuple(h))
+        object.__setattr__(self, "f_count", sum(h))
+        object.__setattr__(self, "g_count", h[n - 1])
 
     def h_tilde(self, k: int) -> int:
         """Count of subrings with corank at most k, for 0 <= k < n."""
@@ -175,14 +219,17 @@ class CensusRecord:
         """The record of a payload dict.  n, p, e, f, g, every h entry and
         every cotype count must be ints (not bools) and mode, rules and
         engine strings, or TypeError; a cotype key that is not comma-joined
-        integers raises ValueError.
+        integers raises ValueError.  The record is built from the cotypes
+        (see the class docstring), and stored f, g and h that differ from
+        those it computes raise CensusValidationError.
 
         Fields are read and tested in that order, so the first bad one
         raises; `_int` and `_str` are called only to raise.
         """
         cotypes = {}
         for key, count in payload["cotypes"].items():
-            alphas = tuple(map(int, key.split(",")))
+            # the one key of n = 1, the empty chain, is written as ""
+            alphas = tuple(map(int, key.split(","))) if key else ()
             if type(count) is not int:
                 _int(count, "cotype count")
             cotypes[alphas] = count
@@ -196,50 +243,16 @@ class CensusRecord:
         mode, rules, engine = [
             v if type(v := payload[k]) is str else _str(v, k) for k in ("mode", "rules", "engine")
         ]
-        return cls(n, p, e, f, g, h, cotypes, mode, rules, engine)
-
-    def validate(self) -> None:
-        n = self.n
-        if n < 1 or len(self.h_counts) != n:
-            raise CensusValidationError(f"{len(self.h_counts)} per-corank counts for n={n}")
-        if self.g_count != self.h_counts[n - 1]:
-            raise CensusValidationError("irreducible count is not the corank n-1 count")
-        if sum(self.h_counts) != self.f_count:
-            raise CensusValidationError("per-corank counts do not sum to the total")
-        if sum(self.cotype_counts.values()) != self.f_count:
-            raise CensusValidationError("cotype census does not sum to the total")
-        index = self.p**self.e
-        for key, count in self.cotype_counts.items():
-            if len(key) != n - 1:
-                raise CensusValidationError(f"cotype {key} does not have n-1 = {n - 1} factors")
-            if count < 0:
-                raise CensusValidationError("negative cotype count")
-            # one pass from the last factor: each is at least 1 and divides
-            # the one before it, which with their product p^e makes every
-            # factor a power of p; corank and product are taken on the way
-            prev, corank, product = 1, 0, 1
-            for a in reversed(key):
-                if a < prev or a % prev:
-                    raise CensusValidationError(
-                        f"cotype {key} is not a chain of positive factors, "
-                        "each divisible by the next"
-                    )
-                if a > 1:
-                    corank += 1
-                product *= a
-                prev = a
-            if product != index:
-                raise CensusValidationError("cotype index does not match p^e")
-            if count > self.h_counts[corank]:
-                raise CensusValidationError("cotype census inconsistent with corank counts")
+        # n is held to the stored h before the record sizes its own h by n
+        if len(h) == n:
+            record = cls(n, p, e, cotypes, mode, rules, engine)
+            if (f, g, h) == (record.f_count, record.g_count, record.h_counts):
+                return record
+        raise CensusValidationError("stored f, g and h disagree with the cotype census")
 
     def counts_equal(self, other: "CensusRecord") -> bool:
-        return (
-            (self.n, self.p, self.e) == (other.n, other.p, other.e)
-            and self.f_count == other.f_count
-            and self.g_count == other.g_count
-            and self.h_counts == other.h_counts
-            and self.cotype_counts == other.cotype_counts
+        return (self.n, self.p, self.e, self.cotype_counts) == (
+            other.n, other.p, other.e, other.cotype_counts
         )
 
 
@@ -365,25 +378,9 @@ def _block_cotype(
 def _record_from_cotypes(
     n: int, p: int, e: int, cotypes: dict[tuple[int, ...], int]
 ) -> CensusRecord:
-    """The validated census record of (n, p, e) with the given cotype census."""
-    h_counts = [0] * n
-    for key, count in cotypes.items():
-        h_counts[sum(1 for a in key if a > 1)] += count
-    record = CensusRecord(
-        n=n,
-        p=p,
-        e=e,
-        f_count=sum(h_counts),
-        # irreducible means corank n-1 (see enumerate_irreducible)
-        g_count=h_counts[n - 1],
-        h_counts=tuple(h_counts),
-        cotype_counts=cotypes,
-        mode=RECORD_MODE,
-        rules=RECORD_RULES,
-        engine_version=ENGINE_VERSION,
-    )
-    record.validate()
-    return record
+    """The census record of (n, p, e) with the given cotype census, built
+    under this engine's mode and rules."""
+    return CensusRecord(n, p, e, cotypes, RECORD_MODE, RECORD_RULES, ENGINE_VERSION)
 
 
 def build_record(n: int, p: int, e: int, matrices: list[SubringMatrix]) -> CensusRecord:
@@ -416,10 +413,11 @@ class CountLedger:
     A record is appended as one line under an exclusive flock, so several
     processes may share a directory; reads take no lock and parse only the
     complete lines past what this ledger has already read.  Every line's
-    checksum and counts are verified on load, and a malformed line raises a
-    ValueError naming the file and line.  Only records of this engine version
-    and pruning rules are served; any other is a miss, census appends a
-    current line, and the later line for a (p, e) replaces an earlier one.
+    checksum and counts are verified on load (its stored f, g and h must be
+    those of its cotype census), and a malformed line raises a ValueError
+    naming the file and line.  Only records of this engine version and
+    pruning rules are served; any other is a miss, census appends a current
+    line, and the later line for a (p, e) replaces an earlier one.
 
     A missed census is built from irreducible blocks (see the module
     docstring).  The irreducible cotype censuses G_m(j) are counted at the
@@ -478,14 +476,12 @@ class CountLedger:
             raise ValueError(f"{where}: not an object with record and checksum")
         try:
             record = CensusRecord.from_payload(item["record"])
+        except CensusValidationError as exc:
+            raise ValueError(f"{where}: {exc}") from None
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise ValueError(f"{where}: malformed record ({exc!r})") from None
         if record.checksum() != item["checksum"]:
             raise ValueError(f"{where}: checksum mismatch at e={record.e}")
-        try:
-            record.validate()
-        except CensusValidationError as exc:
-            raise ValueError(f"{where}: {exc}") from None
         return record
 
     def _read_new(self, n: int) -> None:

@@ -40,12 +40,9 @@ from .enumeration import (
     permutation_gaps,
 )
 from .hnf import Cotype, HnfMatrix, smith_normal_form, snf_oracle_minor_gcds
-from .polynomials import MPoly, RatFunc, expand, functional_equation_check, specialize
-
-P = MPoly.variable("p")
-X = MPoly.variable("x")
-Y = MPoly.variable("y")
-Z = MPoly.variable("z")
+from .polynomials import (
+    ONE, MPoly, P, RatFunc, X, Y, Z, expand, functional_equation_check, specialize
+)
 
 
 @dataclass
@@ -384,12 +381,11 @@ def suite_identities(scope: VerifyScope) -> list[CheckResult]:
             True,
         )
     )
-    one = MPoly.const(1)
     out.append(
         _result(
             "identity/corank1-z4",
             "rank-4 cotype factor at (x, 0, 0) equals (1 + 5x)/(1 - x)",
-            specialize(f4, {"y": 0, "z": 0}) == RatFunc(one + 5 * X, one - X),
+            specialize(f4, {"y": 0, "z": 0}) == RatFunc(ONE + 5 * X, ONE - X),
             True,
         )
     )
@@ -416,7 +412,7 @@ def suite_identities(scope: VerifyScope) -> list[CheckResult]:
     for n in (4, 5, 6):
         table = expand(catalog("corank2_local", n), (emax, 0, 0))
         m = binomial(n, 2)
-        ok = table.coefficient(0) == MPoly.const(1) and table.coefficient(1) == MPoly.const(m)
+        ok = table.coefficient(0) == ONE and table.coefficient(1) == MPoly.const(m)
         for e in range(2, emax + 1):
             coeff = table.coefficient(e)
             low = max(coeff.degrees()[0], irreducible_count_poly(3, e).degrees()[0]) <= 2
@@ -443,7 +439,7 @@ def suite_identities(scope: VerifyScope) -> list[CheckResult]:
             + 2 * P * X**4
             + 3 * P**2 * X**5
         ),
-        ((MPoly.const(1) - X) ** 2) * ((MPoly.const(1) - P * X**3) ** 2),
+        ((ONE - X) ** 2) * ((ONE - P * X**3) ** 2),
     )
     out.append(
         _result(
@@ -453,7 +449,7 @@ def suite_identities(scope: VerifyScope) -> list[CheckResult]:
             True,
         )
     )
-    weighted = expand(b2.derivative("x") * RatFunc(X, one), (emax, 0, 0))
+    weighted = expand(b2.derivative("x") * RatFunc(X, ONE), (emax, 0, 0))
     base = expand(b2, (emax, 0, 0))
     ok = all(
         weighted.coefficient(e) == MPoly.const(e) * base.coefficient(e) for e in range(emax + 1)
@@ -467,9 +463,7 @@ def suite_identities(scope: VerifyScope) -> list[CheckResult]:
         )
     )
     # consistency: z3 subring local factor assembled from its zeta building blocks
-    assembled = RatFunc(
-        (one - X**2) ** 2, (one - X) ** 3 * (one - P * X**3)
-    )
+    assembled = RatFunc((ONE - X**2) ** 2, (ONE - X) ** 3 * (ONE - P * X**3))
     out.append(
         _result(
             "identity/z3-assembled",
@@ -700,6 +694,10 @@ def suite_constants(scope: VerifyScope) -> list[CheckResult]:
                 note=f"bounds {c.bound:.3g} / {ref.bound:.3g}",
             )
         )
+    # these hold by construction: corank_probability computes the top corank
+    # as 1 minus the others, so the sum is 1 whatever the Euler products
+    # return; C_3_2-closed-form and C_4_3-closed-form above carry the
+    # independent content
     for n in (3, 4):
         total = analytics.corank_probability(n, 1)
         for k in range(2, n):

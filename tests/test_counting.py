@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import multiprocessing
+import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
 
@@ -41,6 +42,26 @@ from subring_census.hnf import snf_oracle_minor_gcds
 @pytest.fixture(scope="module")
 def ledger():
     return CountLedger()
+
+
+@st.composite
+def buildable_census(draw):
+    """(n, p, e, cotypes) that a CensusRecord accepts: each key is n-1
+    powers of p with exponents not increasing and summing to e."""
+    n = draw(st.integers(1, 6))
+    p = draw(st.sampled_from([2, 3, 5, 7, 101]))
+    e = draw(st.integers(0, 12)) if n > 1 else 0
+
+    def chain(cuts):
+        ends = [0, *sorted(cuts), e]
+        exponents = sorted((b - a for a, b in zip(ends, ends[1:])), reverse=True)
+        return tuple(p**x for x in exponents)
+
+    if n == 1:
+        keys = st.just(())
+    else:
+        keys = st.lists(st.integers(0, e), min_size=n - 2, max_size=n - 2).map(chain)
+    return n, p, e, draw(st.dictionaries(keys, st.integers(0, 10**12), max_size=8))
 
 
 class TestCensus:
@@ -85,28 +106,15 @@ class TestCensus:
         assert again.counts_equal(r)
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        ints=st.lists(st.integers(), min_size=5, max_size=5),
-        h=st.lists(st.integers(), max_size=6),
-        cotypes=st.dictionaries(
-            st.lists(st.integers(min_value=-20, max_value=10**6), max_size=5).map(tuple),
-            st.integers(),
-            max_size=8,
-        ),
-        strings=st.lists(st.text(), min_size=3, max_size=3),
-    )
-    # keys whose string order ("16,2" < "32,1" < "4,8" < "8,4") is not their
-    # tuple order, a key that is a string prefix of another ("2,1" and
-    # "2,16"), and provenance strings that json escapes
+    @given(fields=buildable_census(), strings=st.lists(st.text(), min_size=3, max_size=3))
+    # keys whose string order ("16,2" < "32,1" < "8,4") is not their tuple
+    # order, and provenance strings that json escapes
     @example(
-        ints=[3, 2, 5, 21, 0],
-        h=[0, 7, 14],
-        cotypes={(16, 2): 3, (4, 8): 1, (8, 4): 5, (32, 1): 7, (2, 1): 1, (2, 16): 4},
+        fields=(3, 2, 5, {(16, 2): 3, (8, 4): 5, (32, 1): 7}),
         strings=['qu"ote', "back\\slash", "\u00e9t\u00e9 \u2028 \U0001d4b5 \x00\n"],
     )
-    def test_serialized_is_compact_sorted_json(self, ints, h, cotypes, strings):
-        n, p, e, f, g = ints
-        record = CensusRecord(n, p, e, f, g, tuple(h), cotypes, *strings)
+    def test_serialized_is_compact_sorted_json(self, fields, strings):
+        record = CensusRecord(*fields, *strings)
         reference = json.dumps(record.payload(), sort_keys=True, separators=(",", ":"))
         assert record.serialized() == reference.encode()
         assert record.checksum() == hashlib.sha256(reference.encode()).hexdigest()
@@ -467,6 +475,9 @@ def changed_line(**changes):
     return json.dumps({"checksum": hashlib.sha256(body).hexdigest(), "record": payload})
 
 
+DISAGREE = "stored f, g and h disagree with the cotype census"
+
+
 def log_lines(path):
     return [json.loads(line) for line in path.read_text().splitlines()]
 
@@ -712,13 +723,19 @@ class TestLedgerPersistence:
             pytest.param(changed_line(cotypes={"2,x": 3}), "malformed record", id="key-not-int"),
             pytest.param(changed_line(mode=1), "malformed record", id="mode-int"),
             pytest.param(changed_line(engine=None), "malformed record", id="engine-null"),
+            pytest.param(changed_line(g=999), DISAGREE, id="g-999"),
+            pytest.param(changed_line(h=[0, 3, 0, 0]), DISAGREE, id="h-too-long"),
+            pytest.param(changed_line(h=[3, 0]), DISAGREE, id="h-too-short"),
+            # the true (3, 2, 4) cotypes under h = (0, 4, 6) and g = 6, not
+            # (0, 3, 7) and 7: the counts sum to f, and each cotype count is
+            # at most its corank's stored h
             pytest.param(
-                changed_line(g=999), "irreducible count is not the corank n-1", id="g-999"
+                changed_line(
+                    e=4, f=10, g=6, h=[0, 4, 6], cotypes={"4,4": 1, "8,2": 6, "16,1": 3}
+                ),
+                DISAGREE,
+                id="h-moved-between-coranks",
             ),
-            pytest.param(
-                changed_line(h=[0, 3, 0, 0]), "4 per-corank counts for n=3", id="h-too-long"
-            ),
-            pytest.param(changed_line(h=[3, 0]), "2 per-corank counts for n=3", id="h-too-short"),
             pytest.param(
                 changed_line(cotypes={"2,1,1": 3}), "cotype .* does not have n-1", id="key-too-long"
             ),
@@ -743,6 +760,16 @@ class TestLedgerPersistence:
                 r"cotype \(3, 2\) is not a chain of positive factors",
                 id="key-not-dividing",
             ),
+            # dividing out p = 1 would not end
+            pytest.param(
+                changed_line(p=1), r"\(n=3, p=1, e=1\) is not a census cell", id="p-one"
+            ),
+            # a chain whose exponents of 2 sum to e, but 6 is not a power of 2
+            pytest.param(
+                changed_line(e=2, g=3, h=[0, 0, 3], cotypes={"6,2": 3}),
+                "cotype index does not match p",
+                id="key-not-powers-of-p",
+            ),
         ],
     )
     def test_malformed_line_names_file_and_line(self, tmp_path, line, problem):
@@ -751,6 +778,29 @@ class TestLedgerPersistence:
         path.write_text(ledger_line(record) + line + "\n")
         with pytest.raises(ValueError, match=f"census-n3.jsonl:2: {problem}"):
             CountLedger(tmp_path).cached(3, 2, 2)
+
+    def test_huge_exponent_fails_fast(self, tmp_path):
+        # a short line whose e would make p^e megabytes long is rejected
+        # without building p^e
+        record = CountLedger(tmp_path).census(3, 2, 1)
+        path = tmp_path / "census-n3.jsonl"
+        bad = changed_line(p=3, e=10**7, cotypes={"3,1": 3})
+        path.write_text(ledger_line(record) + bad + "\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"census-n3.jsonl:2: cotype index does not"):
+                CountLedger(tmp_path).cached(3, 2, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_rank1_log_reloads(self, tmp_path):
+        # the one cotype key of Z^1, the empty chain, is written as ""
+        records = [CountLedger(tmp_path).census(1, 2, e) for e in range(3)]
+        fresh = CountLedger(tmp_path)
+        assert [fresh.cached(1, 2, e) for e in range(3)] == records
+        assert [r.f_count for r in records] == [1, 0, 0]
 
     def test_record_of_another_n_is_rejected(self, tmp_path):
         CountLedger(tmp_path).census(3, 2, 1)

@@ -14,7 +14,8 @@ smoke run.  The frontends state each rule once: every CLI option
 parses into the `RunConfig` field of its name, `VerifyScope` takes its
 settings from fields of the same names, and `verify` catches budget
 exhaustion in one helper.  A search limit and its running count travel
-together, as one `NodeBudget`.
+together, as one `NodeBudget`, and a census record holds its cotype census
+as its one count.
 """
 
 import ast
@@ -31,7 +32,7 @@ from types import ModuleType, SimpleNamespace
 import subring_census
 from subring_census import enumeration
 from subring_census.cli import RunConfig, build_parser
-from subring_census.counting import CountLedger, multiplicative_extend
+from subring_census.counting import CensusRecord, CountLedger, multiplicative_extend
 from subring_census.enumeration import (
     EnumSpec,
     enumerate_irreducible,
@@ -147,6 +148,15 @@ def test_search_limit_travels_only_as_a_node_budget():
         assert "budget" in params and not {"node_budget", "counter"} & set(params), fn
     assert not {"node_budget", "counter"} & {f.name for f in fields(EnumSpec)}
     assert not hasattr(enumeration, "check_search")
+
+
+def test_census_record_holds_only_the_cotype_census():
+    # f, g and h are computed from the cotypes when a record is built; a
+    # stored count beside them could disagree with them
+    assert [f.name for f in fields(CensusRecord) if f.init] == [
+        "n", "p", "e", "cotype_counts", "mode", "rules", "engine_version"
+    ]
+    assert not hasattr(CensusRecord, "validate")
 
 
 def _class_constant(path: Path, cls: str, name: str):
