@@ -5,7 +5,9 @@
 
 Each cell m,p,j is searched as a census miss searches it: the pruned engine
 with every rule on, over the full-support diagonals of Z^m at index p^j
-(corank m-1), with a visitor that only counts.  So the figures are those of
+(corank m-1), with a visitor that only counts.  A census miss builds an
+m = 2 cell as its one leaf, spending that leaf's node, without a search;
+this script still searches it.  So the figures are those of
 the search alone, without the leaf cotypes.  A node is one value placed at
 an entry, or one leaf (see `enumeration.PruneRuleSet`).  An entry test is
 one call of the block-entry test `enumeration._entry_values`, which hands

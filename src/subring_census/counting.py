@@ -21,18 +21,22 @@ cokernels.  Splitting off the block that holds the first coordinate gives
 
 where F_n(e) is the cotype census of Z^n at index p^e, G_m(j) that of its
 irreducible subrings, and (x) merges the multisets of invariant factors.
-G_1 is the trivial block at j = 0, G_m is empty for j < m-1, and G_m(j) is
-counted at the leaves of the pruned search on full-support diagonals
-(corank m-1), through `enumeration.visit_subrings`, with no matrix list:
-each survivor's last column is checked to be all ones, its cotype is taken
+G_1 is the trivial block at j = 0 and G_m is empty for j < m-1.  G_2(j) has
+one member, Z 1 + p^j Z^2, the matrix [[p^j, 1], [0, 1]]: it is built as
+that one leaf, which spends its one search node and gets the leaf checks
+below, and is not searched.  For m >= 3, G_m(j) is counted at the leaves of
+the pruned search on full-support diagonals (corank m-1), through
+`enumeration.visit_subrings`, with no matrix list.  At every leaf the
+matrix's last column is checked to be all ones, its cotype is taken
 from the invariant factors of its live (m-1) x (m-1) block (`_block_cotype`:
 closed-form determinantal divisors up to 4 x 4, the elimination Smith form
 beyond), and its live rows get the structural check.  The cotype comes from
 a table kept for the one G_m(j) search, so each distinct cotype is built and
 validated once, at its first leaf; every matrix is still checked.
-`census(recheck=True)` still enumerates every diagonal of Z^n, certifies
-every leaf in full, takes full Smith forms by elimination and compares, so
-it stays the independent check, by a different algorithm for m <= 5.
+`census(recheck=True)` still enumerates every diagonal of Z^n, G_2's
+included, certifies every leaf in full, takes full Smith forms by
+elimination and compares, so it stays the independent check, by a different
+algorithm for m <= 5.
 Per-corank counts h_{n,k}(p^e) are read off the record's cotype census, as
 `h_counts[k]`, which sums the cotypes of corank k.
 
@@ -58,11 +62,13 @@ from .catalog import irreducible_count
 from .combinatorics import binomial, is_prime
 from .enumeration import (
     ENGINE_VERSION,
+    BudgetExceededError,
     EnumSpec,
     NodeBudget,
     PruneRuleSet,
     check_cell,
     enumerate_subrings,
+    print_progress,
     visit_subrings,
 )
 from .hnf import Cotype, SubringMatrix
@@ -421,11 +427,11 @@ class CountLedger:
 
     A missed census is built from irreducible blocks (see the module
     docstring).  The irreducible cotype censuses G_m(j) are counted at the
-    search leaves, without a matrix list, and kept in memory for the life of
-    the ledger, keyed by (m, p, j), so each is searched once and shared
-    across n and e; they are not persisted.  The merged censuses F_k(d) live
-    for one census call only.  census(recheck=True) enumerates every
-    diagonal of Z^n instead.
+    search leaves, without a matrix list (G_2(j) is built as its one leaf),
+    and kept in memory for the life of the ledger, keyed by (m, p, j), so
+    each is built once and shared across n and e; they are not persisted.
+    The merged censuses F_k(d) live for one census call only.
+    census(recheck=True) enumerates every diagonal of Z^n instead.
 
     Where the pruning rules carry closure: G_m(j) is searched on
     full-support diagonals with every rule on, where the last column is set
@@ -440,8 +446,8 @@ class CountLedger:
 
     stats holds deterministic counters of census calls: hits (served from
     the cache), misses (built from blocks), rechecks (fully enumerated),
-    irreducible_built and irreducible_reused (G_m(j) searched, or taken
-    from memory).
+    irreducible_built and irreducible_reused (G_m(j) built, searched or
+    not, or taken from memory).
     """
 
     def __init__(self, directory: str | Path | None = None):
@@ -652,7 +658,7 @@ class CountLedger:
         self, m: int, p: int, j: int, progress: bool, budget: NodeBudget
     ) -> dict[tuple[int, ...], int]:
         """G_m(j) for j >= m-1 >= 1: cotype census of the irreducible subrings
-        of Z^m at index p^j."""
+        of Z^m at index p^j, spending budget (its one leaf node for m = 2)."""
         key = (m, p, j)
         if key in self._irreducible:
             self.stats["irreducible_reused"] += 1
@@ -670,7 +676,18 @@ class CountLedger:
             alphas = ct.alphas
             cotypes[alphas] = cotypes.get(alphas, 0) + 1
 
-        visit_subrings(EnumSpec(m, p, j, corank=m - 1, progress=progress), count, budget)
+        if m == 2:
+            # Z^2 has one irreducible subring at index p^j, Z 1 + p^j Z^2: the
+            # one leaf of the search on its one diagonal (j), built here with
+            # that leaf's node and checks
+            budget.used += 1
+            if budget.used > budget.limit:
+                raise BudgetExceededError(budget.used, budget.limit)
+            count([[index, 1], [0, 1]], [[index]])
+            if progress:
+                print_progress(2, p, j, 1, 1, budget)
+        else:
+            visit_subrings(EnumSpec(m, p, j, corank=m - 1, progress=progress), count, budget)
         self._irreducible[key] = cotypes
         self.stats["irreducible_built"] += 1
         return cotypes
@@ -903,7 +920,8 @@ def multiplicative_extend(
 
     Each prime-power record is fetched by one ledger.census call, in
     ascending order of p^e, and every table is built from the records kept,
-    over one `IndexSplit` of the indices.
+    over one `IndexSplit` of the indices.  The table of corank at most n-1
+    counts every subring, so it is a copy of f, not built again.
     With compute=False, absent census records are reported (all of them, in a
     MissingCensusError) instead of being enumerated on demand.  budget is
     passed to every census call (see `enumeration.NodeBudget`): one budget
@@ -931,7 +949,9 @@ def multiplicative_extend(
     if missing:
         raise MissingCensusError(missing)
     h_tilde = {
-        k: multiplicative_table(split, lambda p, e, k=k: records[(p, e)].h_tilde(k))
+        k: list(f)
+        if k == n - 1
+        else multiplicative_table(split, lambda p, e, k=k: records[(p, e)].h_tilde(k))
         for k in coranks
     }
     lattice = multiplicative_table(split, lambda p, e: lattice_prime_power_count(n, p, e))

@@ -39,11 +39,13 @@ diagonal builds only its support, template rows and block, in one pass
 its rules leave to search.
 
 `visit_subrings` is the one driver of both engines: it walks the diagonals
-spending one `NodeBudget`, prints the `--progress` lines, applies every
-`EnumSpec` filter and hands each survivor's live rows and support block to a
-visitor.  `enumerate_subrings` collects snapshots through it and returns
-them in canonical order: diagonal composition in lexicographic order, then
-column-major entry order, independent of rule toggles.
+spending one `NodeBudget`, prints the `--progress` lines (`print_progress`,
+which a census miss also calls for the G_2 block it builds without a
+search), applies every `EnumSpec` filter and hands each survivor's live rows
+and support block to a visitor.  `enumerate_subrings` collects snapshots
+through it and returns them in canonical order: diagonal composition in
+lexicographic order, then column-major entry order, independent of rule
+toggles.
 Census misses count cotypes with a visitor and build no matrix list.
 
 A search node is one value placed at one entry, or one leaf reached.  Every
@@ -564,12 +566,15 @@ def visit_subrings(spec: EnumSpec, visit: Visit, budget: NodeBudget | None = Non
     for done, exps in enumerate(exps_list, start=1):
         search(spec, exps, budget, visit)
         if spec.progress:
-            # the nodes used of a budget the caller may share, so the count
-            # keeps growing across the enumerations of one census
-            print(
-                f"Z^{spec.n} at {spec.p}^{spec.e}: diagonals {done}/{total}, {budget.used} nodes",
-                file=sys.stderr,
-            )
+            print_progress(spec.n, spec.p, spec.e, done, total, budget)
+
+
+def print_progress(n: int, p: int, e: int, done: int, total: int, budget: NodeBudget) -> None:
+    """The `--progress` line, on stderr, of the done-th of total diagonals of
+    a search of Z^n at p^e.  It gives the nodes used of a budget the caller
+    may share, so the count keeps growing across the enumerations of one
+    census."""
+    print(f"Z^{n} at {p}^{e}: diagonals {done}/{total}, {budget.used} nodes", file=sys.stderr)
 
 
 def _canonical_key(rows: Rows) -> tuple[tuple[int, ...], tuple[int, ...]]:

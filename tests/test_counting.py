@@ -36,7 +36,7 @@ from subring_census.enumeration import (
     enumerate_subrings,
     visit_subrings,
 )
-from subring_census.hnf import snf_oracle_minor_gcds
+from subring_census.hnf import SubringMatrix, snf_oracle_minor_gcds
 
 
 @pytest.fixture(scope="module")
@@ -134,7 +134,8 @@ def full_record(n, p, e):
 
 def spy_on_enumeration(monkeypatch):
     """Record (spec, nodes so far) of every search census runs: a miss visits
-    irreducible blocks through visit_subrings, a recheck calls
+    the irreducible blocks of size 3 and more through visit_subrings (G_2 is
+    built without a search, see spy_on_blocks), a recheck calls
     enumerate_subrings."""
     calls = []
 
@@ -149,6 +150,24 @@ def spy_on_enumeration(monkeypatch):
 
     monkeypatch.setattr(counting, "enumerate_subrings", spy_enumerate)
     monkeypatch.setattr(counting, "visit_subrings", spy_visit)
+    return calls
+
+
+def spy_on_blocks(monkeypatch):
+    """Record ((m, p, j), nodes so far) of every irreducible block a census
+    miss builds, G_2 included, which is built without a search; a block
+    taken from the ledger's memory is not recorded."""
+    calls = []
+    build = CountLedger._irreducible_cotypes
+
+    def spy(self, m, p, j, progress, budget):
+        built = (m, p, j) not in self._irreducible
+        out = build(self, m, p, j, progress, budget)
+        if built:
+            calls.append(((m, p, j), budget.used))
+        return out
+
+    monkeypatch.setattr(CountLedger, "_irreducible_cotypes", spy)
     return calls
 
 
@@ -173,18 +192,18 @@ class TestDecomposition:
         assert [spec for spec, _ in calls] == [EnumSpec(5, 2, 5)]
 
     def test_budget_exhaustion_leaves_nothing_partial(self, tmp_path, monkeypatch):
-        calls = spy_on_enumeration(monkeypatch)
+        calls = spy_on_blocks(monkeypatch)
         CountLedger().census(5, 2, 6)
         totals = [nodes for _, nodes in calls]
         used = [b - a for a, b in zip([0] + totals, totals)]
-        # the searches of one census spend one budget
+        # the block builds of one census spend one budget
         assert min(used) > 0
-        # every enumeration fits the limit alone, but not all of them together
+        # every block fits the limit alone, but not all of them together
         limit = max(used)
         assert totals[-1] > limit
         cut = next(i for i, t in enumerate(totals) if t > limit)
         assert cut > 0
-        keys = [(spec.n, spec.p, spec.e) for spec, _ in calls]
+        keys = [key for key, _ in calls]
         led = CountLedger(tmp_path)
         with pytest.raises(BudgetExceededError):
             led.census(5, 2, 6, budget=NodeBudget(limit))
@@ -205,7 +224,7 @@ class TestDecomposition:
         led = CountLedger()
         for e in range(6):
             led.census(4, 2, e)
-        # G_2(1..5), G_3(2..5) and G_4(3..5) are each enumerated once.  The
+        # G_2(1..5), G_3(2..5) and G_4(3..5) are each built once.  The
         # census at 2^e looks G up 2e + [e>=1] + 2[e>=2] + [e>=3] times:
         # 0 + 3 + 7 + 10 + 12 + 14 = 46 lookups, 12 of them builds.
         assert led.stats == {
@@ -407,6 +426,43 @@ class TestBlockCotype:
         record = led.census(*cell)
         full = led.census(*cell, recheck=True)
         assert full.counts_equal(record) and full.checksum() == record.checksum()
+
+
+class TestBuiltRank2Block:
+    # G_2(j) is built as its one member, Z 1 + p^j Z^2, and not searched: it
+    # must give what the search gives, in cotypes, in nodes spent from a
+    # shared budget, in its --progress line and at the budget's limit
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 101, 19997])
+    def test_matches_the_search(self, p, capsys):
+        led = CountLedger()
+        for j in range(1, 13):
+            searched, built = NodeBudget(), NodeBudget()
+            # budgets already in use, as in a census that built other blocks
+            searched.used = built.used = 7 * j
+            found = Counter()
+
+            def count(rows, block):
+                found[SubringMatrix(tuple(map(tuple, rows))).cotype().alphas] += 1
+
+            visit_subrings(EnumSpec(2, p, j, corank=1, progress=True), count, searched)
+            line = capsys.readouterr().err
+            assert line == f"Z^2 at {p}^{j}: diagonals 1/1, {7 * j + 1} nodes\n"
+            got = led._irreducible_cotypes(2, p, j, True, built)
+            assert capsys.readouterr().err == line
+            assert got == found == {(p**j,): 1}
+            assert built.used == searched.used == 7 * j + 1
+
+            searched, built = NodeBudget(7 * j), NodeBudget(7 * j)
+            searched.used = built.used = 7 * j
+            with pytest.raises(BudgetExceededError) as search_error:
+                visit_subrings(EnumSpec(2, p, j, corank=1), count, searched)
+            fresh = CountLedger()
+            with pytest.raises(BudgetExceededError) as build_error:
+                fresh._irreducible_cotypes(2, p, j, False, built)
+            assert build_error.value.nodes == search_error.value.nodes == 7 * j + 1
+            assert fresh._irreducible == {} and fresh.stats["irreducible_built"] == 0
+        assert led.stats["irreducible_built"] == 12
 
 
 class TestStructuralCheck:
@@ -964,6 +1020,14 @@ class TestMultiplicative:
                     product(j, lambda p, e: ledger.census(n, p, e).h_tilde(k))
                     for j in indices
                 ]
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_top_corank_table_is_a_copy_of_f(self, ledger, n):
+        t = multiplicative_extend(n, 2000, ledger, coranks=(n - 1,))
+        built = multiplicative_table(
+            IndexSplit.of(2000), lambda p, e: ledger.census(n, p, e).h_tilde(n - 1)
+        )
+        assert t.h_tilde[n - 1] == built == t.f and t.h_tilde[n - 1] is not t.f
 
     def test_one_census_call_per_prime_power(self, tmp_path, monkeypatch):
         calls = []
