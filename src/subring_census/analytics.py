@@ -573,7 +573,13 @@ def _lattice_factor(n: int, k: int, p: int) -> tuple[int, int]:
 
 
 def lattice_baseline(n: int, k: int) -> BoundedValue:
-    """Proportion of sublattices of Z^n whose cokernel has rank at most k."""
+    """Proportion of sublattices of Z^n whose cokernel has rank at most k.
+
+    The tail constant is sampled, not proven: 4 |factor(2) - 1| 2^t, t = (k+1)^2,
+    at least 1.  The loop checks it up to p = 10^4, and a test at thirteen
+    primes in (10^4, 10^6] for n = 50 and k <= 3, where |factor(p) - 1| p^t
+    is about 1 against constants of 8.6 to 12.2.
+    """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     t = (k + 1) * (k + 1)

@@ -8,8 +8,8 @@ JSON, so long enumerations survive restarts, several processes can share a
 directory, and the cache is auditable.  `CensusRecord.serialized` writes the
 record's canonical bytes straight from its fields; the checksum is their
 sha256.  A line is loaded only if its fields have the right types, its
-stored counts are those of its cotypes, its checksum matches and its n is
-the log's.
+(n, p, e) is a census cell, its stored counts are those of its cotypes, its
+checksum matches and its n is the log's.
 
 A record is built from irreducible blocks, not by searching every diagonal.
 A subring of p-power index splits uniquely into irreducible subrings over a
@@ -30,9 +30,9 @@ the pruned search on full-support diagonals (corank m-1), through
 matrix's last column is checked to be all ones, its cotype is taken
 from the invariant factors of its live (m-1) x (m-1) block (`_block_cotype`:
 closed-form determinantal divisors up to 4 x 4, the elimination Smith form
-beyond), and its live rows get the structural check.  The cotype comes from
-a table kept for the one G_m(j) search, so each distinct cotype is built and
-validated once, at its first leaf; every matrix is still checked.
+beyond), and its live rows get the structural check.  A G_m(j) search keeps
+one tally keyed by those factors, so each distinct cotype is validated once,
+at its first leaf; every matrix is still checked.
 `census(recheck=True)` still enumerates every diagonal of Z^n, G_2's
 included, certifies every leaf in full, takes full Smith forms by
 elimination and compares, so it stays the independent check, by a different
@@ -120,9 +120,9 @@ class CensusRecord:
     The cotype census is the one count held: at construction h_counts[k]
     sums the cotypes of corank k, f_count all of them and g_count is
     h_counts[n-1] (irreducible means corank n-1).  Construction raises
-    CensusValidationError unless n >= 1, p >= 2, e >= 0, no count is
-    negative and each key is a chain of n-1 positive factors, each divisible
-    by the next, with product p^e.
+    CensusValidationError unless (n, p, e) is a census cell (the rule of
+    `enumeration.check_cell`), no count is negative and each key is a chain
+    of n-1 positive factors, each divisible by the next, with product p^e.
     """
 
     n: int
@@ -137,9 +137,12 @@ class CensusRecord:
     g_count: int = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        n, p = self.n, self.p
-        if n < 1 or p < 2 or self.e < 0:
-            raise CensusValidationError(f"(n={n}, p={p}, e={self.e}) is not a census cell")
+        n, p, e = self.n, self.p, self.e
+        try:
+            check_cell(n, p, e)
+        except ValueError as exc:
+            msg = f"(n={n}, p={p}, e={e}) is not a census cell: {exc}"
+            raise CensusValidationError(msg) from None
         h = [0] * n
         for key, count in self.cotype_counts.items():
             if len(key) != n - 1:
@@ -163,7 +166,7 @@ class CensusRecord:
                     while rest % p == 0:
                         rest //= p
                         exponent += 1
-            if rest != 1 or exponent != self.e:
+            if rest != 1 or exponent != e:
                 raise CensusValidationError("cotype index does not match p^e")
             h[corank] += count
         object.__setattr__(self, "h_counts", tuple(h))
@@ -351,34 +354,20 @@ def _block_invariant_factors(block: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return hnf.smith_normal_form(block)
 
 
-def _block_cotype(
-    rows: Sequence[Sequence[int]],
-    block: Sequence[Sequence[int]],
-    table: dict[tuple[int, ...], tuple[Cotype, int]],
-) -> tuple[Cotype, int]:
-    """Cotype and corank of an irreducible subring matrix [[B, 1], [0, 1]]
-    from its (m-1) x (m-1) block B.
+def _block_cotype(rows: Sequence[Sequence[int]], block: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Invariant factors, ascending, of an irreducible subring matrix
+    [[B, 1], [0, 1]] from its (m-1) x (m-1) block B; the cotype is their reverse.
 
     Subtracting the last row from the others turns the matrix into
-    diag(B, 1), so the cotype is the reversed list of B's invariant factors,
-    from its determinantal divisors when m <= 5
-    (`_block_invariant_factors`).  `SubringMatrix.cotype` takes the full
-    Smith form by elimination, the independent path that `build_record`
-    keeps.
-
-    The last column is checked on every call.  table maps invariant factors
-    to their cotype and its corank: a `Cotype` is built, and so validated,
-    only the first time its factors appear in the table.
+    diag(B, 1), so these are B's invariant factors, from its determinantal
+    divisors when m <= 5 (`_block_invariant_factors`).  `SubringMatrix.cotype`
+    takes the full Smith form by elimination, the independent path that
+    `build_record` keeps.  The last column is checked on every call.
     """
     for row in rows:
         if row[-1] != 1:
             raise CensusValidationError(f"last column entry is not 1 in {rows}")
-    factors = _block_invariant_factors(block)
-    entry = table.get(factors)
-    if entry is None:
-        ct = Cotype(factors[::-1])
-        entry = table[factors] = (ct, ct.corank)
-    return entry
+    return _block_invariant_factors(block)
 
 
 def _record_from_cotypes(
@@ -419,17 +408,19 @@ class CountLedger:
     A record is appended as one line under an exclusive flock, so several
     processes may share a directory; reads take no lock and parse only the
     complete lines past what this ledger has already read.  Every line's
-    checksum and counts are verified on load (its stored f, g and h must be
-    those of its cotype census), and a malformed line raises a ValueError
-    naming the file and line.  Only records of this engine version and
-    pruning rules are served; any other is a miss, census appends a current
-    line, and the later line for a (p, e) replaces an earlier one.
+    checksum, cell and counts are verified on load (its stored f, g and h
+    must be those of its cotype census), and a malformed line raises a
+    ValueError naming the file and line.  Only records of this engine
+    version and pruning rules are served; any other is a miss, census
+    appends a current line, and the later line for a (p, e) replaces an
+    earlier one.
 
     A missed census is built from irreducible blocks (see the module
     docstring).  The irreducible cotype censuses G_m(j) are counted at the
     search leaves, without a matrix list (G_2(j) is built as its one leaf),
-    and kept in memory for the life of the ledger, keyed by (m, p, j), so
-    each is built once and shared across n and e; they are not persisted.
+    each distinct cotype validated once, at its first leaf, and kept in
+    memory for the life of the ledger, keyed by (m, p, j), so each is built
+    once and shared across n and e; they are not persisted.
     The merged censuses F_k(d) live for one census call only.
     census(recheck=True) enumerates every diagonal of Z^n instead.
 
@@ -617,10 +608,8 @@ class CountLedger:
         """F_n(e) by the block recursion, keyed by the invariant factors > 1.
 
         G_m(j) is looked up only when F_{n-m}(e-j) is non-empty, so a block
-        of size n is enumerated at j = e alone.  F_0 and F_1 are empty at
-        d > 0, and the recursion does not descend to them there.  The
-        trivial block (m = 1, G_1 the block Z at j = 0) adds F_{k-1}(d)
-        unchanged, as a copy.
+        of size n is enumerated at j = e alone.  The trivial block (m = 1,
+        G_1 the block Z at j = 0) adds F_{k-1}(d) unchanged, as a copy.
         """
         memo: dict[tuple[int, int], dict[tuple[int, ...], int]] = {(0, 0): {(): 1}}
 
@@ -628,6 +617,8 @@ class CountLedger:
             out = memo.get((k, d))
             if out is not None:
                 return out
+            # F_0 and F_1 are empty at d > 0, so here and at k - m > 1 they are
+            # skipped; a general loop is as exact but slower on Z^3 (CHANGES.md)
             out = dict(merged(k - 1, d)) if k > 2 or d == 0 else {}
             for m in range(2, k + 1):
                 ways = math.comb(k - 1, m - 1)
@@ -666,15 +657,16 @@ class CountLedger:
         # stored only once the search completes: a budget error leaves no
         # partial entry
         index = p**j
-        cotypes: dict[tuple[int, ...], int] = {}
-        # each distinct cotype of the search, built and validated once
-        table: dict[tuple[int, ...], tuple[Cotype, int]] = {}
+        tally: dict[tuple[int, ...], int] = {}  # leaves by ascending invariant factors
 
         def count(rows, block):
-            ct, corank = _block_cotype(rows, block, table)
-            _structural_check(rows, corank, index)
-            alphas = ct.alphas
-            cotypes[alphas] = cotypes.get(alphas, 0) + 1
+            factors = _block_cotype(rows, block)
+            seen = tally.get(factors)
+            if seen is None:  # validated once, before its corank is read
+                Cotype(factors[::-1])
+                seen = 0
+            _structural_check(rows, len(factors) - factors.count(1), index)
+            tally[factors] = seen + 1
 
         if m == 2:
             # Z^2 has one irreducible subring at index p^j, Z 1 + p^j Z^2: the
@@ -688,6 +680,7 @@ class CountLedger:
                 print_progress(2, p, j, 1, 1, budget)
         else:
             visit_subrings(EnumSpec(m, p, j, corank=m - 1, progress=progress), count, budget)
+        cotypes = {factors[::-1]: c for factors, c in tally.items()}
         self._irreducible[key] = cotypes
         self.stats["irreducible_built"] += 1
         return cotypes

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import analytics
-from .catalog import catalog, irreducible_count, irreducible_count_poly
+from .catalog import catalog, irreducible_count, irreducible_count_poly, subring_count_series
 from .combinatorics import binomial
 from .counting import (
     CensusValidationError,
@@ -228,10 +228,9 @@ def suite_corank_formulas(scope: VerifyScope) -> list[CheckResult]:
 def suite_local_factors(scope: VerifyScope) -> list[CheckResult]:
     out = []
     p_range = (2, 3) if scope.small else (2, 3, 5)
-    for n, entry, e_max in ((3, "subring_local_z3", 8), (4, "subring_local_z4", 6)):
+    for n, e_max in ((3, 8), (4, 6)):
         if scope.small:
             e_max = min(e_max, 4)
-        table = expand(catalog(entry), (e_max, 0, 0))
         for p in p_range:
             with _check(
                 scope,
@@ -242,7 +241,7 @@ def suite_local_factors(scope: VerifyScope) -> list[CheckResult]:
             ) as record:
                 record(
                     [scope.census(n, p, e).f_count for e in range(e_max + 1)],
-                    [table.x_coefficient_at(e, p) for e in range(e_max + 1)],
+                    [subring_count_series(n, p, e) for e in range(e_max + 1)],
                 )
     return out
 

@@ -329,6 +329,39 @@ class TestLatticeBaseline:
                     num, den = an._lattice_factor(n, k, p)
                     assert Fraction(num, den) == reference(n, k, p), (n, k, p)
 
+    def test_tail_model_holds_past_the_cutoff(self, monkeypatch):
+        # the tail constant is sampled at p = 2, and the loop checks the
+        # model only up to its cutoff 10^4; past it, the untruncated factor
+        # prod_n^2 sum_{i<=k} 1 / (p^(i^2) prod_i^2 prod_(n-i)) must keep to
+        # the model, and the truncated one must stay within 2^-69 of it
+        built = []
+        loop = an.euler_product
+
+        def record(spec, *args, **kwargs):
+            built.append(spec)
+            return loop(spec, *args, **kwargs)
+
+        monkeypatch.setattr(an, "euler_product", record)
+        n = 50
+        for k in (1, 2, 3):
+            an.lattice_baseline(n, k)
+        monkeypatch.undo()
+        assert len(built) == 3
+        primes = [10007, 14683, 21557, 31627, 46439, 68141, 100003, 146801, 215447,
+                  316241, 464171, 681293, 999983]
+        for p in primes:
+            partial = [Fraction(1)]
+            for j in range(1, n + 1):
+                partial.append(partial[-1] * (1 - Fraction(1, p**j)))
+            for k, spec in zip((1, 2, 3), built):
+                exact = partial[n] ** 2 * sum(
+                    1 / (Fraction(p) ** (i * i) * partial[i] ** 2 * partial[n - i])
+                    for i in range(k + 1)
+                )
+                assert abs(exact - 1) * p**spec.tail_exponent <= spec.tail_constant, (k, p)
+                truncated = Fraction(*an._lattice_factor(n, k, p))
+                assert abs(truncated - exact) <= exact / 2**69, (k, p)
+
 
 class TestCoprimeAndExponent:
     def test_exact_ratios(self):

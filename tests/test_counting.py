@@ -32,6 +32,7 @@ from subring_census.enumeration import (
     EnumSpec,
     NodeBudget,
     PruneRuleSet,
+    check_cell,
     enumerate_irreducible,
     enumerate_subrings,
     visit_subrings,
@@ -118,6 +119,24 @@ class TestCensus:
         reference = json.dumps(record.payload(), sort_keys=True, separators=(",", ":"))
         assert record.serialized() == reference.encode()
         assert record.checksum() == hashlib.sha256(reference.encode()).hexdigest()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-2, 12), st.integers(-2, 12), st.integers(-2, 12))
+    def test_cell_rule_is_check_cell(self, n, p, e):
+        # a record's cell is refused exactly when check_cell refuses it
+        def build():
+            return CensusRecord(
+                n, p, e, {}, counting.RECORD_MODE, counting.RECORD_RULES, ENGINE_VERSION
+            )
+
+        try:
+            check_cell(n, p, e)
+        except ValueError as exc:
+            with pytest.raises(CensusValidationError) as refused:
+                build()
+            assert str(refused.value) == f"(n={n}, p={p}, e={e}) is not a census cell: {exc}"
+        else:
+            assert build().f_count == 0
 
 
 # (n, p, e_max): every cell e <= e_max is compared with full enumeration
@@ -369,7 +388,7 @@ class TestBlockCotype:
         # the oracle reads only n and entries, and signed entries are no HnfMatrix
         s = len(block)
         rows = [row + [1] for row in block] + [[0] * s + [1]]
-        got = counting._block_cotype(rows, block, {})[0].alphas
+        got = counting._block_cotype(rows, block)[::-1]
         assert got == tuple(reversed(hnf.smith_normal_form(block)))
         oracle = snf_oracle_minor_gcds(SimpleNamespace(n=s, entries=block))
         assert got == tuple(reversed(oracle))
@@ -394,7 +413,7 @@ class TestBlockCotype:
         # a subring matrix, but not an irreducible one
         rows = [[2, 1, 1], [0, 2, 0], [0, 0, 1]]
         with pytest.raises(CensusValidationError, match="last column"):
-            counting._block_cotype(rows, [row[:2] for row in rows[:2]], {})
+            counting._block_cotype(rows, [row[:2] for row in rows[:2]])
 
     def test_table_builds_each_cotype_once_and_checks_every_matrix(self, monkeypatch):
         built, checked = Counter(), [0]
@@ -819,6 +838,12 @@ class TestLedgerPersistence:
             # dividing out p = 1 would not end
             pytest.param(
                 changed_line(p=1), r"\(n=3, p=1, e=1\) is not a census cell", id="p-one"
+            ),
+            # a power of p = 4 with e = 1: the chain rule holds, the cell rule does not
+            pytest.param(
+                changed_line(p=4, cotypes={"4,1": 3}),
+                r"\(n=3, p=4, e=1\) is not a census cell",
+                id="p-composite",
             ),
             # a chain whose exponents of 2 sum to e, but 6 is not a power of 2
             pytest.param(
