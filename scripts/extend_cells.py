@@ -12,7 +12,9 @@ that does it while the two runs go, the way scripts/search_nodes.py wraps
 
     search   CountLedger._irreducible_cotypes  (the G_m(j) searches)
     build    counting._record_from_cotypes     (record build and key checks)
-    append   CountLedger._store                (serialize, checksum, append)
+    append   CountLedger._append               (serialize, checksum and
+                                                write: the one writer of
+                                                the log, wherever it runs)
     read     CountLedger._read_new             (parse and verify log lines)
     rest     everything else of the two calls  (lookups, block recursion,
                                                 the multiplicative tables)
@@ -20,8 +22,9 @@ that does it while the two runs go, the way scripts/search_nodes.py wraps
 The phases do not call each other, so their times add up.  Times are
 wall-clock on this process, the wrappers' small cost included.  The output
 is the cell count, then one line per phase with milliseconds in the cold
-run, in the replay, and microseconds per cell over both; the last line of
-standard output is the same as JSON.
+run, in the replay, and microseconds per cell over both, then the number of
+log writes (calls of the writer, one write each) in each run; the last line of standard
+output is the same as JSON.
 """
 
 import argparse
@@ -37,18 +40,21 @@ from subring_census.enumeration import check_cell
 PHASES = (
     ("search", CountLedger, "_irreducible_cotypes"),
     ("build", counting, "_record_from_cotypes"),
-    ("append", CountLedger, "_store"),
+    ("append", CountLedger, "_append"),
     ("read", CountLedger, "_read_new"),
 )
 
 
 def measure(n: int, limit: int) -> dict:
-    """Cell count and seconds per phase of one cold extension and its replay."""
+    """Cell count, and seconds per phase and log writes of one cold extension
+    and of its replay."""
     seconds = {name: 0.0 for name, *_ in PHASES}
+    calls = dict.fromkeys(seconds, 0)
     originals = [(owner, attr, getattr(owner, attr)) for _, owner, attr in PHASES]
 
     def timed(name, fn):
         def wrapper(*args, **kwargs):
+            calls[name] += 1
             start = time.perf_counter()
             try:
                 return fn(*args, **kwargs)
@@ -63,7 +69,7 @@ def measure(n: int, limit: int) -> dict:
             setattr(owner, attr, timed(name, fn))
         with tempfile.TemporaryDirectory() as directory:
             for run, compute in (("cold", True), ("replay", False)):
-                before = dict(seconds)
+                before, written = dict(seconds), calls["append"]
                 start = time.perf_counter()
                 multiplicative_extend(
                     n, limit, CountLedger(directory), coranks=tuple(range(1, n)),
@@ -72,7 +78,7 @@ def measure(n: int, limit: int) -> dict:
                 total = time.perf_counter() - start
                 phases = {k: seconds[k] - before[k] for k in seconds}
                 phases["rest"] = total - sum(phases.values())
-                runs[run] = phases
+                runs[run] = {"phases": phases, "writes": calls["append"] - written}
     finally:
         for owner, attr, fn in originals:
             setattr(owner, attr, fn)
@@ -98,14 +104,18 @@ def main() -> int:
     phases = []
     print(f"{cells} cells")
     print(f"{'phase':>8}  {'cold ms':>9}  {'replay ms':>9}  {'us/cell':>8}")
-    for name in runs["cold"]:
-        cold, replay = runs["cold"][name], runs["replay"][name]
+    for name in runs["cold"]["phases"]:
+        cold, replay = (runs[run]["phases"][name] for run in ("cold", "replay"))
         per_cell = (cold + replay) / cells * 1e6 if cells else float("nan")
         print(f"{name:>8}  {cold * 1e3:>9.2f}  {replay * 1e3:>9.2f}  {per_cell:>8.2f}")
         phases.append(
             {"phase": name, "cold_ms": cold * 1e3, "replay_ms": replay * 1e3, "us_per_cell": per_cell}
         )
-    print(json.dumps({"n": args.n, "limit": args.limit, "cells": cells, "phases": phases}))
+    writes = {run: runs[run]["writes"] for run in ("cold", "replay")}
+    print(f"{writes['cold']} log writes cold, {writes['replay']} in the replay")
+    print(json.dumps(
+        {"n": args.n, "limit": args.limit, "cells": cells, "phases": phases, "writes": writes}
+    ))
     return 0
 
 

@@ -9,7 +9,15 @@ directory, and the cache is auditable.  `CensusRecord.serialized` writes the
 record's canonical bytes straight from its fields; the checksum is their
 sha256.  A line is loaded only if its fields have the right types, its
 (n, p, e) is a census cell, its stored counts are those of its cotypes, its
-checksum matches and its n is the log's.
+checksum matches and its n is the log's.  A census line is on disk when
+`census` returns, except inside the walk of `multiplicative_extend`: there
+the line of a census that ran no search is held, and goes out in one append
+with the line of the next census that searches, or when the walk ends or
+raises.  So a crash loses only lines that need no search to rebuild, and a
+cold extension over thousands of prime cells makes about one write per
+searched cell.  Another process does not see held lines until they are
+written, so it may rebuild such a record and append an equal line, which is
+harmless: the later line for a (p, e) replaces the earlier one.
 
 A record is built from irreducible blocks, not by searching every diagonal.
 A subring of p-power index splits uniquely into irreducible subrings over a
@@ -405,12 +413,17 @@ class CountLedger:
     """Cache of census records, optionally persisted as one append-only
     checksummed log per n (see `_store` and `_read_new`).
 
-    A record is appended as one line under an exclusive flock, so several
-    processes may share a directory; reads take no lock and parse only the
-    complete lines past what this ledger has already read.  Every line's
-    checksum, cell and counts are verified on load (its stored f, g and h
-    must be those of its cotype census), and a malformed line raises a
-    ValueError naming the file and line.  Only records of this engine
+    Records are appended as whole lines under an exclusive flock, so several
+    processes may share a directory.  A record's line is written before
+    `census` returns, except during a `multiplicative_extend` walk, where the
+    line of a census that ran no search is held until the next census that
+    searches, or the end of the walk, writes it with its own (see `_store`).
+    Until then another process does not see it and may append an equal line
+    of its own; the later line replaces the earlier.  Reads take no lock and
+    parse only the complete lines past what this ledger has already read.
+    Every line's checksum, cell and counts are verified on load (its stored
+    f, g and h must be those of its cotype census), and a malformed line
+    raises a ValueError naming the file and line.  Only records of this engine
     version and pruning rules are served; any other is a miss, census
     appends a current line, and the later line for a (p, e) replaces an
     earlier one.
@@ -448,6 +461,10 @@ class CountLedger:
         self._read_upto: dict[int, tuple[int, int]] = {}
         self._paths: dict[int, str] = {}
         self._irreducible: dict[tuple[int, int, int], dict[tuple[int, ...], int]] = {}
+        # per n: records kept but not yet written; held only while _holding,
+        # during an extension walk, and until a census searches (_searched)
+        self._held: dict[int, list[CensusRecord]] = {}
+        self._holding = self._searched = False
         self.stats = dict.fromkeys(
             ("hits", "misses", "rechecks", "irreducible_built", "irreducible_reused"), 0
         )
@@ -515,21 +532,47 @@ class CountLedger:
     def _store(self, record: CensusRecord) -> None:
         """Keep record, and append it to the n-log as one checksummed line.
 
-        The append holds an exclusive flock on the log.  Under it, a tail
-        without a final newline can only be what a dead writer left, and is
-        cut off before the line goes out in a single write.  The log's last
-        byte is read only when its size differs from the bytes this ledger
-        has parsed, which always end at a newline.
+        While `_holding` (the walk of `multiplicative_extend`) and no search
+        has run since the last append, the record is held unwritten.
+        Otherwise its line goes out at once, after those of the records of
+        its n held before it, in one `_append`.
         """
         n = record.n
         self._records[(n, record.p, record.e)] = record
         if self.directory is None:
             return
-        body = record.serialized()
-        digest = hashlib.sha256(body).hexdigest()
-        line = b'{"checksum":"' + digest.encode() + b'","record":' + body + b"}\n"
+        records = self._held.setdefault(n, [])
+        records.append(record)
+        if self._holding and not self._searched:
+            return
+        del self._held[n]
+        self._searched = False
+        self._append(n, records)
+
+    def _write_held(self) -> None:
+        """Stop holding, and append the lines of every held record."""
+        self._holding = self._searched = False
+        while self._held:
+            self._append(*self._held.popitem())
+
+    def _append(self, n: int, records: list[CensusRecord]) -> None:
+        """Append the records' checksummed lines to the n-log in one write:
+        the one writer of the log.
+
+        The append holds an exclusive flock on the log.  Under it, a tail
+        without a final newline can only be what a dead writer left, and is
+        cut off before the lines go out in a single write.  The log's last
+        byte is read only when its size differs from the bytes this ledger
+        has parsed, which always end at a newline.
+        """
+        lines = []
+        for record in records:
+            body = record.serialized()
+            digest = hashlib.sha256(body).hexdigest().encode()
+            lines.append(b'{"checksum":"' + digest + b'","record":' + body + b"}\n")
+        data = b"".join(lines)
         path = self._file(n)
-        offset, lines = self._read_upto.get(n, (0, 0))
+        offset, count = self._read_upto.get(n, (0, 0))
         fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
         try:
             fcntl.flock(fd, fcntl.LOCK_EX)
@@ -537,12 +580,12 @@ class CountLedger:
             if size != offset and size and os.pread(fd, 1, size - 1) != b"\n":
                 size = _complete_length(fd, size)
                 os.ftruncate(fd, size)
-            if os.write(fd, line) != len(line):
+            if os.write(fd, data) != len(data):
                 raise OSError(f"short append to {path}")
         finally:
             os.close(fd)
         if offset == size:
-            self._read_upto[n] = (size + len(line), lines + 1)
+            self._read_upto[n] = (size + len(data), count + len(lines))
 
     def cached(self, n: int, p: int, e: int) -> CensusRecord | None:
         """The kept record of (n, p, e), or None; an invalid cell raises ValueError."""
@@ -679,6 +722,7 @@ class CountLedger:
             if progress:
                 print_progress(2, p, j, 1, 1, budget)
         else:
+            self._searched = True  # so this census writes its line (see _store)
             visit_subrings(EnumSpec(m, p, j, corank=m - 1, progress=progress), count, budget)
         cotypes = {factors[::-1]: c for factors, c in tally.items()}
         self._irreducible[key] = cotypes
@@ -915,6 +959,13 @@ def multiplicative_extend(
     ascending order of p^e, and every table is built from the records kept,
     over one `IndexSplit` of the indices.  The table of corank at most n-1
     counts every subring, so it is a copy of f, not built again.
+    On a persisted ledger, the line of a census in this walk that ran no
+    search (most prime cells p > sqrt(limit), whose one block G_2 is built)
+    is held, and reaches disk with the line of the next census that
+    searches, or when the walk ends or raises; so a cold walk appends a few
+    dozen times, not once per cell.  Until then another process does not
+    see those lines, may rebuild their records and append equal lines,
+    which is harmless: the later line for a (p, e) replaces the earlier.
     With compute=False, absent census records are reported (all of them, in a
     MissingCensusError) instead of being enumerated on demand.  budget is
     passed to every census call (see `enumeration.NodeBudget`): one budget
@@ -938,7 +989,13 @@ def multiplicative_extend(
         return record.f_count
 
     split = IndexSplit.of(limit)
-    f = multiplicative_table(split, f_value)
+    # censuses of the walk that run no search hold their lines, and every
+    # held line is written when the walk ends or raises (CountLedger._store)
+    ledger._holding, ledger._searched = True, False
+    try:
+        f = multiplicative_table(split, f_value)
+    finally:
+        ledger._write_held()
     if missing:
         raise MissingCensusError(missing)
     h_tilde = {

@@ -96,7 +96,8 @@ class BudgetExceededError(RuntimeError):
 
 def check_cell(n: int, p: int, e: int) -> None:
     """Raise ValueError unless (n, p, e) names a census cell: integers (not
-    bools) with n >= 1, p prime and e >= 0."""
+    bools) with n >= 1, p prime and e >= 0.  p is proven prime by
+    `combinatorics.is_prime`, which refuses p at or above PRIME_TEST_BOUND."""
     if not (type(n) is int and type(p) is int and type(e) is int):
         # the common case is three plain ints; this names the first that is
         # not an integer, rejecting bools and admitting int subclasses

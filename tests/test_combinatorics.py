@@ -1,9 +1,18 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from subring_census.combinatorics import binomial, compositions, is_prime, smallest_prime_factor
+from subring_census.combinatorics import (
+    PRIME_TEST_BOUND,
+    STRONG_PSEUDOPRIMES,
+    binomial,
+    compositions,
+    is_prime,
+    smallest_prime_factor,
+)
+from subring_census.enumeration import check_cell
 
 
 def test_binomial_values():
@@ -96,3 +105,39 @@ def test_prime_tests_below_two():
         assert not is_prime(m)
         with pytest.raises(ValueError):
             smallest_prime_factor(m)
+
+
+def test_is_prime_matches_trial_division():
+    assert all(is_prime(m) == (smallest_prime_factor(m) == m) for m in range(2, 10**5))
+
+
+@pytest.mark.parametrize(
+    "m, factors",
+    [
+        (2047, (23, 89)),
+        (1373653, (829, 1657)),
+        (25326001, (2251, 11251)),
+        (3215031751, (151, 751, 28351)),
+        (2152302898747, (6763, 10627, 29947)),
+        (3474749660383, (1303, 16927, 157543)),
+        (341550071728321, (10670053, 32010157)),
+        # the least strong pseudoprime to the bases 2..31, and to 2..37
+        (3825123056546413051, (149491, 747451, 34233211)),
+        (318665857834031151167461, (399165290221, 798330580441)),
+    ],
+)
+def test_is_prime_refuses_strong_pseudoprimes(m, factors):
+    # each is the least composite that passes the bases it is listed for, so
+    # is_prime must take the next base at m itself
+    assert m in STRONG_PSEUDOPRIMES and math.prod(factors) == m and not is_prime(m)
+
+
+def test_primality_bound_is_refused():
+    # the least strong pseudoprime to every base 2..41, where the test stops
+    # being proven; the Mersenne primes 2^31 - 1 and 2^61 - 1 lie below it
+    assert is_prime(2**31 - 1) and is_prime(2**61 - 1) and not is_prime(2**59 - 1)
+    for m in (PRIME_TEST_BOUND, PRIME_TEST_BOUND + 2):
+        with pytest.raises(ValueError, match="past the proven primality test"):
+            is_prime(m)
+        with pytest.raises(ValueError, match=r"^\d+ is at or above \d+, past .*test$"):
+            check_cell(3, m, 1)

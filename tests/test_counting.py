@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from subring_census import counting, hnf
+from subring_census.combinatorics import PRIME_TEST_BOUND
 from subring_census.counting import (
     CensusRecord,
     CensusValidationError,
@@ -876,6 +877,21 @@ class TestLedgerPersistence:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_large_prime_line_loads_at_once(self, tmp_path):
+        # a 19-digit prime p is proven by a few modular powers, not by
+        # sqrt(p) trial divisions; a p at the bound of that proof is refused
+        record = CountLedger(tmp_path).census(3, 2, 1)
+        path = tmp_path / "census-n3.jsonl"
+
+        def write(p):
+            path.write_text(ledger_line(record) + changed_line(p=p, cotypes={f"{p},1": 3}) + "\n")
+
+        write(2**61 - 1)
+        assert CountLedger(tmp_path).cached(3, 2**61 - 1, 1).f_count == 3
+        write(PRIME_TEST_BOUND)
+        with pytest.raises(ValueError, match=r"census-n3.jsonl:2: \(n=3, p=\d+, e=1\) is not"):
+            CountLedger(tmp_path).cached(3, 2, 2)
+
     def test_rank1_log_reloads(self, tmp_path):
         # the one cotype key of Z^1, the empty chain, is written as ""
         records = [CountLedger(tmp_path).census(1, 2, e) for e in range(3)]
@@ -892,6 +908,111 @@ class TestLedgerPersistence:
         with pytest.raises(ValueError, match="census-n3.jsonl:2: record of n=4 in the log of n=3"):
             CountLedger(tmp_path).cached(3, 2, 2)
         assert CountLedger(tmp_path).cached(4, 2, 2).f_count == 13
+
+
+def extend_to_2000(directory):
+    multiplicative_extend(3, 2000, CountLedger(directory), coranks=(1, 2))
+
+
+def spy_on_walk(monkeypatch):
+    """Record (record, nodes used after it, whether it searched) of every
+    census call; a census searched when it called visit_subrings."""
+    searches = spy_on_enumeration(monkeypatch)
+    census = CountLedger.census
+    calls = []
+
+    def spy(self, n, p, e, budget=None, **kwargs):
+        before = len(searches)
+        record = census(self, n, p, e, budget=budget, **kwargs)
+        calls.append((record, budget.used, len(searches) > before))
+        return record
+
+    monkeypatch.setattr(CountLedger, "census", spy)
+    return calls
+
+
+class TestHeldLines:
+    """An extension walk holds the lines of censuses that ran no search and
+    writes them with the next census that searches, or when the walk ends."""
+
+    def test_a_census_that_searched_leaves_every_stored_line_on_disk(
+        self, tmp_path, monkeypatch
+    ):
+        calls = spy_on_walk(monkeypatch)
+        path = tmp_path / "census-n3.jsonl"
+        spied, logs = CountLedger.census, []
+
+        def logged(self, *args, **kwargs):
+            record = spied(self, *args, **kwargs)
+            logs.append(path.read_text() if path.exists() else "")
+            return record
+
+        writer, writes = CountLedger._append, []
+
+        def counted(self, n, records):
+            writes.append(len(records))
+            writer(self, n, records)
+
+        monkeypatch.setattr(CountLedger, "census", logged)
+        monkeypatch.setattr(CountLedger, "_append", counted)
+        led = CountLedger(tmp_path)
+        multiplicative_extend(3, 2000, led, coranks=(1, 2), budget=NodeBudget())
+        lines = [ledger_line(record) for record, _, _ in calls]
+        searched = [i for i, (_, _, search) in enumerate(calls) if search]
+        assert len(calls) == len(IndexSplit.of(2000).prime_powers)
+        assert 0 < len(searched) < len(calls) // 10
+        for i in searched:
+            assert logs[i] == "".join(lines[: i + 1]), calls[i][0]
+        # lines are held between searches, and the walk's end writes the rest
+        assert any(len(logs[i]) < len("".join(lines[: i + 1])) for i in range(len(calls)))
+        assert path.read_text() == "".join(lines)
+        # one write per census that searched, and one at the end of the walk
+        assert len(writes) == len(searched) + 1 and sum(writes) == len(calls)
+
+    @pytest.mark.parametrize("stop", ["built", "searched"])
+    def test_budget_stop_mid_walk_keeps_every_finished_line(self, tmp_path, monkeypatch, stop):
+        calls = spy_on_walk(monkeypatch)
+        multiplicative_extend(3, 300, CountLedger(tmp_path / "full"), budget=NodeBudget())
+        full = (tmp_path / "full" / "census-n3.jsonl").read_text().splitlines(keepends=True)
+        assert full == [ledger_line(record) for record, _, _ in calls]
+        # the last census that spends nodes, by a search or by building G_2(p),
+        # after one whose line was held
+        i = max(
+            i for i in range(1, len(calls))
+            if calls[i][2] == (stop == "searched") and not calls[i - 1][2]
+            and calls[i][1] > calls[i - 1][1]
+        )
+        # a budget that the nodes of calls[:i] use up: census i raises, and the
+        # log holds the lines of every census before it, as when each was
+        # appended at once
+        with pytest.raises(BudgetExceededError):
+            multiplicative_extend(3, 300, CountLedger(tmp_path), budget=NodeBudget(calls[i - 1][1]))
+        assert (tmp_path / "census-n3.jsonl").read_text() == "".join(full[:i])
+        fresh = CountLedger(tmp_path)
+        records = [record for record, _, _ in calls]
+        assert [fresh.cached(r.n, r.p, r.e) for r in records[:i]] == records[:i]
+        assert fresh.cached(records[i].n, records[i].p, records[i].e) is None
+
+    def test_concurrent_extensions_write_whole_equal_lines(self, tmp_path):
+        single = tmp_path / "single"
+        extend_to_2000(single)
+        shared = tmp_path / "shared"
+        ctx = multiprocessing.get_context("spawn")
+        workers = [ctx.Process(target=extend_to_2000, args=(shared,)) for _ in range(2)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(120)
+            assert w.exitcode == 0
+        # every line is one of the single run's: a process may rebuild a
+        # record whose line the other still holds, and append an equal line
+        lines = (shared / "census-n3.jsonl").read_text().splitlines()
+        assert set(lines) == set((single / "census-n3.jsonl").read_text().splitlines())
+        got, want = (
+            multiplicative_extend(3, 2000, CountLedger(d), coranks=(1, 2), compute=False)
+            for d in (shared, single)
+        )
+        assert (got.f, got.h_tilde, got.lattice) == (want.f, want.h_tilde, want.lattice)
 
 
 class TestClosedForms:

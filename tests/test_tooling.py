@@ -269,6 +269,10 @@ def test_extend_cells_script_splits_a_small_extension():
         assert phases[name]["cold_ms"] > 0 and phases[name]["replay_ms"] == 0
     assert phases["read"]["replay_ms"] > 0
     assert all(row["us_per_cell"] >= 0 for name, row in phases.items() if name != "rest")
+    # one write per census that searched (a G_3 block at each of 4, 8, 9, 16,
+    # 25, 27, 32, 49, 64 and 81), and one for the prime cells held after 81
+    assert report["writes"] == {"cold": 11, "replay": 0}
+    assert done.stdout.splitlines()[-2] == "11 log writes cold, 0 in the replay"
 
 
 def test_library_import_leaves_multiprocessing_out():
