@@ -23,16 +23,20 @@ A record is built from irreducible blocks, not by searching every diagonal.
 A subring of p-power index splits uniquely into irreducible subrings over a
 set partition of the coordinates, an irreducible block of size m and index
 > 1 has corank m-1, and the cokernel is the direct sum of the blocks'
-cokernels.  Splitting off the block that holds the first coordinate gives
+cokernels.  Trivial blocks Z add nothing to the index or the cotype, so
+choosing the k coordinates of the other blocks (the core), then splitting
+off the block that holds the core's first coordinate, gives
 
-    F_n(e) = sum_{m, j} C(n-1, m-1) G_m(j) (x) F_{n-m}(e-j)
+    F_n(e) = sum_{k <= min(n, 2e)} C(n, k) C_k(e)
+    C_k(d) = sum_{m >= 2, j >= m-1} C(k-1, m-1) G_m(j) (x) C_{k-m}(d-j)
 
-where F_n(e) is the cotype census of Z^n at index p^e, G_m(j) that of its
-irreducible subrings, and (x) merges the multisets of invariant factors.
-G_1 is the trivial block at j = 0 and G_m is empty for j < m-1.  G_2(j) has
-one member, Z 1 + p^j Z^2, the matrix [[p^j, 1], [0, 1]]: it is built as
-that one leaf, which spends its one search node and gets the leaf checks
-below, and is not searched.  For m >= 3, G_m(j) is counted at the leaves of
+where F_n(e) is the cotype census of Z^n at index p^e, C_k(d) that of the
+cores of Z^k (C_0(0) holds the empty core), G_m(j) that of its irreducible
+subrings, and (x) merges the multisets of invariant factors.  G_m is empty
+for j < m-1, so C_k(d) is empty past k = 2d.  G_2(j) has one member,
+Z 1 + p^j Z^2, the matrix [[p^j, 1], [0, 1]]: it is built as that one leaf,
+which spends its one search node and gets the leaf checks below, and is
+not searched.  For m >= 3, G_m(j) is counted at the leaves of
 the pruned search on full-support diagonals (corank m-1), through
 `enumeration.visit_subrings`, with no matrix list.  At every leaf the
 matrix's last column is checked to be all ones, its cotype is taken
@@ -434,7 +438,7 @@ class CountLedger:
     each distinct cotype validated once, at its first leaf, and kept in
     memory for the life of the ledger, keyed by (m, p, j), so each is built
     once and shared across n and e; they are not persisted.
-    The merged censuses F_k(d) live for one census call only.
+    The core censuses C_k(d) live for one census call only.
     census(recheck=True) enumerates every diagonal of Z^n instead.
 
     Where the pruning rules carry closure: G_m(j) is searched on
@@ -648,29 +652,21 @@ class CountLedger:
     def _merged_cotypes(
         self, n: int, p: int, e: int, progress: bool, budget: NodeBudget
     ) -> dict[tuple[int, ...], int]:
-        """F_n(e) by the block recursion, keyed by the invariant factors > 1.
-
-        G_m(j) is looked up only when F_{n-m}(e-j) is non-empty, so a block
-        of size n is enumerated at j = e alone.  The trivial block (m = 1,
-        G_1 the block Z at j = 0) adds F_{k-1}(d) unchanged, as a copy.
+        """F_n(e) from the core censuses, keyed by the invariant factors > 1.
+        Each step spends j >= 1, so the recursion is at most e + 1 deep.
+        G_m(j) is looked up only when C_{k-m}(d-j) is non-empty.
         """
         memo: dict[tuple[int, int], dict[tuple[int, ...], int]] = {(0, 0): {(): 1}}
 
-        def merged(k: int, d: int) -> dict[tuple[int, ...], int]:
+        def cores(k: int, d: int) -> dict[tuple[int, ...], int]:
             out = memo.get((k, d))
             if out is not None:
                 return out
-            # F_0 and F_1 are empty at d > 0, so here and at k - m > 1 they are
-            # skipped; a general loop is as exact but slower on Z^3 (CHANGES.md)
-            out = dict(merged(k - 1, d)) if k > 2 or d == 0 else {}
+            out = {}
             for m in range(2, k + 1):
                 ways = math.comb(k - 1, m - 1)
-                if k - m > 1:
-                    js = range(m - 1, d + 1)
-                else:  # F_{k-m} is non-empty only at j = d
-                    js = (d,) if d >= m - 1 else ()
-                for j in js:
-                    rest = merged(k - m, d - j)
+                for j in range(m - 1, d + 1):
+                    rest = cores(k - m, d - j)
                     if not rest:
                         continue
                     block = self._irreducible_cotypes(m, p, j, progress, budget)
@@ -682,11 +678,15 @@ class CountLedger:
             return out
 
         try:
-            return merged(n, e)
+            merged: dict[tuple[int, ...], int] = {}
+            for k in range(min(n, 2 * e) + 1):
+                for key, count in cores(k, e).items():
+                    merged[key] = merged.get(key, 0) + math.comb(n, k) * count
+            return merged
         finally:
-            # merged holds itself through its closure; dropping the name breaks
+            # cores holds itself through its closure; dropping the name breaks
             # that cycle, so the memo is freed on return or on a raise
-            del merged
+            del cores
 
     def _irreducible_cotypes(
         self, m: int, p: int, j: int, progress: bool, budget: NodeBudget

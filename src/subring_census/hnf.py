@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence, TextIO
 
-from .combinatorics import smallest_prime_factor
+from .combinatorics import is_prime
 
 
 @dataclass(frozen=True)
@@ -370,7 +370,7 @@ def _prime_power_base(m: int) -> int | None:
     """Prime p with m = p^k (k >= 1), or None when m is 1 or not a prime power.
 
     m = r^k for the largest such k has a base r that is no perfect power,
-    and m is a prime power iff that r is prime; only r is trial-divided.
+    and m is a prime power iff that r is prime, as `is_prime` decides.
     """
     if m <= 1:
         return None
@@ -378,7 +378,7 @@ def _prime_power_base(m: int) -> int | None:
         r = _iroot(m, k)
         if r > 1 and r**k == m:
             break
-    return r if smallest_prime_factor(r) == r else None
+    return r if is_prime(r) else None
 
 
 def diagonal_support_corank(a: SubringMatrix) -> int:

@@ -48,6 +48,18 @@ def test_census_json(capsys, tmp_path):
     assert doc["config"]["command"] == "census"
 
 
+def test_census_at_large_n(capsys, tmp_path):
+    # the trivial coordinates are chosen, not recursed over, so n = 1200 is
+    # one shallow recursion; f_n(p) = C(n, 2), one subring per pair of
+    # coordinates made congruent mod p
+    code, out, _ = run_cli(
+        capsys, "census", "-n", "1200", "-p", "2", "-e", "1", "--cache-dir", str(tmp_path)
+    )
+    assert code == 0
+    entries = json.loads(out)["entries"]
+    assert [entry["f"] for entry in entries] == [719400]
+
+
 def test_census_text_format(capsys, tmp_path):
     code, out, _ = run_cli(
         capsys, "census", "-n", "3", "-p", "2", "-e", "0:2",

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import math
 import multiprocessing
 import tracemalloc
 from collections import Counter
@@ -244,15 +245,18 @@ class TestDecomposition:
         led = CountLedger()
         for e in range(6):
             led.census(4, 2, e)
-        # G_2(1..5), G_3(2..5) and G_4(3..5) are each built once.  The
-        # census at 2^e looks G up 2e + [e>=1] + 2[e>=2] + [e>=3] times:
-        # 0 + 3 + 7 + 10 + 12 + 14 = 46 lookups, 12 of them builds.
+        # G_2(1..5), G_3(2..5) and G_4(3..5) are each built once.  Of the
+        # core censuses, C_2(d) looks up G_2(d), C_3(d) G_3(d), and C_4(d)
+        # G_2(1..d-1) and G_4(d) at d >= 3, building C_2(1..d-1) as it goes;
+        # C_1 looks nothing up.  So the census at 2^e, which takes C_k(e) for
+        # k <= min(4, 2e), makes 2e + [e>=3] lookups at e >= 2 and one at
+        # e = 1: 0 + 1 + 4 + 7 + 9 + 11 = 32 lookups, 12 of them builds.
         assert led.stats == {
             "hits": 0,
             "misses": 6,
             "rechecks": 0,
             "irreducible_built": 12,
-            "irreducible_reused": 34,
+            "irreducible_reused": 20,
         }
         led.census(4, 2, 5)
         led.census(4, 2, 3, recheck=True)
@@ -261,14 +265,14 @@ class TestDecomposition:
             "misses": 6,
             "rechecks": 1,
             "irreducible_built": 12,
-            "irreducible_reused": 34,
+            "irreducible_reused": 20,
         }
 
     @pytest.mark.parametrize(
         "n, top, stats",
         [
-            (3, 6, {"irreducible_built": 11, "irreducible_reused": 6}),
-            (4, 8, {"irreducible_built": 21, "irreducible_reused": 79}),
+            (3, 6, {"irreducible_built": 11, "irreducible_reused": 0}),
+            (4, 8, {"irreducible_built": 21, "irreducible_reused": 56}),
         ],
     )
     def test_stats_of_a_ladder(self, n, top, stats):
@@ -1057,6 +1061,18 @@ class TestClosedForms:
             formula_h(4, 2, 2, 1)
         with pytest.raises(ValueError):
             formula_h(4, 3, 2, 2)
+
+    @pytest.mark.parametrize("n", [7, 12, 40, 300, 1500])
+    def test_large_n_censuses_match_closed_forms(self, n):
+        # the core recursion is at most e + 1 deep whatever n is; h_1 = C(n, 2)
+        # and formula_h read g_3 and g_4 from the catalog, not the recursion
+        led = CountLedger()
+        for p in (2, 3):
+            for e in range(1, 6):
+                h = led.census(n, p, e).h_counts
+                assert h[1] == math.comb(n, 2)
+                for k in range(2, min(e, 3) + 1):
+                    assert h[k] == formula_h(n, k, p, e)
 
     def test_closed_forms_match_enumeration_through_rank4(self, ledger):
         # formula_h and the displayed forms coincide for n <= 4, and both agree

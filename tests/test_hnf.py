@@ -310,10 +310,22 @@ class TestPrimePowerBase:
         assert _prime_power_base(m) == base
 
     def test_square_of_large_prime_is_fast(self):
-        # only the base r of m = r^k is trial-divided, never m itself
+        # only the base r of m = r^k is tested, never m itself
         start = time.perf_counter()
         assert _prime_power_base((10**9 + 7) ** 2) == 10**9 + 7
         assert time.perf_counter() - start < 1.0
+
+    def test_prime_near_10_to_18_is_proven_without_trial_division(self):
+        # the base is proven by Miller-Rabin, not by sqrt(p) divisions
+        p = 10**18 + 3
+        start = time.perf_counter()
+        assert diagonal_support_corank(canonical_rpstar(3, p)) == 2
+        assert _prime_power_base(p * 10007) is None
+        assert time.perf_counter() - start < 0.1
+
+    def test_base_past_the_primality_bound_is_refused(self):
+        with pytest.raises(ValueError, match="past the proven primality test"):
+            _prime_power_base(2 * (10**18 + 3) ** 2)
 
 
 class TestTextFormat:
