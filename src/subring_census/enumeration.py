@@ -38,14 +38,14 @@ diagonal builds only its support, template rows and block, in one pass
 (`_template_rows`, which the naive engine uses too), and the domain ranges
 its rules leave to search.
 
-`visit_subrings` is the one driver of both engines: it walks the diagonals
-spending one `NodeBudget`, prints the `--progress` lines (`print_progress`,
-which a census miss also calls for the G_2 block it builds without a
-search), applies every `EnumSpec` filter and hands each survivor's live rows
-and support block to a visitor.  `enumerate_subrings` collects snapshots
-through it and returns them in canonical order: diagonal composition in
-lexicographic order, then column-major entry order, independent of rule
-toggles.
+`visit_subrings` is the one driver of both engines: it walks the diagonals,
+taken lazily in lexicographic order, spending one `NodeBudget`, prints the
+`--progress` lines (`print_progress`, which a census miss also calls for
+the G_2 block it builds without a search), applies every `EnumSpec` filter
+and hands each survivor's live rows and support block to a visitor.
+`enumerate_subrings` collects snapshots through it and returns them in
+canonical order: diagonal composition in lexicographic order, then
+column-major entry order, independent of rule toggles.
 Census misses count cotypes with a visitor and build no matrix list.
 
 A search node is one value placed at one entry, or one leaf reached.  Every
@@ -62,9 +62,9 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass, fields
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .combinatorics import compositions, is_prime
+from .combinatorics import compositions, is_prime, weak_composition_count, weak_compositions
 # is_irreducible_rows and is_subring_rows are not called here;
 # perfbench/tracing.py wraps both as call sites of this module
 from .hnf import (
@@ -518,18 +518,27 @@ def _strict_compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
     return tuple(compositions(total, parts, strict=True))
 
 
-def _diagonals_for_spec(spec: EnumSpec) -> list[tuple[int, ...]]:
-    k = spec.corank
+def _diagonals_for_spec(spec: EnumSpec) -> Iterable[tuple[int, ...]]:
+    """The diagonals the spec searches, in lexicographic order: a list when
+    they are its one given diagonal or the full-support ones, and otherwise
+    produced lazily, so that a search stopped by its budget lists no more
+    of them.  In pruned mode a corank keeps the diagonals of that support."""
+    k = spec.corank if spec.mode == "pruned" else None
     if spec.diagonal is not None:
-        exps_list = [tuple(spec.diagonal)]
-    elif spec.mode == "pruned" and k == spec.n - 1:
+        exps = tuple(spec.diagonal)
+        return [exps] if k is None or len(exps) - exps.count(0) == k else []
+    if k == spec.n - 1:
         # full support: every part positive
         return list(_strict_compositions(spec.e, k))
-    else:
-        exps_list = compositions(spec.e, spec.n - 1, strict=False)
-    if spec.mode == "pruned" and k is not None:
-        exps_list = [t for t in exps_list if sum(1 for v in t if v > 0) == k]
-    return exps_list
+    return weak_compositions(spec.e, spec.n - 1, k)
+
+
+def _diagonal_count(spec: EnumSpec) -> int:
+    """The number of diagonals of `_diagonals_for_spec`, in closed form."""
+    if spec.diagonal is not None:
+        return len(_diagonals_for_spec(spec))
+    k = spec.corank if spec.mode == "pruned" else None
+    return weak_composition_count(spec.e, spec.n - 1, k)
 
 
 def _with_corank(visit: Visit, corank: int) -> Visit:
@@ -562,9 +571,8 @@ def visit_subrings(spec: EnumSpec, visit: Visit, budget: NodeBudget | None = Non
         search = _naive_for_diagonal
         if spec.corank is not None:  # post hoc, by Smith form (see EnumSpec)
             visit = _with_corank(visit, spec.corank)
-    exps_list = _diagonals_for_spec(spec)
-    total = len(exps_list)
-    for done, exps in enumerate(exps_list, start=1):
+    total = _diagonal_count(spec) if spec.progress else 0
+    for done, exps in enumerate(_diagonals_for_spec(spec), start=1):
         search(spec, exps, budget, visit)
         if spec.progress:
             print_progress(spec.n, spec.p, spec.e, done, total, budget)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import time
 from dataclasses import fields
 
 import pytest
@@ -234,6 +235,20 @@ def test_enumerate_budget_exit_code(capsys):
     )
     assert code == 3
     assert "budget" in err
+
+
+@pytest.mark.parametrize("n", [80, 120])
+def test_enumerate_budget_bounds_the_listing_of_diagonals(capsys, n):
+    # Z^120 at 2^3 has 287 980 diagonals; the budget of 10 nodes runs out in
+    # the first few, so the run ends as soon as they are searched
+    start = time.perf_counter()
+    code, _, err = run_cli(
+        capsys, "enumerate", "-n", str(n), "-p", "2", "-e", "3", "--budget", "10"
+    )
+    elapsed = time.perf_counter() - start
+    assert code == 3
+    assert "node budget exhausted: 11 nodes > budget 10" in err
+    assert elapsed < 1.0
 
 
 def test_census_gives_each_cell_a_budget_of_its_own(capsys, tmp_path):

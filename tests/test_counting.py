@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import json
@@ -914,6 +915,97 @@ class TestLedgerPersistence:
         assert CountLedger(tmp_path).cached(4, 2, 2).f_count == 13
 
 
+def reference_from_payload(payload):
+    """The record of a payload, each field read and tested in turn through
+    `_int` and `_str`, in `CensusRecord.from_payload`'s order."""
+    cotypes = {}
+    for key, count in payload["cotypes"].items():
+        alphas = tuple(map(int, key.split(","))) if key else ()
+        counting._int(count, "cotype count")
+        cotypes[alphas] = count
+    n, p, e, f, g = [counting._int(payload[k], k) for k in ("n", "p", "e", "f", "g")]
+    h = tuple(payload["h"])
+    for v in h:
+        counting._int(v, "h entry")
+    mode, rules, engine = [counting._str(payload[k], k) for k in ("mode", "rules", "engine")]
+    if len(h) == n:
+        record = CensusRecord(n, p, e, cotypes, mode, rules, engine)
+        if (f, g, h) == (record.f_count, record.g_count, record.h_counts):
+            return record
+    raise CensusValidationError(DISAGREE)
+
+
+def reference_parse_line(where, line):
+    """The verified record of a log line by json.loads on its bytes, the
+    payload read by `reference_from_payload` and the checksum of the
+    record's canonical bytes: the oracle of `CountLedger._parse_line`."""
+    try:
+        item = json.loads(line)
+    except ValueError as exc:
+        raise ValueError(f"{where}: not JSON ({exc})") from None
+    if not isinstance(item, dict) or not {"record", "checksum"} <= item.keys():
+        raise ValueError(f"{where}: not an object with record and checksum")
+    try:
+        record = reference_from_payload(item["record"])
+    except CensusValidationError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise ValueError(f"{where}: malformed record ({exc!r})") from None
+    if record.checksum() != item["checksum"]:
+        raise ValueError(f"{where}: checksum mismatch at e={record.e}")
+    return record
+
+
+def mutated_lines(line):
+    """Variants of one log line: the same record in other JSON spellings,
+    and lines that are bad UTF-8, torn, or whose fields changed."""
+    item = json.loads(line)
+    record = item["record"]
+    body = json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
+    yield line
+    yield b"  " + line + b" \t"
+    yield json.dumps(item).encode()  # json's default spacing
+    yield json.dumps(item, indent=1).replace("\n", " ").encode()
+    reordered = {"record": dict(reversed(record.items())), "checksum": item["checksum"]}
+    yield json.dumps(reordered).encode()
+    yield json.dumps({**item, "record": {**record, "extra": [1]}, "note": None}).encode()
+    for spell in ("0{}", "+{}", " {}"):
+        keys = {
+            ",".join(spell.format(a) for a in k.split(",")): c
+            for k, c in record["cotypes"].items()
+        }
+        yield json.dumps({**item, "record": {**record, "cotypes": keys}}).encode()
+    # a checksum of the line's own bytes is not the canonical one
+    yield json.dumps({**item, "checksum": hashlib.sha256(line).hexdigest()}).encode()
+    yield json.dumps({**item, "checksum": hashlib.sha256(body).hexdigest().upper()}).encode()
+    for raw in (
+        b"pr\xffuned", b"pr\xc3", b"pr\xed\xa0\x80uned", b"pr\xc3\xa9uned", b"pr\\u00e9uned"
+    ):
+        yield line.replace(b"pruned", raw)
+    accented = {**record, "mode": "pr\u00e9uned \ud800"}
+    digest = hashlib.sha256(json.dumps(accented, sort_keys=True, separators=(",", ":")).encode())
+    spelled = json.dumps({"checksum": digest.hexdigest(), "record": accented}, ensure_ascii=False)
+    yield spelled.encode("utf-8", "surrogatepass")
+    for cut in (1, len(line) // 2, len(line) - 1):
+        yield line[:cut]
+    yield line + b"}"
+    yield line.replace(b'"h":[', b'"h":[0,')
+    yield line.replace(b'"n":3', b'"n":3.0')
+    # two faults: the field tested first names the refusal
+    yield line.replace(b'"n":3', b'"n":3.0').replace(b'"pruned"', b"1")
+    yield line.replace(b'"engine":', b'"engine_":').replace(b'"h":[', b'"h":[true,')
+    without_rules = {k: v for k, v in record.items() if k != "rules"}
+    yield json.dumps({**item, "record": {**without_rules, "e": True}}).encode()
+
+
+def parse_outcome(parse, line):
+    try:
+        record = parse(line)
+    except ValueError as exc:
+        return "refused", str(exc)
+    return record, record.checksum(), (record.h_counts, record.f_count, record.g_count)
+
+
 def extend_to_2000(directory):
     multiplicative_extend(3, 2000, CountLedger(directory), coranks=(1, 2))
 
@@ -933,6 +1025,94 @@ def spy_on_walk(monkeypatch):
 
     monkeypatch.setattr(CountLedger, "census", spy)
     return calls
+
+
+class TestParseEquivalence:
+    def test_parse_line_matches_the_json_loads_reference(self, tmp_path):
+        # every line of a cold extension's log, and its variants, gives an
+        # equal record with an equal checksum, or the same refusal
+        extend_to_2000(tmp_path)
+        lines = (tmp_path / "census-n3.jsonl").read_bytes().splitlines()
+        ledger = CountLedger()
+        outcomes = Counter()
+        for lineno, line in enumerate(lines, start=1):
+            for variant in mutated_lines(line):
+                got = parse_outcome(lambda b: ledger._parse_line("log", lineno, b), variant)
+                want = parse_outcome(lambda b: reference_parse_line(f"log:{lineno}", b), variant)
+                assert got == want, variant
+                outcomes[got[0] == "refused"] += 1
+        assert len(lines) == 333 and outcomes[True] > 4000 and outcomes[False] > 3000
+
+    def test_a_line_behind_a_byte_order_mark_is_refused(self, tmp_path):
+        # the lines are UTF-8 as the ledger writes them: a byte order mark,
+        # which json.loads on bytes would skip, makes the line not JSON
+        record = CountLedger(tmp_path).census(3, 2, 1)
+        path = tmp_path / "census-n3.jsonl"
+        line = ledger_line(record).encode()
+        path.write_bytes(line + b"\xef\xbb\xbf" + line)
+        with pytest.raises(ValueError, match="census-n3.jsonl:2: not JSON"):
+            CountLedger(tmp_path).cached(3, 2, 2)
+
+
+class TestRecordLayout:
+    FIELDS = (
+        "n", "p", "e", "cotype_counts", "mode", "rules", "engine_version",
+        "h_counts", "f_count", "g_count",
+    )
+
+    def test_fields_keep_their_order(self):
+        layout = [(f.name, f.init, f.compare) for f in dataclasses.fields(CensusRecord)]
+        assert layout == [(name, i < 7, i < 7) for i, name in enumerate(self.FIELDS)]
+        assert CensusRecord.__slots__ == self.FIELDS
+
+    def test_no_field_can_be_assigned(self):
+        record = CountLedger().census(3, 2, 2)
+        assert not hasattr(record, "__dict__")
+        for name in self.FIELDS:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, getattr(record, name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(record, name)
+        # nor is there room for another attribute (CPython 3.11's frozen
+        # slots dataclass raises TypeError here, later ones AttributeError)
+        with pytest.raises((AttributeError, TypeError)):
+            record.extra = 1
+        assert record == CountLedger().census(3, 2, 2)
+
+    def test_equality_compares_the_seven_given_fields(self):
+        led = CountLedger()
+        record = led.census(3, 2, 2)
+        twin = CensusRecord(3, 2, 2, dict(record.cotype_counts), *record_strings(record))
+        assert twin == record and twin is not record
+        # the computed fields take no part
+        object.__setattr__(twin, "f_count", -1)
+        object.__setattr__(twin, "h_counts", ())
+        assert twin == record
+        others = [led.census(3, 3, 2), led.census(4, 2, 2), led.census(3, 2, 3)] + [
+            dataclasses.replace(record, **change)
+            for change in (
+                {"cotype_counts": {**record.cotype_counts, (4, 1): 4}},
+                {"mode": "naive"},
+                {"rules": "rules-v1:00000"},
+                {"engine_version": "0.0.9"},
+            )
+        ]
+        assert all(other != record for other in others)
+
+    def test_cold_and_replayed_records_are_equal(self, tmp_path):
+        cold, warm = CountLedger(tmp_path), CountLedger(tmp_path)
+        multiplicative_extend(3, 2000, cold, coranks=(1, 2))
+        multiplicative_extend(3, 2000, warm, coranks=(1, 2), compute=False)
+        assert len(cold._records) == 333 and warm._records.keys() == cold._records.keys()
+        for key, record in cold._records.items():
+            again = warm._records[key]
+            assert again is not record and again == record
+            assert again.checksum() == record.checksum()
+            assert dataclasses.astuple(again) == dataclasses.astuple(record)
+
+
+def record_strings(record):
+    return record.mode, record.rules, record.engine_version
 
 
 class TestHeldLines:
@@ -1236,6 +1416,21 @@ class TestMultiplicative:
         # rank 2, determinant p^e: 1 + p + ... + p^e Hermite forms
         assert lattice_prime_power_count(2, 3, 2) == 13
         assert lattice_prime_power_count(1, 5, 4) == 1
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 101, 19997])
+    def test_lattice_prime_power_matches_the_coefficient_loop(self, p):
+        # the x^e coefficient of prod_{i<n} 1/(1 - p^i x), one factor at a time
+        def coefficient_loop(n, e):
+            coeffs = [1] + [0] * e
+            for i in range(n):
+                w = p**i
+                for j in range(1, e + 1):
+                    coeffs[j] += coeffs[j - 1] * w
+            return coeffs[e]
+
+        for n in range(9):
+            for e in range(15):
+                assert lattice_prime_power_count(n, p, e) == coefficient_loop(n, e), (n, e)
 
 
 class TestNoCyclicGarbage:

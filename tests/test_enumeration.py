@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 from dataclasses import fields
 
 import pytest
@@ -12,6 +14,7 @@ from subring_census.enumeration import (
     EnumSpec,
     NodeBudget,
     PruneRuleSet,
+    _diagonal_count,
     _diagonals_for_spec,
     _entry_values,
     _narrow,
@@ -624,6 +627,50 @@ def test_full_support_diagonals_are_strict_compositions():
         for e in range(13):
             listed = _diagonals_for_spec(EnumSpec(n, 2, e, corank=n - 1))
             assert listed == [t for t in compositions(e, n - 1) if all(t)], (n, e)
+
+
+def test_diagonals_are_listed_in_lexicographic_order_and_counted():
+    # the diagonals of every spec on a grid, against the filtered weak
+    # compositions; the --progress total is their closed-form count
+    for n in range(1, 8):
+        for e in range(9):
+            weak = compositions(e, n - 1)
+            for mode, k in [("naive", None), ("pruned", None)] + [
+                (mode, k) for mode in ("naive", "pruned") for k in range(n)
+            ]:
+                spec = EnumSpec(n, 2, e, mode=mode, corank=k)
+                want = [t for t in weak if mode == "naive" or k is None or n - 1 - t.count(0) == k]
+                assert list(_diagonals_for_spec(spec)) == want, (n, e, mode, k)
+                assert _diagonal_count(spec) == len(want), (n, e, mode, k)
+    for t in compositions(4, 3):
+        for k in (None, 0, 1, 2, 3):
+            for mode in ("naive", "pruned"):
+                spec = EnumSpec(4, 3, 4, mode=mode, corank=k, diagonal=t)
+                want = [t] if mode == "naive" or k is None or 3 - t.count(0) == k else []
+                assert list(_diagonals_for_spec(spec)) == want
+                assert _diagonal_count(spec) == len(want)
+
+
+def test_progress_total_is_the_number_of_diagonals_searched(capsys):
+    for spec in (EnumSpec(4, 2, 3, progress=True), EnumSpec(5, 3, 4, corank=2, progress=True)):
+        visit_subrings(spec, lambda rows, block: None)
+        lines = capsys.readouterr().err.splitlines()
+        want = len(list(_diagonals_for_spec(spec)))
+        assert [line.split("diagonals ")[1].split(",")[0] for line in lines] == [
+            f"{done}/{want}" for done in range(1, want + 1)
+        ]
+
+
+def test_a_large_listing_is_not_built_before_the_search():
+    # the first diagonals of Z^200 at 2^3 are taken without listing the
+    # 1 333 297 others; a tenth of a second is far more than they need
+    spec = EnumSpec(200, 2, 3)
+    start = time.perf_counter()
+    first = list(itertools.islice(_diagonals_for_spec(spec), 3))
+    assert time.perf_counter() - start < 0.1
+    zeros = (0,) * 198
+    assert first == [zeros + (3,), zeros[1:] + (1, 2), zeros[1:] + (2, 1)]
+    assert _diagonal_count(spec) == binomial(201, 3)
 
 
 @given(st.integers(0, 4), st.sampled_from([2, 3]))
