@@ -35,7 +35,13 @@ def compositions(total: int, parts: int, strict: bool = False) -> list[tuple[int
     Each composition is a plain tuple of parts.  Weak compositions allow zero
     parts; strict ones require every part >= 1.  The lexicographic order is a
     documented contract: the canonical matrix order of the enumeration takes
-    diagonals in it.
+    diagonals in it.  `_iter_compositions` yields the same tuples lazily.
+    """
+    return list(_iter_compositions(total, parts, strict))
+
+
+def _iter_compositions(total: int, parts: int, strict: bool = False) -> Iterator[tuple[int, ...]]:
+    """The tuples of `compositions`, one at a time, in the same order.
 
     A strict composition is a choice of parts-1 cut points in 1..total-1,
     and a weak one of total into parts is a strict one of total + parts with
@@ -45,54 +51,22 @@ def compositions(total: int, parts: int, strict: bool = False) -> list[tuple[int
     if total < 0 or parts < 0:
         raise ValueError("compositions requires nonnegative arguments")
     if parts == 0:
-        return [()] if total == 0 else []
+        if total == 0:
+            yield ()
+        return
     shift = 0 if strict else 1
     top = total + shift * parts
     if top < parts:
-        return []
-    return [
-        tuple(b - a - shift for a, b in zip((0, *cuts), (*cuts, top)))
-        for cuts in itertools.combinations(range(1, top), parts - 1)
-    ]
-
-
-def weak_compositions(
-    total: int, parts: int, positive: int | None = None
-) -> Iterator[tuple[int, ...]]:
-    """The weak compositions of ``total`` into ``parts`` parts, lazily, in
-    the lexicographic order of `compositions`; with ``positive`` given, only
-    those with exactly that many positive parts.
-
-    Of two such tuples, the one whose first positive part lies further right
-    is smaller, and at the same place the smaller part comes first.  So each
-    tuple is built from its first positive part, position descending and
-    value ascending, followed by the compositions of what is left over the
-    later places.  The recursion is as deep as the number of positive parts,
-    and no tuple of another support is made.
-    """
-    if total < 0 or parts < 0 or (positive is not None and positive < 0):
-        raise ValueError("weak_compositions requires nonnegative arguments")
-    if total == 0:
-        if not positive:
-            yield (0,) * parts
         return
-    if positive == 0:
-        return
-    # the positive parts still to place, this one included, and after it
-    least = 1 if positive is None else positive
-    after = None if positive is None else positive - 1
-    for at in range(parts - least, -1, -1):
-        head = (0,) * at
-        for v in range(1, total - least + 2):
-            for tail in weak_compositions(total - v, parts - at - 1, after):
-                yield (*head, v, *tail)
+    for cuts in itertools.combinations(range(1, top), parts - 1):
+        yield tuple(b - a - shift for a, b in zip((0, *cuts), (*cuts, top)))
 
 
 def weak_composition_count(total: int, parts: int, positive: int | None = None) -> int:
-    """The number of tuples `weak_compositions` yields, in closed form:
-    C(total + parts - 1, parts - 1), or C(parts, k) C(total - 1, k - 1) with
-    exactly k = ``positive`` positive parts (the places, then a strict
-    composition over them)."""
+    """The number of weak compositions of ``total`` into ``parts`` parts, in
+    closed form: C(total + parts - 1, parts - 1), or C(parts, k) C(total - 1,
+    k - 1) of those with exactly k = ``positive`` positive parts (the
+    places, then a strict composition over them)."""
     if total < 0 or parts < 0 or (positive is not None and positive < 0):
         raise ValueError("weak_composition_count requires nonnegative arguments")
     if total == 0 or parts == 0 or positive == 0:

@@ -280,8 +280,12 @@ class CensusRecord:
 
         Each field is read once, and the fields are read and tested in that
         order, so the first bad one raises; `_int` and `_str` are called
-        only to raise.  A ledger load calls this once per line: about 4-6 us
-        for a line of a Z^3 log, the record's construction included.
+        only to raise.  A ledger load calls this once per line: about 4-7 us
+        for a line of a Z^3 log, the record's construction included.  The
+        scalar fields are read by one `if` each rather than by two list
+        comprehensions over their names, which saves 0.9-1.4 us a line (17-18%
+        in the median of 40 alternating rounds over the 2 328 payloads of a
+        Z^3 log to 20 000; faster in 37 and 39 of 40 rounds, in two runs).
         """
         cotypes = {}
         for key, count in payload["cotypes"].items():

@@ -64,7 +64,7 @@ import sys
 from dataclasses import dataclass, fields
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .combinatorics import compositions, is_prime, weak_composition_count, weak_compositions
+from .combinatorics import _iter_compositions, compositions, is_prime, weak_composition_count
 # is_irreducible_rows and is_subring_rows are not called here;
 # perfbench/tracing.py wraps both as call sites of this module
 from .hnf import (
@@ -519,25 +519,27 @@ def _strict_compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _diagonals_for_spec(spec: EnumSpec) -> Iterable[tuple[int, ...]]:
-    """The diagonals the spec searches, in lexicographic order: a list when
-    they are its one given diagonal or the full-support ones, and otherwise
-    produced lazily, so that a search stopped by its budget lists no more
-    of them.  In pruned mode a corank keeps the diagonals of that support."""
+    """The diagonals the spec searches, in lexicographic order.  In pruned
+    mode a corank keeps the diagonals of that support.  The full-support
+    ones of the G_m searches come as a list made once per (e, n); all others
+    are taken lazily, so a search stopped by its budget lists no more."""
     k = spec.corank if spec.mode == "pruned" else None
     if spec.diagonal is not None:
-        exps = tuple(spec.diagonal)
-        return [exps] if k is None or len(exps) - exps.count(0) == k else []
-    if k == spec.n - 1:
+        candidates: Iterable[tuple[int, ...]] = [tuple(spec.diagonal)]
+    elif k == spec.n - 1:
         # full support: every part positive
         return list(_strict_compositions(spec.e, k))
-    return weak_compositions(spec.e, spec.n - 1, k)
+    else:
+        candidates = _iter_compositions(spec.e, spec.n - 1)
+    return (t for t in candidates if k is None or len(t) - t.count(0) == k)
 
 
 def _diagonal_count(spec: EnumSpec) -> int:
     """The number of diagonals of `_diagonals_for_spec`, in closed form."""
-    if spec.diagonal is not None:
-        return len(_diagonals_for_spec(spec))
     k = spec.corank if spec.mode == "pruned" else None
+    if spec.diagonal is not None:
+        d = tuple(spec.diagonal)
+        return int(k is None or len(d) - d.count(0) == k)
     return weak_composition_count(spec.e, spec.n - 1, k)
 
 
